@@ -127,21 +127,25 @@ BM_StealScan(benchmark::State &state)
 {
     // 32 queues, a few queued SuperFunctions, one matching type.
     std::vector<std::deque<SuperFunction *>> queues(32);
+    std::vector<Cycles> backlog(32, 0);
     std::vector<SuperFunction> sfs(64);
     for (std::size_t i = 0; i < sfs.size(); ++i) {
         sfs[i].type = SfType::systemCall(i % 8);
+        sfs[i].coreId = static_cast<CoreId>(i % 32);
         queues[i % 32].push_back(&sfs[i]);
+        backlog[i % 32] += unseenTypeCost;
     }
     AllocTable alloc;
     alloc.set(SfType::systemCall(3), {0});
     TMigrateView view;
     view.queues = &queues;
+    view.backlog = &backlog;
 
     for (auto _ : state) {
         SuperFunction *sf = stealSameWork(view, alloc, 0);
         benchmark::DoNotOptimize(sf);
         if (sf != nullptr)
-            queues[1].push_back(sf); // put it back for the next iter
+            queues[sf->coreId].push_back(sf); // back for the next iter
     }
 }
 BENCHMARK(BM_StealScan);

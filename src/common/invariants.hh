@@ -10,7 +10,9 @@
  * structurally sound — validBlocks() never exceeds sets * assoc and
  * no set holds two valid copies of one tag
  * (MemHierarchy::checkCacheInvariants, guarding against the
- * invalidate-then-reinsert duplicate-line regression).
+ * invalidate-then-reinsert duplicate-line regression), and every
+ * scheduler's running per-core backlog must equal a scan of its
+ * queue (Scheduler::checkInvariants).
  * Checks are written as
  *
  *     if constexpr (checkedBuild) { ... SCHEDTASK_ASSERT(...); }

@@ -1,5 +1,6 @@
 #include "core/schedtask_sched.hh"
 
+#include "common/invariants.hh"
 #include "common/logging.hh"
 #include "sim/machine.hh"
 
@@ -26,19 +27,13 @@ SchedTaskScheduler::attach(Machine &machine)
     alloc_ = AllocTable{};
     overlap_ = OverlapTable{};
     last_scan_version_.assign(numCores(), ~std::uint64_t{0});
-}
 
-TMigrateView
-SchedTaskScheduler::view()
-{
-    TMigrateView v;
-    v.queues = &allQueues();
-    v.avgExecTime = [this](SfType t) { return avgExecTimeOf(t); };
-    v.queuedCount = [this](SfType t) { return queuedCountOf(t); };
-    v.onStolen = [this](SuperFunction *sf) {
-        noteQueueRemoval(sf->type);
-    };
-    return v;
+    // The queue and backlog arrays never reallocate after attach, so
+    // one view serves every placement and steal.
+    view_.queues = &allQueues();
+    view_.backlog = &backlogs();
+    view_.queuedCount = [this](SfType t) { return queuedCountOf(t); };
+    view_.onStolen = [this](SuperFunction *sf) { noteQueueRemoval(sf); };
 }
 
 Cycles
@@ -46,6 +41,12 @@ SchedTaskScheduler::avgExecTimeOf(SfType type) const
 {
     const StatsEntry *entry = talloc_->systemStats().find(type);
     return entry == nullptr ? 0 : entry->avgExecTime();
+}
+
+Cycles
+SchedTaskScheduler::queueCost(SfType type) const
+{
+    return waitingCost(avgExecTimeOf(type));
 }
 
 CoreId
@@ -63,7 +64,7 @@ SchedTaskScheduler::choosePlacement(SuperFunction *sf,
     }
     if (cores->size() == 1)
         return (*cores)[0];
-    return selectLeastWaitingCore(view(), *cores);
+    return selectLeastWaitingCore(view_, *cores);
 }
 
 SuperFunction *
@@ -83,9 +84,8 @@ SchedTaskScheduler::pickNext(CoreId core)
         return nullptr;
     last_scan_version_[core] = queueVersion();
 
-    TMigrateView v = view();
     if (params_.stealPolicy == StealPolicy::BusiestFirst) {
-        auto stolen = stealFromBusiest(v, core);
+        auto stolen = stealFromBusiest(view_, core);
         if (stolen.empty())
             return nullptr;
         SuperFunction *first = stolen.front();
@@ -96,7 +96,7 @@ SchedTaskScheduler::pickNext(CoreId core)
     }
 
     // Level 1: steal same work only.
-    sf = stealSameWork(v, alloc_, core);
+    sf = stealSameWork(view_, alloc_, core);
     if (sf != nullptr) {
         ++same_steals_;
         noteDispatchWait(core, sf);
@@ -107,7 +107,7 @@ SchedTaskScheduler::pickNext(CoreId core)
 
     // Level 2: steal similar work also; half of the matching
     // SuperFunctions migrate to amortize the cold i-cache.
-    auto stolen = stealSimilarWork(v, alloc_, overlap_, core);
+    auto stolen = stealSimilarWork(view_, alloc_, overlap_, core);
     if (stolen.empty())
         return nullptr;
     ++similar_steals_;
@@ -156,6 +156,11 @@ SchedTaskScheduler::onSliceEnd(CoreId core, const SuperFunction *sf,
 void
 SchedTaskScheduler::onEpoch()
 {
+    // The backlogs were maintained incrementally since the last
+    // rebuild; prove it before TAlloc changes the weights.
+    if constexpr (checkedBuild)
+        checkInvariants();
+
     // Detect starvation: idle core-cycles accumulated during the
     // last epoch. Queue waits only become a demand signal when
     // cores idled (otherwise waiting in a saturated queue is
@@ -174,6 +179,9 @@ SchedTaskScheduler::onEpoch()
     TAllocResult result = talloc_->run(
         core_stats_, alloc_,
         [this](SfType t) { return queuedCountOf(t); }, starved);
+    // TAlloc just replaced the stats table queueCost() reads, the
+    // only event that changes a queued SuperFunction's weight.
+    rebuildBacklogs();
     overlap_ = std::move(result.overlap);
     last_reallocated_ = result.reallocated;
     last_placement_moves_ = 0;

@@ -65,6 +65,10 @@ class SchedTaskScheduler : public QueueScheduler
   public:
     explicit SchedTaskScheduler(const SchedTaskParams &params = {});
 
+    /** view_ holds pointers into this object and captures `this`. */
+    SchedTaskScheduler(const SchedTaskScheduler &) = delete;
+    SchedTaskScheduler &operator=(const SchedTaskScheduler &) = delete;
+
     const char *name() const override { return "SchedTask"; }
 
     void attach(Machine &machine) override;
@@ -95,8 +99,10 @@ class SchedTaskScheduler : public QueueScheduler
     /** Mean observed execution time of a type (placement costing). */
     Cycles avgExecTimeOf(SfType type) const;
 
+    /** TMigrate's waiting-time weight: waitingCost(avgExecTimeOf). */
+    Cycles queueCost(SfType type) const override;
+
   private:
-    TMigrateView view();
     void replaceQueuedWork();
     void noteDispatchWait(CoreId core, SuperFunction *sf);
 
@@ -105,6 +111,8 @@ class SchedTaskScheduler : public QueueScheduler
     std::vector<StatsTable> core_stats_;
     AllocTable alloc_;
     OverlapTable overlap_;
+    /** Queues + backlogs for TMigrate; built once in attach(). */
+    TMigrateView view_;
     std::uint64_t same_steals_ = 0;
     std::uint64_t similar_steals_ = 0;
     /** queueVersion() at each core's last failed steal scan. */

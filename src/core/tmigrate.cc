@@ -1,7 +1,6 @@
 #include "core/tmigrate.hh"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/logging.hh"
 
@@ -22,20 +21,6 @@ stealPolicyName(StealPolicy policy)
         return "Steal from busiest";
     }
     return "unknown";
-}
-
-Cycles
-TMigrateView::waitingTime(CoreId core) const
-{
-    SCHEDTASK_ASSERT(queues != nullptr, "view without queues");
-    Cycles total = 0;
-    for (const SuperFunction *sf : (*queues)[core]) {
-        const Cycles avg = avgExecTime ? avgExecTime(sf->type) : 0;
-        // Types never seen before contribute a nominal cost so an
-        // all-unknown queue still looks non-empty.
-        total += avg != 0 ? avg : 1000;
-    }
-    return total;
 }
 
 CoreId
@@ -74,9 +59,12 @@ stealSameWork(const TMigrateView &view, const AllocTable &alloc,
         if (!any)
             return nullptr;
     }
-    std::unordered_set<std::uint64_t> mine;
-    for (SfType t : my_types)
-        mine.insert(t.raw());
+    // typesOnCore() is sorted by raw value.
+    const auto mine = [&my_types](SfType t) {
+        return std::binary_search(
+            my_types.begin(), my_types.end(), t,
+            [](SfType a, SfType b) { return a.raw() < b.raw(); });
+    };
 
     // Given multiple victims, prefer the one with the maximum
     // waiting time (Section 5.3).
@@ -88,7 +76,7 @@ stealSameWork(const TMigrateView &view, const AllocTable &alloc,
             continue;
         bool has_match = false;
         for (const SuperFunction *sf : queues[c]) {
-            if (mine.count(sf->type.raw()) != 0) {
+            if (mine(sf->type)) {
                 has_match = true;
                 break;
             }
@@ -106,7 +94,7 @@ stealSameWork(const TMigrateView &view, const AllocTable &alloc,
 
     auto &q = queues[victim];
     for (auto it = q.begin(); it != q.end(); ++it) {
-        if (mine.count((*it)->type.raw()) != 0) {
+        if (mine((*it)->type)) {
             SuperFunction *sf = *it;
             q.erase(it);
             if (view.onStolen)

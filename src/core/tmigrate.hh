@@ -8,6 +8,18 @@
  * the SuperFunctions in its runnable queue). Absent an allocation,
  * it runs on the local core.
  *
+ * Waiting time is not recomputed from the queues: like a hardware
+ * per-core counter, the owning scheduler keeps it as a running
+ * backlog (QueueScheduler::backlogs()), credited with a
+ * SuperFunction's waitingCost() when it is queued and debited by
+ * the same amount when it leaves the queue by any path (dispatch,
+ * steal, drain). The invariant is backlog[c] == sum of
+ * waitingCost() over queue c. A SuperFunction's cost depends only
+ * on TAlloc's system-wide stats table, which changes only when
+ * TAlloc runs at an epoch boundary, so the scheduler rebuilds the
+ * backlogs from the queues exactly there and nowhere else; between
+ * two TAlloc runs every debit matches its credit.
+ *
  * Stealing, tried in order by an idle core:
  *  1. Steal same work only — take a SuperFunction whose type is
  *     allocated to the local core from the core with the maximum
@@ -48,23 +60,44 @@ enum class StealPolicy : std::uint8_t
 /** Human-readable strategy name. */
 const char *stealPolicyName(StealPolicy policy);
 
-/** View of all run queues plus a waiting-time estimator. */
+/**
+ * Waiting-time cost of a queued SuperFunction whose type has no
+ * recorded average execution time yet: nominal, so that a queue of
+ * never-seen types still looks non-empty.
+ */
+inline constexpr Cycles unseenTypeCost = 1000;
+
+/** Waiting-time contribution of one queued SuperFunction. */
+constexpr Cycles
+waitingCost(Cycles avg_exec_time)
+{
+    return avg_exec_time != 0 ? avg_exec_time : unseenTypeCost;
+}
+
+/** View of all run queues plus their waiting times. */
 struct TMigrateView
 {
     /** Per-core runnable queues (owned by the scheduler). */
     std::vector<std::deque<SuperFunction *>> *queues = nullptr;
 
-    /** Average execution time of one SuperFunction of a type. */
-    std::function<Cycles(SfType)> avgExecTime;
+    /** Per-core waiting time, kept by the scheduler (see above). */
+    const std::vector<Cycles> *backlog = nullptr;
 
     /** Queued instances of a type, across all cores (fast probe). */
     std::function<std::size_t(SfType)> queuedCount;
 
-    /** Bookkeeping callback invoked for each stolen SuperFunction. */
+    /**
+     * Bookkeeping callback invoked for each stolen SuperFunction,
+     * right after it left its queue; the owner debits the backlog.
+     */
     std::function<void(SuperFunction *)> onStolen;
 
-    /** Estimated waiting time of a core's queue. */
-    Cycles waitingTime(CoreId core) const;
+    /** Waiting time of a core's queue. */
+    Cycles
+    waitingTime(CoreId core) const
+    {
+        return (*backlog)[core];
+    }
 };
 
 /**

@@ -15,9 +15,9 @@ CoherenceDirectory::CoherenceDirectory(unsigned num_cores)
     : num_cores_(num_cores), mask_(initialSlots - 1),
       slots_(initialSlots)
 {
-    SCHEDTASK_ASSERT(num_cores >= 1 && num_cores <= 64,
-                     "full-map directory supports 1..64 cores, got ",
-                     num_cores);
+    SCHEDTASK_ASSERT(num_cores >= 1 && num_cores <= maxCores,
+                     "full-map directory supports 1..", maxCores,
+                     " cores, got ", num_cores);
 }
 
 CoherenceDirectory::Slot &

@@ -67,6 +67,10 @@ struct DirectoryLineState
 class CoherenceDirectory
 {
   public:
+    /** Most cores a full-map (64-bit sharer vector) entry tracks. */
+    static constexpr unsigned maxCores = 64;
+
+    /** @param num_cores in [1, maxCores]. */
     explicit CoherenceDirectory(unsigned num_cores);
 
     /**

@@ -56,6 +56,7 @@ QueueScheduler::attach(Machine &machine)
     Scheduler::attach(machine);
     num_cores_ = machine.numCores();
     queues_.assign(num_cores_, {});
+    backlog_.assign(num_cores_, 0);
     rr_irq_core_ = 0;
 }
 
@@ -132,6 +133,7 @@ QueueScheduler::enqueue(CoreId core, SuperFunction *sf)
     sf->state = SfState::Runnable;
     sf->enqueueCycle = machine_->now();
     queues_[core].push_back(sf);
+    backlog_[core] += queueCost(sf->type);
     ++queue_version_;
     ++queued_by_type_[sf->type.raw()];
 }
@@ -144,6 +146,7 @@ QueueScheduler::enqueueFront(CoreId core, SuperFunction *sf)
     sf->state = SfState::Runnable;
     sf->enqueueCycle = machine_->now();
     queues_[core].push_front(sf);
+    backlog_[core] += queueCost(sf->type);
     ++queue_version_;
     ++queued_by_type_[sf->type.raw()];
 }
@@ -156,7 +159,7 @@ QueueScheduler::popHead(CoreId core)
         return nullptr;
     SuperFunction *sf = q.front();
     q.pop_front();
-    noteQueueRemoval(sf->type);
+    noteQueueRemoval(sf);
     return sf;
 }
 
@@ -168,7 +171,7 @@ QueueScheduler::takeBack(CoreId core)
         return nullptr;
     SuperFunction *sf = q.back();
     q.pop_back();
-    noteQueueRemoval(sf->type);
+    noteQueueRemoval(sf);
     return sf;
 }
 
@@ -182,7 +185,7 @@ QueueScheduler::removeFromQueue(SuperFunction *sf)
     if (it == q.end())
         return false;
     q.erase(it);
-    noteQueueRemoval(sf->type);
+    noteQueueRemoval(sf);
     return true;
 }
 
@@ -194,6 +197,7 @@ QueueScheduler::drainAllQueues()
         drained.insert(drained.end(), q.begin(), q.end());
         q.clear();
     }
+    backlog_.assign(num_cores_, 0);
     queued_by_type_.clear();
     return drained;
 }
@@ -206,13 +210,45 @@ QueueScheduler::queuedCountOf(SfType type) const
 }
 
 void
-QueueScheduler::noteQueueRemoval(SfType type)
+QueueScheduler::noteQueueRemoval(const SuperFunction *sf)
 {
-    auto it = queued_by_type_.find(type.raw());
+    auto it = queued_by_type_.find(sf->type.raw());
     SCHEDTASK_ASSERT(it != queued_by_type_.end() && it->second > 0,
                      "queue accounting underflow");
     if (--it->second == 0)
         queued_by_type_.erase(it);
+    backlog_[sf->coreId] -= queueCost(sf->type);
+}
+
+Cycles
+QueueScheduler::scanBacklog(CoreId core) const
+{
+    Cycles total = 0;
+    for (const SuperFunction *sf : queues_[core])
+        total += queueCost(sf->type);
+    return total;
+}
+
+void
+QueueScheduler::rebuildBacklogs()
+{
+    for (CoreId c = 0; c < num_cores_; ++c)
+        backlog_[c] = scanBacklog(c);
+}
+
+void
+QueueScheduler::checkInvariants() const
+{
+    for (CoreId c = 0; c < num_cores_; ++c) {
+        // noteQueueRemoval() debits sf->coreId, so it must name the
+        // queue the SuperFunction actually sits in.
+        for (const SuperFunction *sf : queues_[c])
+            SCHEDTASK_ASSERT(sf->coreId == c, "queued SF records core ",
+                             sf->coreId, " but sits on core ", c);
+        const Cycles scan = scanBacklog(c);
+        SCHEDTASK_ASSERT(backlog_[c] == scan, "core ", c, " backlog ",
+                         backlog_[c], " != queue scan ", scan);
+    }
 }
 
 std::size_t
@@ -244,12 +280,6 @@ QueueScheduler::leastLoaded(CoreId first, CoreId last) const
         }
     }
     return best;
-}
-
-std::deque<SuperFunction *> &
-QueueScheduler::queueOf(CoreId core)
-{
-    return queues_[core];
 }
 
 const std::deque<SuperFunction *> &

@@ -182,6 +182,13 @@ class Scheduler
     /** True when the machine should maintain heatmap registers. */
     virtual bool wantsHeatmap() const { return false; }
 
+    /**
+     * Structural self-check of the scheduler's own bookkeeping; the
+     * Machine calls it after onEpoch() in checked builds
+     * (common/invariants.hh). Must not mutate scheduling state.
+     */
+    virtual void checkInvariants() const {}
+
   protected:
     Machine *machine_ = nullptr;
 
@@ -213,6 +220,19 @@ class QueueScheduler : public Scheduler
     CoreId routeIrq(IrqId irq) override;
     SchedEpochReport epochDecision() const override;
 
+    /**
+     * Every queued SuperFunction records the core it is queued on,
+     * and every backlog equals the sum of queueCost() over its queue.
+     */
+    void checkInvariants() const override;
+
+    /**
+     * Per-core waiting time: the summed queueCost() of the
+     * SuperFunctions in each core's queue, kept as a running counter
+     * (debited on every removal, credited on every enqueue).
+     */
+    const std::vector<Cycles> &backlogs() const { return backlog_; }
+
   protected:
     /** Decide the core for a SuperFunction. */
     virtual CoreId choosePlacement(SuperFunction *sf,
@@ -233,6 +253,26 @@ class QueueScheduler : public Scheduler
     /** Remove a specific SuperFunction from its queue. */
     bool removeFromQueue(SuperFunction *sf);
 
+    /**
+     * Remove and return the first SuperFunction in a core's queue
+     * that satisfies `pred`; nullptr when none does.
+     */
+    template <typename Pred>
+    SuperFunction *
+    popFirst(CoreId core, Pred pred)
+    {
+        auto &q = queues_[core];
+        for (auto it = q.begin(); it != q.end(); ++it) {
+            if (pred(static_cast<const SuperFunction *>(*it))) {
+                SuperFunction *sf = *it;
+                q.erase(it);
+                noteQueueRemoval(sf);
+                return sf;
+            }
+        }
+        return nullptr;
+    }
+
     /** Remove every queued SuperFunction and return them. */
     std::vector<SuperFunction *> drainAllQueues();
 
@@ -248,11 +288,13 @@ class QueueScheduler : public Scheduler
     /** Number of cores (valid after attach). */
     unsigned numCores() const { return num_cores_; }
 
-    /** Direct access for stealing implementations. */
-    std::deque<SuperFunction *> &queueOf(CoreId core);
+    /** Read access to a core's queue. */
     const std::deque<SuperFunction *> &queueOf(CoreId core) const;
 
-    /** The whole queue array (TMigrate's stealing view). */
+    /**
+     * The whole queue array (TMigrate's stealing view). Whoever
+     * erases through it must call noteQueueRemoval() per removal.
+     */
     std::vector<std::deque<SuperFunction *>> &allQueues()
     {
         return queues_;
@@ -268,12 +310,36 @@ class QueueScheduler : public Scheduler
     /** Number of queued SuperFunctions of a given type. */
     std::size_t queuedCountOf(SfType type) const;
 
-    /** Bookkeeping hook for out-of-band removals (stealing). */
-    void noteQueueRemoval(SfType type);
+    /**
+     * Bookkeeping for a SuperFunction just erased from its queue
+     * outside this class (stealing): debits the backlog of the core
+     * it was queued on (sf->coreId) and the per-type count.
+     */
+    void noteQueueRemoval(const SuperFunction *sf);
+
+    /**
+     * Waiting-time weight of one queued SuperFunction of a type;
+     * 0 (no backlog) unless a technique places by waiting time. The
+     * weights may change only if rebuildBacklogs() follows at once.
+     */
+    virtual Cycles
+    queueCost(SfType type) const
+    {
+        (void)type;
+        return 0;
+    }
+
+    /** Recompute every core's backlog from its queue. */
+    void rebuildBacklogs();
 
   private:
+    /** Sum of queueCost() over a core's queue. */
+    Cycles scanBacklog(CoreId core) const;
+
     unsigned num_cores_ = 0;
     std::vector<std::deque<SuperFunction *>> queues_;
+    /** Per-core running waiting time; see backlogs(). */
+    std::vector<Cycles> backlog_;
     IrqId rr_irq_core_ = 0;
     std::uint64_t queue_version_ = 0;
     std::unordered_map<std::uint64_t, std::size_t> queued_by_type_;

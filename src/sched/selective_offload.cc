@@ -34,16 +34,9 @@ SelectiveOffloadScheduler::pickNext(CoreId core)
     if (core >= osBase())
         return popHead(core); // OS cores run whatever is queued
     // Application core: only its bound thread may run.
-    auto &q = queueOf(core);
-    for (auto it = q.begin(); it != q.end(); ++it) {
-        if (isAdmitted(*it)) {
-            SuperFunction *sf = *it;
-            q.erase(it);
-            noteQueueRemoval(sf->type);
-            return sf;
-        }
-    }
-    return nullptr;
+    return popFirst(core, [this](const SuperFunction *sf) {
+        return isAdmitted(sf);
+    });
 }
 
 CoreId

@@ -153,6 +153,10 @@ Machine::checkEpochInvariants() const
                      "per-core idle sum ", core_idle,
                      " != total idle ", metrics_.idleCycles);
 
+    // The scheduler's queue bookkeeping (TMigrate's running
+    // backlogs) agrees with its queues.
+    scheduler_->checkInvariants();
+
     // Every cache level is structurally sound: at most capacity
     // valid blocks, and no set holds two valid copies of one tag
     // (the invalidate-then-reinsert duplicate regression).

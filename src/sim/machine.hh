@@ -288,7 +288,8 @@ class Machine
     /**
      * Structural self-checks at an epoch boundary (checked builds;
      * see common/invariants.hh): instruction accounting balances,
-     * idle cycles sum per core, heatmap popcounts fit the register,
+     * idle cycles sum per core, the scheduler's queue bookkeeping
+     * agrees with its queues, heatmap popcounts fit the register,
      * and in trace mode the per-core category accumulator matches
      * the epoch's instruction delta. Called before the sample
      * capture resets the accumulator and baseline.

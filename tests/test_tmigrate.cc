@@ -23,11 +23,21 @@ struct TMigrateFixture : ::testing::Test
     TMigrateFixture()
     {
         queues.resize(4);
+        backlog.assign(4, 0);
         view.queues = &queues;
-        view.avgExecTime = [this](SfType t) -> Cycles {
-            auto it = avg.find(t.raw());
-            return it == avg.end() ? 0 : it->second;
+        view.backlog = &backlog;
+        // The owning scheduler's bookkeeping: debit the queue the
+        // stolen SuperFunction sat in.
+        view.onStolen = [this](SuperFunction *sf) {
+            backlog[sf->coreId] -= cost(sf->type);
         };
+    }
+
+    Cycles
+    cost(SfType t) const
+    {
+        auto it = avg.find(t.raw());
+        return waitingCost(it == avg.end() ? 0 : it->second);
     }
 
     SuperFunction *
@@ -41,10 +51,14 @@ struct TMigrateFixture : ::testing::Test
     void
     push(CoreId core, SfType type)
     {
-        queues[core].push_back(makeSf(type));
+        SuperFunction *sf = makeSf(type);
+        sf->coreId = core;
+        queues[core].push_back(sf);
+        backlog[core] += cost(type);
     }
 
     std::vector<std::deque<SuperFunction *>> queues;
+    std::vector<Cycles> backlog;
     std::vector<std::unique_ptr<SuperFunction>> pool;
     std::unordered_map<std::uint64_t, Cycles> avg;
     TMigrateView view;
@@ -69,7 +83,34 @@ TEST_F(TMigrateFixture, WaitingTimeSumsAverageExecTimes)
 TEST_F(TMigrateFixture, UnknownTypesGetNominalCost)
 {
     push(0, typeC); // no avg recorded
-    EXPECT_GT(view.waitingTime(0), 0u);
+    EXPECT_EQ(view.waitingTime(0), unseenTypeCost);
+    EXPECT_EQ(waitingCost(0), unseenTypeCost);
+    EXPECT_EQ(waitingCost(7), 7u);
+}
+
+TEST_F(TMigrateFixture, StealsReportEveryRemovalForTheBacklog)
+{
+    // Each steal path hands every SuperFunction it erased to
+    // onStolen, so the owner's backlog stays equal to a queue scan.
+    avg[typeA.raw()] = 100;
+    avg[typeB.raw()] = 300;
+    AllocTable alloc;
+    alloc.set(typeA, {0});
+    for (int i = 0; i < 3; ++i) {
+        push(1, typeA);
+        push(2, typeB);
+        push(2, typeA);
+    }
+    const auto scan = [this](CoreId c) {
+        Cycles total = 0;
+        for (const SuperFunction *sf : queues[c])
+            total += cost(sf->type);
+        return total;
+    };
+    ASSERT_NE(stealSameWork(view, alloc, 0), nullptr);
+    EXPECT_FALSE(stealFromBusiest(view, 0).empty());
+    for (CoreId c = 0; c < queues.size(); ++c)
+        EXPECT_EQ(view.waitingTime(c), scan(c)) << "core " << c;
 }
 
 TEST_F(TMigrateFixture, SelectLeastWaitingCore)

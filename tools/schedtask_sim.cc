@@ -52,11 +52,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 
 #include "common/parse_num.hh"
 #include "common/simd.hh"
+#include "core/page_heatmap.hh"
 #include "core/schedtask_sched.hh"
 #include "sched/registry.hh"
 #include "harness/experiment.hh"
@@ -64,6 +66,7 @@
 #include "harness/sweep.hh"
 #include "harness/trace_export.hh"
 #include "harness/visualize.hh"
+#include "mem/directory.hh"
 #include "sim/machine.hh"
 #include "sim/sf_trace.hh"
 #include "stats/stat_set.hh"
@@ -150,15 +153,38 @@ parseTechniqueArg(const std::string &text)
     }
 }
 
-/** Build-and-discard the scheduler so malformed option values are
- *  reported with exit 2 before any simulation starts. */
+/** Build-and-discard the scheduler before any simulation starts, so
+ *  that these are usage errors (exit 2): malformed option values, a
+ *  core count (after coresRequired/configureMachine) the full-map
+ *  coherence directory cannot track, and a heatmap width PageHeatmap
+ *  does not accept. */
 void
-probeTechnique(const TechniqueSpec &spec, const SchedTaskParams &st)
+probeTechnique(const TechniqueSpec &spec, const ExperimentConfig &cfg)
 {
+    std::unique_ptr<Scheduler> sched;
     try {
-        (void)makeScheduler(spec, st);
+        sched = makeScheduler(spec, cfg.schedTask);
     } catch (const SchedulerOptionError &e) {
         std::fprintf(stderr, "schedtask-sim: %s\n", e.what());
+        std::exit(2);
+    }
+    MachineParams mp = cfg.machine;
+    mp.numCores = sched->coresRequired(cfg.baselineCores);
+    sched->configureMachine(mp);
+    if (mp.numCores < 1 || mp.numCores > CoherenceDirectory::maxCores) {
+        std::fprintf(stderr,
+                     "schedtask-sim: %s needs %u cores for --cores %u; "
+                     "the simulator supports 1..%u\n",
+                     spec.name.c_str(), mp.numCores, cfg.baselineCores,
+                     CoherenceDirectory::maxCores);
+        std::exit(2);
+    }
+    if (!PageHeatmap::validWidth(mp.heatmapBits)) {
+        std::fprintf(stderr,
+                     "schedtask-sim: invalid value '%u' for "
+                     "--heatmap-bits (expected a power of two in "
+                     "[64, 65536])\n",
+                     mp.heatmapBits);
         std::exit(2);
     }
 }
@@ -390,8 +416,9 @@ main(int argc, char **argv)
     cfg.schedTask.stealPolicy = steal;
 
     // Surface malformed option *values* (keys were checked at parse
-    // time) as a usage error before any simulation starts.
-    probeTechnique(spec, cfg.schedTask);
+    // time) and unbuildable machines as usage errors before any
+    // simulation starts.
+    probeTechnique(spec, cfg);
     const bool is_baseline =
         SchedulerRegistry::instance().isBaseline(spec.name);
 
