@@ -1,9 +1,9 @@
 #include "core/page_heatmap.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
-#include "common/simd.hh"
 
 namespace schedtask
 {
@@ -39,7 +39,7 @@ PageHeatmap::clear()
     // The memo must not survive a clear: the memoized frame's bit is
     // gone, so a repeat insert has to set it again.
     last_pfn_ = noPfn;
-    simd::active().clear(words_.data(), words_.size());
+    std::fill(words_.begin(), words_.end(), 0);
 }
 
 void
@@ -47,8 +47,8 @@ PageHeatmap::orWith(const PageHeatmap &other)
 {
     SCHEDTASK_ASSERT(other.bits_ == bits_,
                      "cannot OR heatmaps of different widths");
-    simd::active().orWords(words_.data(), other.words_.data(),
-                           words_.size());
+    for (std::size_t i = 0; i < words_.size(); ++i)
+        words_[i] |= other.words_[i];
 }
 
 unsigned
@@ -57,17 +57,21 @@ PageHeatmap::overlap(const PageHeatmap &other) const
     SCHEDTASK_ASSERT(other.bits_ == bits_,
                      "cannot compare heatmaps of different widths");
     // The hardware breaks the 512-bit AND into sixteen 32-bit
-    // operations; the dispatched word kernel is equivalent (and on
-    // AVX-512 it is literally one AND + one VPOPCNTQ).
-    return static_cast<unsigned>(simd::active().andPopcount(
-        words_.data(), other.words_.data(), words_.size()));
+    // operations; ANDing and counting word by word is equivalent.
+    unsigned total = 0;
+    for (std::size_t i = 0; i < words_.size(); ++i)
+        total += static_cast<unsigned>(
+            std::popcount(words_[i] & other.words_[i]));
+    return total;
 }
 
 unsigned
 PageHeatmap::popcount() const
 {
-    return static_cast<unsigned>(
-        simd::active().popcount(words_.data(), words_.size()));
+    unsigned total = 0;
+    for (std::uint64_t w : words_)
+        total += static_cast<unsigned>(std::popcount(w));
+    return total;
 }
 
 bool

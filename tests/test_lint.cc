@@ -331,7 +331,7 @@ TEST(LintReg01, AcceptsUnrelatedSwitches)
     )lint").empty());
 }
 
-// ---- SIMD-01: intrinsics confined to the simd layer -----------------
+// ---- SIMD-01: no intrinsics anywhere ------------------------------
 
 TEST(LintSimd01, RejectsIntrinsicsOutsideSimdLayer)
 {
@@ -352,15 +352,16 @@ TEST(LintSimd01, RejectsAvxFeatureMacroAndInclude)
     EXPECT_TRUE(hasRule(lintSource("src/sim/core.cc", R"lint(
         #include <immintrin.h>
     )lint"), "SIMD-01"));
-    EXPECT_TRUE(hasRule(lintSource("bench/micro_perf.cc", R"lint(
+    EXPECT_TRUE(hasRule(lintSource("bench/fig07_app_performance.cc", R"lint(
         __m512i acc = _mm512_setzero_si512();
     )lint"), "SIMD-01"));
 }
 
-TEST(LintSimd01, ExemptInSimdHeader)
+TEST(LintSimd01, RejectsInCommonHeader)
 {
-    // Guard lines keep STY-01 quiet; the point is SIMD-01 silence.
-    EXPECT_FALSE(hasRule(lintSource("src/common/simd.hh", R"lint(
+    // No file is exempt, not even a header that calls itself the
+    // kernel layer (guard lines keep STY-01 quiet).
+    EXPECT_TRUE(hasRule(lintSource("src/common/simd.hh", R"lint(
         #ifndef SCHEDTASK_COMMON_SIMD_HH
         #define SCHEDTASK_COMMON_SIMD_HH
         #include <immintrin.h>
@@ -376,7 +377,7 @@ TEST(LintSimd01, AcceptsSimdySpellings)
     // Identifiers that merely mention simd or vector widths are not
     // intrinsics.
     EXPECT_TRUE(lintSource("src/sim/foo.cc", R"lint(
-        simd::Kernels k = simd::active();
+        SimdKernels k = activeSimd();
         unsigned mm256 = bits / 2;
         int simd_level = 2;
     )lint").empty());

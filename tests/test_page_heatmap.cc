@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/random.hh"
 #include "core/page_heatmap.hh"
 
@@ -147,8 +150,76 @@ TEST_P(HeatmapWidth, WiderFiltersCollideLess)
     }
 }
 
+TEST_P(HeatmapWidth, WordLoopsMatchNaiveBits)
+{
+    // orWith/overlap/popcount/clear against a per-bit reference.
+    // Bits are set through insertPfn with frames chosen to hash to
+    // each bit index, so every bit of the filter is reachable.
+    const unsigned bits = GetParam();
+    std::vector<Addr> pfn_of(bits);
+    std::vector<bool> found(bits, false);
+    unsigned reached = 0;
+    for (Addr pfn = 0; reached < bits; ++pfn) {
+        const std::uint64_t bit = PageHeatmap::hashPfn(pfn) & (bits - 1);
+        if (!found[bit]) {
+            found[bit] = true;
+            pfn_of[bit] = pfn;
+            ++reached;
+        }
+    }
+    const auto fill = [&](PageHeatmap &hm, std::vector<bool> &ref,
+                          Rng &rng, double density) {
+        for (unsigned b = 0; b < bits; ++b) {
+            ref[b] = rng.chance(density);
+            if (ref[b])
+                hm.insertPfn(pfn_of[b]);
+        }
+    };
+    const auto count = [](const std::vector<bool> &v) {
+        return static_cast<unsigned>(std::count(v.begin(), v.end(), true));
+    };
+
+    Rng rng(bits);
+    for (double density : {0.0, 0.03, 0.5, 0.97, 1.0}) {
+        PageHeatmap a(bits), b(bits);
+        std::vector<bool> ra(bits), rb(bits), both(bits), either(bits);
+        fill(a, ra, rng, density);
+        fill(b, rb, rng, 1.0 - density / 2);
+        for (unsigned i = 0; i < bits; ++i) {
+            both[i] = ra[i] && rb[i];
+            either[i] = ra[i] || rb[i];
+        }
+        ASSERT_EQ(a.popcount(), count(ra)) << "density " << density;
+        ASSERT_EQ(a.overlap(b), count(both)) << "density " << density;
+        ASSERT_EQ(b.overlap(a), count(both)) << "density " << density;
+
+        a.orWith(b);
+        ASSERT_EQ(a.popcount(), count(either)) << "density " << density;
+        for (unsigned i = 0; i < bits; ++i)
+            ASSERT_EQ(a.mightContainPfn(pfn_of[i]), either[i]) << i;
+
+        a.clear();
+        EXPECT_TRUE(a.empty());
+        EXPECT_EQ(a.popcount(), 0u);
+        EXPECT_EQ(a.overlap(b), 0u);
+    }
+
+    // All-zero and all-one edges.
+    PageHeatmap zero(bits), ones(bits);
+    for (Addr pfn : pfn_of)
+        ones.insertPfn(pfn);
+    EXPECT_EQ(zero.popcount(), 0u);
+    EXPECT_EQ(ones.popcount(), bits);
+    EXPECT_EQ(ones.overlap(ones), bits);
+    EXPECT_EQ(ones.overlap(zero), 0u);
+    zero.orWith(ones);
+    EXPECT_EQ(zero, ones);
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, HeatmapWidth,
-                         ::testing::Values(128, 256, 512, 1024, 2048));
+                         ::testing::Values(64, 128, 256, 512, 1024, 2048,
+                                           4096, 8192, 16384, 32768,
+                                           65536));
 
 TEST(PageHeatmapDeath, MismatchedWidthsPanic)
 {

@@ -24,8 +24,7 @@
  *           shim (src/harness/experiment.cc); techniques dispatch
  *           through the SchedulerRegistry by name
  *   SIMD-01 vector intrinsics (_mm..., __m...) or ISA feature
- *           macros (__AVX..., __SSE...) outside src/common/simd.hh,
- *           the one sanctioned kernel layer
+ *           macros (__AVX..., __SSE...) anywhere in the tree
  *   LINT-00 a `lint:allow` pragma with no reason text
  *
  * Any rule except LINT-00 can be silenced for one line with

@@ -25,9 +25,6 @@
  *     --fast             shortcut for --warmup 1 --measure 2
  *     --heatmap-bits N   Page-heatmap width (default 512)
  *     --steal POLICY     none|same|similar|busiest (default similar)
- *     --simd LEVEL       scalar|avx2|avx512|auto — heatmap kernel
- *                        dispatch (default: SCHEDTASK_SIMD or auto);
- *                        the choice is logged once at startup
  *     --seed N           master seed (default 1)
  *     --jobs N           worker threads for --compare (default:
  *                        SCHEDTASK_JOBS or the hardware concurrency)
@@ -57,7 +54,6 @@
 #include <string>
 
 #include "common/parse_num.hh"
-#include "common/simd.hh"
 #include "core/page_heatmap.hh"
 #include "core/schedtask_sched.hh"
 #include "sched/registry.hh"
@@ -99,9 +95,6 @@ usage(int code)
         "  --fast             shortcut for --warmup 1 --measure 2\n"
         "  --heatmap-bits N   Page-heatmap width (default 512)\n"
         "  --steal POLICY     none|same|similar|busiest\n"
-        "  --simd LEVEL       scalar|avx2|avx512|auto heatmap kernel\n"
-        "                     dispatch (default: SCHEDTASK_SIMD or "
-        "auto)\n"
         "  --seed N           master seed (default 1)\n"
         "  --jobs N           worker threads for --compare (default:\n"
         "                     SCHEDTASK_JOBS or the hardware "
@@ -346,25 +339,6 @@ main(int argc, char **argv)
                 requireUnsigned("--heatmap-bits", next(), 1));
         } else if (arg == "--steal") {
             steal = parseSteal(next());
-        } else if (arg == "--simd") {
-            const char *text = next();
-            const std::optional<simd::IsaLevel> level =
-                simd::parseLevel(text);
-            if (!level) {
-                std::fprintf(stderr,
-                             "schedtask-sim: invalid value '%s' for "
-                             "--simd (expected "
-                             "scalar|avx2|avx512|auto)\n",
-                             text);
-                std::exit(2);
-            }
-            if (!simd::select(*level)) {
-                std::fprintf(stderr,
-                             "schedtask-sim: --simd %s is not "
-                             "supported by this CPU\n",
-                             text);
-                std::exit(2);
-            }
         } else if (arg == "--seed") {
             seed = requireUnsigned("--seed", next(), 0);
         } else if (arg == "--jobs") {
@@ -398,12 +372,6 @@ main(int argc, char **argv)
             usage(2);
         }
     }
-
-    // Resolving the level also applies (and validates) any
-    // SCHEDTASK_SIMD environment override. Logged to stderr so runs
-    // captured for bit-exactness comparisons stay clean on stdout.
-    std::fprintf(stderr, "schedtask-sim: simd dispatch %s\n",
-                 simd::levelName(simd::activeLevel()));
 
     ExperimentConfig cfg;
     cfg.parts = bag ? Workload::bagParts(*bag)
