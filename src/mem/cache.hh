@@ -236,9 +236,8 @@ class Cache
     /**
      * True when the cache's most recently touched way holds `tag`
      * valid. A repeat probe of that block is then a pure read (see
-     * accessTag): this is the property the hierarchy's L0 presence
-     * filter certifies, and what the checked preset's L0 soundness
-     * invariant verifies.
+     * accessTag), so the TLB and the fetch path test it first and
+     * skip the set scan.
      */
     bool
     mruIsTag(Addr tag) const

@@ -102,7 +102,6 @@ CoherenceDirectory::onRead(CoreId core, Addr line_addr)
         // Remote modified copy: cache-to-cache fill; the owner
         // transitions M->O (keeps its copy as a sharer).
         out.remoteDirtyFill = true;
-        out.dirtyOwner = static_cast<CoreId>(owner);
         setOwner(e, noOwner);
     }
     e.sharers |= (std::uint64_t{1} << core);
@@ -115,36 +114,12 @@ CoherenceDirectory::onWrite(CoreId core, Addr line_addr)
     DirectoryOutcome out;
     Slot &e = findOrInsert(line_addr);
     const std::uint64_t owner = slotOwner(e);
-    if (owner != noOwner && owner != core) {
+    if (owner != noOwner && owner != core)
         out.remoteDirtyFill = true;
-        out.dirtyOwner = static_cast<CoreId>(owner);
-    }
     out.invalidateMask = e.sharers & ~(std::uint64_t{1} << core);
     e.sharers = std::uint64_t{1} << core;
     setOwner(e, core);
     return out;
-}
-
-DirectoryLineState
-CoherenceDirectory::peek(Addr line_addr) const
-{
-    DirectoryLineState state;
-    std::size_t i = homeOf(line_addr);
-    while (true) {
-        const Slot &s = slots_[i];
-        if (slotEmpty(s))
-            return state;
-        if (slotLine(s) == line_addr)
-            break;
-        i = (i + 1) & mask_;
-    }
-    const Slot &s = slots_[i];
-    state.tracked = true;
-    state.sharers = s.sharers;
-    state.dirtyOwner = slotOwner(s) == noOwner
-        ? invalidCore
-        : static_cast<CoreId>(slotOwner(s));
-    return state;
 }
 
 void

@@ -30,23 +30,6 @@ struct DirectoryOutcome
     bool remoteDirtyFill = false;
     /** Bitmask of cores whose copies must be invalidated. */
     std::uint64_t invalidateMask = 0;
-    /** The core that held the line modified when remoteDirtyFill is
-     *  set (invalidCore otherwise). The hierarchy uses it to demote
-     *  that core's L0 exclusive-ownership memo: after an M->O
-     *  downgrade the old owner's repeat *writes* are no longer
-     *  directory no-ops. */
-    CoreId dirtyOwner = invalidCore;
-};
-
-/** Sharers and dirty owner of one line, as tracked right now. */
-struct DirectoryLineState
-{
-    /** Line present in the directory at all. */
-    bool tracked = false;
-    /** Bitmask of cores holding a copy. */
-    std::uint64_t sharers = 0;
-    /** Core holding the line modified, or invalidCore. */
-    CoreId dirtyOwner = invalidCore;
 };
 
 /**
@@ -91,14 +74,6 @@ class CoherenceDirectory
      * Cache::insert — any address, including 0, is a valid block.
      */
     void onEvict(CoreId core, Addr line_addr);
-
-    /**
-     * Inspect a line's tracked state without modifying anything.
-     * Used by tests and by the checked preset's L0-filter soundness
-     * invariant (an exclusive-ownership memo entry must match a
-     * slot with that sole sharer as dirty owner).
-     */
-    DirectoryLineState peek(Addr line_addr) const;
 
     /** Number of tracked lines (for tests and memory accounting). */
     std::size_t trackedLines() const { return size_; }

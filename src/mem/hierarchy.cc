@@ -1,46 +1,12 @@
 #include "mem/hierarchy.hh"
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <string_view>
 
 #include "common/logging.hh"
 
 namespace schedtask
 {
-
-namespace
-{
-
-/**
- * Resolve the startup state of the L0 presence filter: SCHEDTASK_L0
- * when set (garbage is a usage error, exit 2 like any invalid
- * schedtask-sim flag), otherwise on. The filter is output-invariant
- * by construction — the off switch exists so the purity proof in
- * tools/check.sh and the differential fuzz suite can diff both modes.
- */
-bool
-l0EnabledFromEnv()
-{
-    const char *env = std::getenv("SCHEDTASK_L0");
-    if (env == nullptr)
-        return true;
-    const std::string_view value{env};
-    if (value == "on" || value == "auto" || value == "1")
-        return true;
-    if (value == "off" || value == "0")
-        return false;
-    std::fprintf(stderr,
-                 "schedtask: invalid SCHEDTASK_L0 value '%s' "
-                 "(expected on|off|auto|0|1)\n",
-                 env);
-    std::exit(2);
-}
-
-} // namespace
 
 HierarchyParams
 HierarchyParams::paperDefault(unsigned num_cores)
@@ -69,8 +35,7 @@ HierarchyParams::config2(unsigned num_cores)
 }
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params)
-    : params_(params), llc_(params.llc), directory_(params.numCores),
-      l0_enabled_(l0EnabledFromEnv())
+    : params_(params), llc_(params.llc), directory_(params.numCores)
 {
     SCHEDTASK_ASSERT(params_.numCores >= 1, "need at least one core");
     // The fetch/data hot paths precompute one line tag per access
@@ -94,11 +59,6 @@ MemHierarchy::MemHierarchy(const HierarchyParams &params)
         itlbs_.push_back(std::make_unique<Tlb>(params_.itlb));
         dtlbs_.push_back(std::make_unique<Tlb>(params_.dtlb));
     }
-    l0_.resize(params_.numCores);
-    l0_owned_.resize(static_cast<std::size_t>(params_.numCores)
-                         * ownedEntries,
-                     L0Memo::noTag);
-    resetL0();
 
     // A data-read miss exposes llround(fill_latency * (1 - hide)).
     // The fill latency takes one of four values (one per fill
@@ -121,22 +81,6 @@ MemHierarchy::MemHierarchy(const HierarchyParams &params)
         * (1.0 - params_.dtlbHideFactor)));
 }
 
-void
-MemHierarchy::resetL0()
-{
-    l0_fetch_ = l0_enabled_ && prefetcher_ == nullptr
-        && trace_caches_.empty();
-    std::fill(l0_.begin(), l0_.end(), L0Memo{});
-    std::fill(l0_owned_.begin(), l0_owned_.end(), L0Memo::noTag);
-}
-
-void
-MemHierarchy::setPresenceFilter(bool enabled)
-{
-    l0_enabled_ = enabled;
-    resetL0();
-}
-
 Cycles
 MemHierarchy::fillFromShared(CoreId core, Addr line_tag, bool &llc_hit)
 {
@@ -155,7 +99,7 @@ MemHierarchy::fetchMiss(CoreId core, Addr line_tag)
 {
     // L1I miss: walk the lower levels, exposing the full latency
     // plus the frontend refill bubble. The caller fills the L1I (see
-    // fetchImpl's merged probe and fetchAux). The L2 probe and fill
+    // fetch()'s merged probe and fetchAux). The L2 probe and fill
     // share one scan too — filling before the LLC walk instead of
     // after it is unobservable (the walk never reads this L2, and L2
     // evictions are silent).
@@ -212,8 +156,6 @@ MemHierarchy::dataSlow(CoreId core, Addr addr, bool is_write,
                        ExecClass cls, Addr line_tag)
 {
     const Addr line = lineAddrOf(addr);
-    L0Memo &memo = l0_[core];
-
     const DirectoryOutcome outcome = is_write
         ? directory_.onWrite(core, line)
         : directory_.onRead(core, line);
@@ -228,40 +170,16 @@ MemHierarchy::dataSlow(CoreId core, Addr addr, bool is_write,
             if (params_.hasPrivateL2)
                 l2_[victim]->invalidate(line);
             ++coherence_invalidations_;
-            // The victim's copy is gone: its repeat accesses of this
-            // line are no longer pure.
-            l0ClearData(victim, line_tag);
         }
-    }
-
-    if (outcome.dirtyOwner != invalidCore) {
-        // On a read this is an M->O downgrade: the old owner keeps a
-        // readable copy (its last-line memo stays valid for reads),
-        // but its repeat *writes* are no longer directory no-ops. On
-        // a write the owner is also in the invalidate mask and was
-        // fully cleared above; dropping the write certificate again
-        // is harmless.
-        L0Memo &owner_memo = l0_[outcome.dirtyOwner];
-        if (owner_memo.dline == line_tag)
-            owner_memo.dwrite = false;
-        Addr &owned = ownedSlot(outcome.dirtyOwner, line_tag);
-        if (owned == line_tag)
-            owned = L0Memo::noTag;
     }
 
     AccessCounts &counts = d_counts_[static_cast<unsigned>(cls)];
     const bool local_hit = !is_write
-        ? false // read path already probed in dataImpl and missed
+        ? false // read path already probed in data() and missed
         : l1d_[core]->accessTag(line_tag) && !outcome.remoteDirtyFill;
 
     if (local_hit) {
         ++counts.hits;
-        if (l0_enabled_) {
-            // onWrite just made this core sole sharer and owner.
-            memo.dline = line_tag;
-            memo.dwrite = true;
-            ownedSlot(core, line_tag) = line_tag;
-        }
         return 0;
     }
 
@@ -294,20 +212,8 @@ MemHierarchy::dataSlow(CoreId core, Addr addr, bool is_write,
         exposed_fill = llc_hit ? exposed_llc_fill_ : exposed_mem_fill_;
     }
     const std::optional<Addr> evicted = l1d_[core]->insertTag(line_tag);
-    if (evicted) {
+    if (evicted)
         directory_.onEvict(core, *evicted);
-        // Our own copy of the evicted line is gone; clear before the
-        // new memo lands in case both map to one ownership slot.
-        l0ClearData(core, lineNumOf(*evicted));
-    }
-    if (l0_enabled_) {
-        // The accessed line is now resident and MRU; a write also
-        // holds it exclusively (onWrite above), a read shares it.
-        memo.dline = line_tag;
-        memo.dwrite = is_write;
-        if (is_write)
-            ownedSlot(core, line_tag) = line_tag;
-    }
 
     if (is_write) {
         // Stores retire through the store buffer; only coherence
@@ -331,7 +237,6 @@ void
 MemHierarchy::setPrefetcher(std::unique_ptr<InstPrefetcher> pf)
 {
     prefetcher_ = std::move(pf);
-    resetL0();
 }
 
 void
@@ -341,7 +246,6 @@ MemHierarchy::enableTraceCaches(const TraceCacheParams &params)
     trace_caches_.reserve(params_.numCores);
     for (unsigned c = 0; c < params_.numCores; ++c)
         trace_caches_.push_back(std::make_unique<TraceCache>(params));
-    resetL0();
 }
 
 bool
@@ -358,11 +262,6 @@ MemHierarchy::installInstLine(CoreId core, Addr line_addr)
         l1i_[core]->insertTag(line_tag);
     if (params_.hasPrivateL2 && !l2_[core]->containsTag(line_tag))
         l2_[core]->insertTag(line_tag);
-    // The install may change the L1I's recency state (and can evict
-    // the memoized line), so the last-fetch memo no longer certifies
-    // a pure repeat. Prefetcher configurations never arm it, but
-    // tests drive this entry point directly.
-    l0_[core].iline = L0Memo::noTag;
 }
 
 const AccessCounts &
@@ -441,61 +340,6 @@ MemHierarchy::checkCacheInvariants() const
             check(*l2_[c], "L2");
     }
     check(llc_, "LLC");
-
-    if (!l0_enabled_)
-        return;
-
-    // L0 presence-filter soundness: every memo must certify exactly
-    // the state the purity proof relies on. A violation means a
-    // coherence hook was missed and the fast path is about to skip
-    // work the exact path would have done.
-    for (unsigned c = 0; c < params_.numCores; ++c) {
-        const L0Memo &memo = l0_[c];
-        SCHEDTASK_ASSERT(l0_fetch_ || memo.iline == L0Memo::noTag,
-                         "L0 fetch memo armed while gated off");
-        if (memo.iline != L0Memo::noTag)
-            SCHEDTASK_ASSERT(l1i_[c]->mruIsTag(memo.iline),
-                             "L0 iline memo of core ", c,
-                             " is not the L1I MRU block");
-        if (memo.ipage != L0Memo::noTag)
-            SCHEDTASK_ASSERT(itlbs_[c]->mruIsPage(memo.ipage),
-                             "L0 ipage memo of core ", c,
-                             " is not the iTLB MRU page");
-        if (memo.dpage != L0Memo::noTag)
-            SCHEDTASK_ASSERT(dtlbs_[c]->mruIsPage(memo.dpage),
-                             "L0 dpage memo of core ", c,
-                             " is not the dTLB MRU page");
-        if (memo.dline != L0Memo::noTag) {
-            SCHEDTASK_ASSERT(l1d_[c]->mruIsTag(memo.dline),
-                             "L0 dline memo of core ", c,
-                             " is not the L1D MRU block");
-            if (memo.dwrite) {
-                const DirectoryLineState s =
-                    directory_.peek(memo.dline << lineShift);
-                SCHEDTASK_ASSERT(s.tracked && s.dirtyOwner == c
-                                     && s.sharers
-                                         == (std::uint64_t{1} << c),
-                                 "L0 write memo of core ", c,
-                                 " without exclusive ownership");
-            }
-        }
-        for (unsigned e = 0; e < ownedEntries; ++e) {
-            const Addr tag =
-                l0_owned_[static_cast<std::size_t>(c) * ownedEntries
-                          + e];
-            if (tag == L0Memo::noTag)
-                continue;
-            SCHEDTASK_ASSERT(l1d_[c]->containsTag(tag),
-                             "L0 owned line of core ", c,
-                             " absent from its L1D");
-            const DirectoryLineState s =
-                directory_.peek(tag << lineShift);
-            SCHEDTASK_ASSERT(s.tracked && s.dirtyOwner == c
-                                 && s.sharers == (std::uint64_t{1} << c),
-                             "L0 owned memo of core ", c,
-                             " without exclusive ownership");
-        }
-    }
 }
 
 void

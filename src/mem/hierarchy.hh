@@ -16,38 +16,6 @@
  *    it — the paper makes exactly this argument in Section 2.2);
  *  - data writes retire through the store buffer and expose latency
  *    only for coherence (remote-dirty) transfers.
- *
- * ## The L0 presence filter
- *
- * fetch() and data() sit on the simulator's per-instruction hot path
- * (~85% of wall time), so a first-level *presence filter* sits in
- * front of the exact walk. It can only memoize accesses whose exact
- * replay would change no simulation state beyond a pair of counters
- * — anything else (an LRU refresh, a directory transition, a TLB
- * fill) must take the exact path, or replacement decisions diverge
- * and the output is no longer bitwise reproducible. Three such
- * access classes exist, and the filter covers exactly those:
- *
- *  - a repeat of the *most recently* fetched line / accessed data
- *    line: both the TLB and the L1 probe are the caches' pure-read
- *    MRU hits (see Cache::accessTag), stall 0, counters only;
- *  - a fetch or data access within the *most recently* translated
- *    page: the TLB probe alone is a pure MRU hit (the cache walk
- *    still runs exactly);
- *  - a write to a line this core *exclusively owns* (it wrote last,
- *    nobody read or wrote since): the directory consult is a
- *    provable no-op, so only the L1D LRU refresh and counters run.
- *    Ownership is tracked in a small per-core direct-mapped tag
- *    memo, kept sound by hooks on every path that can break
- *    exclusivity: remote-write invalidation, remote-read M->O
- *    downgrade, and local L1D eviction.
- *
- * A deeper multi-entry filter for plain hits is deliberately NOT
- * modelled: a non-MRU hit refreshes LRU recency, so "skipping" it
- * would change future victim selection — the purity proof forbids
- * it. The filter is opt-in pure: SCHEDTASK_L0=off disables every
- * memo and the checked preset verifies memo soundness (resident,
- * MRU, exclusive in the directory) at every epoch boundary.
  */
 
 #ifndef SCHEDTASK_MEM_HIERARCHY_HH
@@ -158,24 +126,7 @@ class MemHierarchy : public PrefetchSink
      * @param cls   app or OS code (for stats split)
      * @return exposed stall cycles beyond the pipelined L1I hit
      */
-    Cycles
-    fetch(CoreId core, Addr addr, ExecClass cls)
-    {
-        L0Memo &memo = l0_[core];
-        // memo.iline is noTag whenever the fetch-side filter is not
-        // armed (filter off, prefetcher or trace caches attached),
-        // so this one compare is the entire gate.
-        if (lineNumOf(addr) == memo.iline) {
-            AccessCounts &counts = i_counts_[static_cast<unsigned>(cls)];
-            ++counts.accesses;
-            ++counts.hits;
-            itlbs_[core]->noteRepeatHits();
-            return 0;
-        }
-        const Cycles stall = fetchImpl(core, addr, cls);
-        fetch_stall_cycles_ += stall;
-        return stall;
-    }
+    Cycles fetch(CoreId core, Addr addr, ExecClass cls);
 
     /**
      * Perform a data access.
@@ -186,62 +137,7 @@ class MemHierarchy : public PrefetchSink
      * @param cls   app or OS code (for stats split)
      * @return exposed stall cycles
      */
-    Cycles
-    data(CoreId core, Addr addr, bool is_write, ExecClass cls)
-    {
-        L0Memo &memo = l0_[core];
-        const Addr line_tag = lineNumOf(addr);
-        // Repeat of the last data line: a pure MRU hit for reads,
-        // and for writes too when this core still exclusively owns
-        // the line (dwrite), making the directory consult a no-op.
-        if (line_tag == memo.dline && (!is_write || memo.dwrite)) {
-            AccessCounts &counts = d_counts_[static_cast<unsigned>(cls)];
-            ++counts.accesses;
-            ++counts.hits;
-            dtlbs_[core]->noteRepeatHits();
-            return 0;
-        }
-        const Cycles stall = dataImpl(core, addr, is_write, cls, line_tag);
-        data_stall_cycles_ += stall;
-        return stall;
-    }
-
-    /**
-     * True when Core::executeCurrent may settle same-line fetch runs
-     * itself: a repeat of the line it just fetched is certified a
-     * pure stall-free hit, so the core batches the counter bumps and
-     * settles them through settleFetchRun() once per run instead of
-     * re-entering fetch() per fetch block.
-     */
-    bool fetchRunsPure() const { return l0_fetch_; }
-
-    /**
-     * Account `repeats` same-line repeat fetches batched by the core
-     * (see fetchRunsPure()). Counter effect is identical to that
-     * many fetch() calls of the memoized line.
-     */
-    void
-    settleFetchRun(CoreId core, ExecClass cls, std::uint64_t repeats)
-    {
-        SCHEDTASK_ASSERT(l0_fetch_, "fetch-run settling needs the L0 "
-                                    "fetch filter armed");
-        AccessCounts &counts = i_counts_[static_cast<unsigned>(cls)];
-        counts.accesses += repeats;
-        counts.hits += repeats;
-        itlbs_[core]->noteRepeatHits(repeats);
-    }
-
-    /**
-     * Force the L0 presence filter on or off (it defaults to the
-     * SCHEDTASK_L0 environment override, then on). Disabling drops
-     * every memo, so subsequent accesses take the exact walk only —
-     * the differential fuzz suite and the opt-in purity proof in
-     * tools/check.sh run both ways.
-     */
-    void setPresenceFilter(bool enabled);
-
-    /** Is the L0 presence filter active? */
-    bool presenceFilterEnabled() const { return l0_enabled_; }
+    Cycles data(CoreId core, Addr addr, bool is_write, ExecClass cls);
 
     /** Notify the prefetcher that a new task starts on a core. */
     void onTaskStart(CoreId core, std::uint64_t task_token);
@@ -316,10 +212,7 @@ class MemHierarchy : public PrefetchSink
      * Structural cache invariants, enforced by the checked preset at
      * every epoch boundary during whole-figure runs: every level
      * holds at most capacity valid blocks and no set carries two
-     * valid copies of one tag (see common/invariants.hh). With the
-     * presence filter on, additionally proves every L0 memo sound:
-     * memoized lines resident and MRU in their L1, memoized pages
-     * MRU in their TLB, and owned lines exclusive in the directory.
+     * valid copies of one tag (see common/invariants.hh).
      */
     void checkCacheInvariants() const;
 
@@ -330,53 +223,17 @@ class MemHierarchy : public PrefetchSink
     const HierarchyParams &params() const { return params_; }
 
   private:
-    /** Entries in the per-core direct-mapped exclusive-ownership
-     *  memo (power of two; 64 tags = 512 B per core keeps the memos
-     *  of all 32 cores host-cache resident — wider memos raise the
-     *  hit rate a little but cost more than they save). */
-    static constexpr unsigned ownedEntries = 64;
-
-    /**
-     * Per-core L0 presence-filter state. Every field memoizes one
-     * access whose repeat is provably pure (see file comment);
-     * noTag never compares equal to a real 58-bit line tag or page
-     * frame, so "empty" needs no separate flag and disabled filters
-     * simply hold noTag everywhere.
-     */
-    struct L0Memo
-    {
-        static constexpr Addr noTag = ~Addr{0};
-
-        /** Line tag of the last demand i-fetch (pure repeat hit).
-         *  Armed only without prefetcher/trace caches: both see
-         *  every demand fetch and mutate state on repeats. */
-        Addr iline = noTag;
-        /** Page frame of the last i-fetch (iTLB MRU). */
-        Addr ipage = noTag;
-        /** Line tag of the last data access (pure repeat read). */
-        Addr dline = noTag;
-        /** Page frame of the last data access (dTLB MRU). */
-        Addr dpage = noTag;
-        /** Repeat *writes* of dline are pure too (this core wrote
-         *  it last and still owns it exclusively). */
-        bool dwrite = false;
-    };
-
-    Cycles fetchImpl(CoreId core, Addr addr, ExecClass cls);
-    Cycles dataImpl(CoreId core, Addr addr, bool is_write,
-                    ExecClass cls, Addr line_tag);
-
     /** L1I miss: frontend bubble + L2/LLC walk + L1I fill. */
     Cycles fetchMiss(CoreId core, Addr line_tag);
 
     /** Fetch path with trace caches and/or a prefetcher attached
      *  (the appendix configurations): kept out of line, off the
-     *  filtered hot path. `stall` is the already-paid iTLB cost. */
+     *  hot path. `stall` is the already-paid iTLB cost. */
     Cycles fetchAux(CoreId core, Addr addr, ExecClass cls,
                     Cycles stall);
 
-    /** Data path beyond the L1D read hit / owned write hit:
-     *  directory consult, coherence, fills. Returns the stall
+    /** Data path beyond the L1D read hit: directory consult,
+     *  coherence, fills. Returns the stall
      *  cycles beyond the already-paid dTLB cost. */
     Cycles dataSlow(CoreId core, Addr addr, bool is_write,
                     ExecClass cls, Addr line_tag);
@@ -384,45 +241,6 @@ class MemHierarchy : public PrefetchSink
     /** Shared fill path below a missing private hierarchy. The LLC
      *  is probed with the precomputed line tag (address / 64). */
     Cycles fillFromShared(CoreId core, Addr line_tag, bool &llc_hit);
-
-    /** Slot of `line_tag` in a core's exclusive-ownership memo. */
-    Addr &
-    ownedSlot(CoreId core, Addr line_tag)
-    {
-        return l0_owned_[static_cast<std::size_t>(core) * ownedEntries
-                         + (line_tag & (ownedEntries - 1))];
-    }
-
-    /** Does `core`'s ownership memo certify `line_tag`? */
-    bool
-    ownedHit(CoreId core, Addr line_tag)
-    {
-        return ownedSlot(core, line_tag) == line_tag;
-    }
-
-    /**
-     * Coherence hook: `core` can no longer treat `line_tag` as a
-     * pure repeat (its copy was invalidated or evicted, or its
-     * exclusive ownership was downgraded by a remote read). Clears
-     * the data-side memos; the page memos stay (TLBs are
-     * unaffected by coherence).
-     */
-    void
-    l0ClearData(CoreId core, Addr line_tag)
-    {
-        L0Memo &memo = l0_[core];
-        if (memo.dline == line_tag) {
-            memo.dline = L0Memo::noTag;
-            memo.dwrite = false;
-        }
-        Addr &owned = ownedSlot(core, line_tag);
-        if (owned == line_tag)
-            owned = L0Memo::noTag;
-    }
-
-    /** Recompute filter gates after attaching a prefetcher / trace
-     *  caches or toggling the filter, dropping every memo. */
-    void resetL0();
 
     HierarchyParams params_;
     std::vector<std::unique_ptr<Cache>> l1i_;
@@ -435,18 +253,9 @@ class MemHierarchy : public PrefetchSink
     std::unique_ptr<InstPrefetcher> prefetcher_;
     std::vector<std::unique_ptr<TraceCache>> trace_caches_;
 
-    /** Presence filter armed at all (SCHEDTASK_L0 / setter). */
-    bool l0_enabled_;
-    /** Fetch-side filter armed: l0_enabled_ and no prefetcher or
-     *  trace caches (both observe every demand fetch). */
-    bool l0_fetch_;
-    std::vector<L0Memo> l0_;
-    /** numCores x ownedEntries direct-mapped owned-line tags. */
-    std::vector<Addr> l0_owned_;
-
     /** Exposed read-miss stalls per fill source and the exposed dTLB
      *  walk stall: the llround(latency * (1 - hide factor)) results,
-     *  precomputed in the constructor (see dataSlow / dataImpl). */
+     *  precomputed in the constructor (see dataSlow / data). */
     Cycles exposed_l2_fill_ = 0;
     Cycles exposed_llc_fill_ = 0;
     Cycles exposed_mem_fill_ = 0;
@@ -463,71 +272,41 @@ class MemHierarchy : public PrefetchSink
 };
 
 inline Cycles
-MemHierarchy::fetchImpl(CoreId core, Addr addr, ExecClass cls)
+MemHierarchy::fetch(CoreId core, Addr addr, ExecClass cls)
 {
-    L0Memo &memo = l0_[core];
-
-    // iTLB, behind the last-page memo: a fetch within the page
-    // translated last is the iTLB's pure MRU hit.
-    Cycles stall;
-    const Addr page = pageFrameOf(addr);
-    if (page == memo.ipage) {
-        itlbs_[core]->noteRepeatHits();
-        stall = 0;
-    } else {
-        stall = itlbs_[core]->translate(addr);
-        if (l0_enabled_)
-            memo.ipage = page;
-    }
-
+    Cycles stall = itlbs_[core]->translate(addr);
     AccessCounts &counts = i_counts_[static_cast<unsigned>(cls)];
     ++counts.accesses;
 
-    if (prefetcher_ != nullptr || !trace_caches_.empty())
-        return fetchAux(core, addr, cls, stall);
-
-    // One tag split, shared by the L1I, L2 and LLC probes (they all
-    // index at line granularity; asserted in the constructor). The
-    // probe and the miss fill share one merged set scan; filling
-    // before the L2/LLC walk instead of after it is unobservable
-    // (nothing in that walk reads the L1I).
-    const Addr line_tag = lineNumOf(addr);
-    bool hit = l1i_[core]->mruIsTag(line_tag);
-    if (!hit)
-        l1i_[core]->accessOrInsertTag(line_tag, hit);
-    // Either way the line is now resident and MRU, so repeats are
-    // pure hits.
-    if (l0_fetch_)
-        memo.iline = line_tag;
-    if (hit) {
-        ++counts.hits;
-        return stall;
+    if (prefetcher_ != nullptr || !trace_caches_.empty()) {
+        stall = fetchAux(core, addr, cls, stall);
+    } else {
+        // One tag split, shared by the L1I, L2 and LLC probes (they
+        // all index at line granularity; asserted in the
+        // constructor). The probe and the miss fill share one merged
+        // set scan; filling before the L2/LLC walk instead of after
+        // it is unobservable (nothing in that walk reads the L1I).
+        const Addr line_tag = lineNumOf(addr);
+        bool hit = l1i_[core]->mruIsTag(line_tag);
+        if (!hit)
+            l1i_[core]->accessOrInsertTag(line_tag, hit);
+        if (hit)
+            ++counts.hits;
+        else
+            stall += fetchMiss(core, line_tag);
     }
-    return stall + fetchMiss(core, line_tag);
+    fetch_stall_cycles_ += stall;
+    return stall;
 }
 
 inline Cycles
-MemHierarchy::dataImpl(CoreId core, Addr addr, bool is_write,
-                       ExecClass cls, Addr line_tag)
+MemHierarchy::data(CoreId core, Addr addr, bool is_write, ExecClass cls)
 {
-    L0Memo &memo = l0_[core];
-
-    // dTLB, behind the last-page memo. The common case (hit) also
-    // skips the floating-point walk scaling.
-    Cycles stall = 0;
-    const Addr page = pageFrameOf(addr);
-    if (page == memo.dpage) {
-        dtlbs_[core]->noteRepeatHits();
-    } else {
-        const Cycles walk = dtlbs_[core]->translate(addr);
-        if (l0_enabled_)
-            memo.dpage = page;
-        // A walk always costs dtlb.missPenalty, so its exposed
-        // (rounded) stall is a constructor-precomputed constant.
-        if (walk != 0)
-            stall = exposed_dtlb_walk_;
-    }
-
+    // A dTLB walk always costs dtlb.missPenalty, so its exposed
+    // (rounded) stall is a constructor-precomputed constant; the
+    // common case (hit) skips the scaling altogether.
+    Cycles stall =
+        dtlbs_[core]->translate(addr) != 0 ? exposed_dtlb_walk_ : 0;
     AccessCounts &counts = d_counts_[static_cast<unsigned>(cls)];
     ++counts.accesses;
 
@@ -540,30 +319,13 @@ MemHierarchy::dataImpl(CoreId core, Addr addr, bool is_write,
     // that installs a dirty owner always invalidates our copy first.
     // onRead would therefore find the bit already set, report no
     // remote-dirty fill, and never produce an invalidate mask.
-    if (!is_write) {
-        if (l1d_[core]->accessTag(line_tag)) {
-            ++counts.hits;
-            if (l0_enabled_) {
-                memo.dline = line_tag;
-                memo.dwrite = false;
-            }
-            return stall;
-        }
-    } else if (ownedHit(core, line_tag)) {
-        // Write to an exclusively owned line: onWrite would find
-        // owner == core, sharers == {core} and change nothing (the
-        // ownership hooks in dataSlow clear this memo the moment a
-        // remote access or an eviction breaks exclusivity, so the
-        // certificate cannot go stale). Only the L1D LRU refresh
-        // and the counters remain — run exactly those.
-        const bool hit = l1d_[core]->accessTag(line_tag);
-        SCHEDTASK_ASSERT(hit, "L0 owned line absent from L1D");
+    const Addr line_tag = lineNumOf(addr);
+    if (!is_write && l1d_[core]->accessTag(line_tag))
         ++counts.hits;
-        memo.dline = line_tag;
-        memo.dwrite = true;
-        return stall;
-    }
-    return stall + dataSlow(core, addr, is_write, cls, line_tag);
+    else
+        stall += dataSlow(core, addr, is_write, cls, line_tag);
+    data_stall_cycles_ += stall;
+    return stall;
 }
 
 } // namespace schedtask

@@ -68,30 +68,6 @@ class Tlb
         return params_.missPenalty;
     }
 
-    /**
-     * Account `n` repeat hits of the most recently translated page
-     * without re-probing. The hierarchy's L0 last-page memo proves
-     * the probe would be the cache's pure-read MRU hit (no LRU
-     * update, no walk), so the only state a real translate() would
-     * change is these two counters.
-     */
-    void
-    noteRepeatHits(std::uint64_t n = 1)
-    {
-        accesses_ += n;
-        hits_ += n;
-    }
-
-    /** True when `page_frame` is the TLB's most recently touched
-     *  entry — a repeat translate is then a pure read. This is what
-     *  the hierarchy's last-page memo certifies and the checked
-     *  preset's L0 soundness invariant verifies. */
-    bool
-    mruIsPage(Addr page_frame) const
-    {
-        return cache_.mruIsTag(page_frame);
-    }
-
     /** Total lookups so far. */
     std::uint64_t accesses() const { return accesses_; }
 

@@ -283,16 +283,6 @@ Core::executeCurrent(Cycles limit)
     // call.
     bool timeslice_armed = is_app;
 
-    // Straight-line code fetches the same i-cache line for several
-    // consecutive blocks (the walker's repeat runs). When the
-    // hierarchy certifies repeats of the just-fetched line as pure
-    // stall-free hits, settle each run with one counter call instead
-    // of re-entering fetch() per block. Nothing that runs between
-    // two blocks of a segment (data accesses, heatmap, page stats)
-    // can touch this core's L1I or iTLB, and the run is settled
-    // before any boundary handler can observe the fetch counters.
-    const bool batch_fetch = mem.fetchRunsPure();
-
     while (h.clock < limit) {
         // ---- segment length: blocks until the nearest boundary ----
         std::uint64_t seg = is_irq
@@ -308,22 +298,10 @@ Core::executeCurrent(Cycles limit)
 
         // ---- execute the segment: pure per-block work -------------
         std::uint64_t blocks = 0;
-        Addr run_line = ~Addr{0};
-        std::uint64_t run_repeats = 0;
         while (blocks < seg && h.clock < limit) {
             // One fetch block: 16 instructions from one i-cache line.
             const Addr line = walker.nextLine(h.rng);
-            Cycles cost;
-            if (batch_fetch && line == run_line) {
-                // Certified pure repeat: the exact fetch would be a
-                // stall-free L1I + iTLB MRU hit; only counters move,
-                // and those settle below.
-                ++run_repeats;
-                cost = p.blockBaseCycles;
-            } else {
-                cost = p.blockBaseCycles + mem.fetch(id_, line, cls);
-                run_line = line;
-            }
+            Cycles cost = p.blockBaseCycles + mem.fetch(id_, line, cls);
 
             unsigned accesses = base_accesses;
             if (frac_access > 0.0 && h.rng.chance(frac_access))
@@ -343,10 +321,6 @@ Core::executeCurrent(Cycles limit)
                 m_.recordExactPage(sf->type, pageFrameOf(line));
             ++blocks;
         }
-        // Settle the batched repeats before any boundary handler or
-        // caller can observe the hierarchy's fetch statistics.
-        if (run_repeats != 0)
-            mem.settleFetchRun(id_, cls, run_repeats);
 
         const std::uint64_t insts = blocks * instsPerFetchBlock;
         sf->instsDone += insts;
