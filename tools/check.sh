@@ -12,25 +12,15 @@
 #     tracing on; report and every trace file must be bitwise
 #     identical, proving the invariant checker is pure observation.
 #
-# With --bench, finishes with the perf gate (tools/perf_gate.sh) at
-# a generous threshold — a smoke check that the benchmark harness
-# runs and the simulator has not grossly slowed down, not a precise
-# measurement (use tools/perf_gate.sh directly for that).
+# Host-cost measurement lives in perfbench/ (see perfbench/README.md).
 #
-# Usage: tools/check.sh [--bench] [preset...]
+# Usage: tools/check.sh [preset...]
 
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
 JOBS="${JOBS:-$(nproc)}"
-BENCH=0
-PRESETS=()
-for arg in "$@"; do
-    case "$arg" in
-        --bench) BENCH=1 ;;
-        *) PRESETS+=("$arg") ;;
-    esac
-done
+PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
     PRESETS=(default asan-ubsan tsan checked)
 fi
@@ -75,46 +65,7 @@ if has_preset default && has_preset checked; then
         >"$tmp/checked.out"
     diff -u "$tmp/default.out" "$tmp/checked.out"
     diff -r "$tmp/default" "$tmp/checked"
-    # The scalar kernels must be bit-identical to the dispatched
-    # vector path — the SIMD layer's core guarantee.
-    SCHEDTASK_SIMD=scalar SCHEDTASK_TRACE_DIR="$tmp/scalar" \
-        ./build-default/bench/fig07_app_performance --fast \
-        >"$tmp/scalar.out"
-    diff -u "$tmp/default.out" "$tmp/scalar.out"
-    diff -r "$tmp/default" "$tmp/scalar"
-    # The L0 presence filter must be output-invariant too: force it
-    # off on both builds and diff against the filtered default run.
-    SCHEDTASK_L0=off SCHEDTASK_TRACE_DIR="$tmp/default-nol0" \
-        ./build-default/bench/fig07_app_performance --fast \
-        >"$tmp/default-nol0.out"
-    diff -u "$tmp/default.out" "$tmp/default-nol0.out"
-    diff -r "$tmp/default" "$tmp/default-nol0"
-    SCHEDTASK_L0=off SCHEDTASK_TRACE_DIR="$tmp/checked-nol0" \
-        ./build-checked/bench/fig07_app_performance --fast \
-        >"$tmp/checked-nol0.out"
-    diff -u "$tmp/default.out" "$tmp/checked-nol0.out"
-    diff -r "$tmp/default" "$tmp/checked-nol0"
-    echo "report and traces bitwise identical" \
-         "(incl. forced scalar and L0 filter off)"
-fi
-
-if [ "$BENCH" -eq 1 ]; then
-    # Twice — forced scalar, then auto dispatch — so a regression in
-    # either the vector kernels or the dispatch itself cannot hide.
-    step "perf gate smoke, forced scalar (generous threshold)"
-    SCHEDTASK_SIMD=scalar PERF_GATE_THRESHOLD="${PERF_GATE_THRESHOLD:-50}" \
-        tools/perf_gate.sh
-    step "perf gate smoke, auto dispatch (generous threshold)"
-    SCHEDTASK_SIMD=auto PERF_GATE_THRESHOLD="${PERF_GATE_THRESHOLD:-50}" \
-        tools/perf_gate.sh
-    # Third leg with the L0 presence filter forced off: the exact
-    # memory-walk path must stay exercised (and not rot) even though
-    # the filtered path is the production default. The committed
-    # baseline was measured with the filter on, so only a very
-    # generous threshold applies.
-    step "perf gate smoke, L0 filter off (very generous threshold)"
-    SCHEDTASK_L0=off PERF_GATE_THRESHOLD="${PERF_GATE_L0_OFF_THRESHOLD:-120}" \
-        tools/perf_gate.sh
+    echo "report and traces bitwise identical"
 fi
 
 step "all checks passed"
