@@ -76,7 +76,7 @@ main()
     for (const std::string &bench : benches) {
         for (const auto &[name, make] : variants) {
             sweep.addComparison(bench, name, make(bench),
-                                Technique::SchedTask);
+                                TechniqueSpec{"SchedTask"});
         }
     }
     const SweepResults results = SweepRunner().run(sweep);

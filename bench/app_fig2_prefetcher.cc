@@ -33,8 +33,8 @@ main()
         const ExperimentConfig cgp =
             ExperimentConfig::standard(bench).withCgpPrefetcher();
         sweep.addBaseline(bench, plain);
-        for (Technique t : comparedTechniques())
-            sweep.addComparison(bench, techniqueName(t), cgp, t);
+        for (const TechniqueSpec &t : comparedTechniques())
+            sweep.addComparison(bench, t.name, cgp, t);
     }
     const SweepResults results = SweepRunner().run(sweep);
     const SeriesMatrix matrix =

@@ -43,7 +43,7 @@ main()
             sweep.addComparison(
                 bench, name,
                 ExperimentConfig::standard(bench).withSteal(policy),
-                Technique::SchedTask);
+                TechniqueSpec{"SchedTask"});
         }
     }
     const SweepResults results = SweepRunner().run(sweep);

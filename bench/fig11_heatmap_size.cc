@@ -138,12 +138,12 @@ main()
             sweep.addComparison(
                 bench, std::to_string(b) + " bits",
                 ExperimentConfig::standard(bench).withHeatmapBits(b),
-                Technique::SchedTask);
+                TechniqueSpec{"SchedTask"});
         // Ideal ranking: exact footprint overlap, no Bloom filter.
         sweep.addComparison(
             bench, "ideal ranking",
             ExperimentConfig::standard(bench).withExactOverlap(),
-            Technique::SchedTask);
+            TechniqueSpec{"SchedTask"});
     }
     const SweepResults results = SweepRunner().run(sweep);
     const SeriesMatrix gains =

@@ -101,14 +101,14 @@ main(int argc, char **argv)
     registerTypeHash();
 
     const ExperimentConfig cfg = ExperimentConfig::standard(bench);
-    const RunResult base = runOnce(cfg, Technique::Linux);
+    const RunResult base = runOnce(cfg, TechniqueSpec{"Linux"});
 
     // Registered techniques run through the same spec-based entry
     // points as the built-ins; parseTechniqueSpec accepts the same
     // "name:key=val" grammar the CLI uses.
     const RunResult mine =
         runOnce(cfg, parseTechniqueSpec("type-hash:salt=0"));
-    const RunResult st = runOnce(cfg, Technique::SchedTask);
+    const RunResult st = runOnce(cfg, TechniqueSpec{"SchedTask"});
 
     TextTable table({"scheduler", "throughput vs Linux", "idle (%)",
                      "i-hit OS (pp)", "i-hit app (pp)"});

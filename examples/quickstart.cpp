@@ -34,7 +34,7 @@ main(int argc, char **argv)
     // compare() runs the Linux baseline and SchedTask on two worker
     // threads (SCHEDTASK_JOBS permitting), same workload streams.
     std::printf("running Linux baseline and SchedTask...\n");
-    const Comparison cmp = compare(cfg, Technique::SchedTask);
+    const Comparison cmp = compare(cfg, TechniqueSpec{"SchedTask"});
     const RunResult &base = cmp.baseline;
     const RunResult &st = cmp.technique;
 

@@ -1,78 +1,28 @@
 #include "harness/experiment.hh"
 
 #include <cstdlib>
-#include <iterator>
 
-#include "common/logging.hh"
 #include "harness/sweep.hh"
 #include "sched/registry.hh"
 
 namespace schedtask
 {
 
-// This file is the one sanctioned home of enum <-> registry
-// translation (the lint rule REG-01 flags Technique dispatch
-// anywhere else). The enum order must match the declaration in
-// experiment.hh.
-namespace
-{
-
-constexpr const char *kTechniqueNames[] = {
-    "Linux", "SelectiveOffload", "FlexSC",
-    "DisAggregateOS", "SLICC", "SchedTask",
-};
-
-Technique
-techniqueFromName(const std::string &name)
-{
-    for (std::size_t i = 0; i < std::size(kTechniqueNames); ++i) {
-        if (name == kTechniqueNames[i])
-            return static_cast<Technique>(i);
-    }
-    SCHEDTASK_PANIC("registry paper entry '", name,
-                    "' has no Technique enum value");
-}
-
-} // namespace
-
-const char *
-techniqueName(Technique technique)
-{
-    const auto index = static_cast<std::size_t>(technique);
-    SCHEDTASK_ASSERT(index < std::size(kTechniqueNames),
-                     "invalid Technique value ", index);
-    return kTechniqueNames[index];
-}
-
-TechniqueSpec
-techniqueSpec(Technique technique)
-{
-    TechniqueSpec spec;
-    spec.name = techniqueName(technique);
-    return spec;
-}
-
-const std::vector<Technique> &
+const std::vector<TechniqueSpec> &
 comparedTechniques()
 {
-    // Paper entries minus the explicit baselines (Figure 7's five
-    // comparison columns); the registry keeps them in paper order.
-    static const std::vector<Technique> techniques = [] {
-        std::vector<Technique> out;
+    // Figure 7's five comparison columns; the registry keeps its
+    // paper entries in paper order.
+    static const std::vector<TechniqueSpec> techniques = [] {
+        std::vector<TechniqueSpec> out;
         for (const SchedulerInfo *info :
              SchedulerRegistry::instance().paperEntries()) {
             if (!info->isBaseline)
-                out.push_back(techniqueFromName(info->name));
+                out.push_back(TechniqueSpec{info->name});
         }
         return out;
     }();
     return techniques;
-}
-
-std::unique_ptr<Scheduler>
-makeScheduler(Technique technique, const SchedTaskParams &st_params)
-{
-    return makeScheduler(techniqueSpec(technique), st_params);
 }
 
 std::unique_ptr<Scheduler>
@@ -175,12 +125,6 @@ runWithScheduler(const ExperimentConfig &config, Scheduler &scheduler)
 }
 
 RunResult
-runOnce(const ExperimentConfig &config, Technique technique)
-{
-    return runOnce(config, techniqueSpec(technique));
-}
-
-RunResult
 runOnce(const ExperimentConfig &config, const TechniqueSpec &spec)
 {
     Sweep sweep;
@@ -204,12 +148,6 @@ double
 pointChange(double base_rate, double rate)
 {
     return (rate - base_rate) * 100.0;
-}
-
-Comparison
-compare(const ExperimentConfig &config, Technique technique)
-{
-    return compare(config, techniqueSpec(technique));
 }
 
 Comparison

@@ -13,6 +13,7 @@
 #include "common/logging.hh"
 #include "common/parse_num.hh"
 #include "harness/trace_export.hh"
+#include "sched/registry.hh"
 
 namespace schedtask
 {
@@ -192,6 +193,17 @@ Sweep &
 Sweep::add(const std::string &row, const std::string &col,
            ExperimentConfig config, const TechniqueSpec &spec)
 {
+    // Catch a misspelt name here, while the sweep is declared,
+    // rather than as a failed run after others have finished.
+    const SchedulerRegistry &registry = SchedulerRegistry::instance();
+    if (registry.find(spec.name) == nullptr) {
+        std::string names;
+        for (const std::string &name : registry.names())
+            names += names.empty() ? name : ", " + name;
+        SCHEDTASK_FATAL("sweep run ", row, "/", col,
+                        ": unknown technique '", spec.name,
+                        "'; registered techniques: ", names);
+    }
     noteRowCol(row, col);
     RunRequest req;
     req.row = row;
@@ -201,13 +213,6 @@ Sweep::add(const std::string &row, const std::string &col,
     req.deriveSeed = deriveSeeds_;
     requests_.push_back(std::move(req));
     return *this;
-}
-
-Sweep &
-Sweep::add(const std::string &row, const std::string &col,
-           ExperimentConfig config, Technique technique)
-{
-    return add(row, col, std::move(config), techniqueSpec(technique));
 }
 
 namespace
@@ -259,14 +264,6 @@ Sweep::addComparison(const std::string &row, const std::string &col,
 }
 
 Sweep &
-Sweep::addComparison(const std::string &row, const std::string &col,
-                     ExperimentConfig config, Technique technique)
-{
-    return addComparison(row, col, std::move(config),
-                         techniqueSpec(technique));
-}
-
-Sweep &
 Sweep::addVersus(const std::string &row, const std::string &col,
                  ExperimentConfig config, const TechniqueSpec &spec,
                  const ExperimentConfig &baseline_config)
@@ -278,26 +275,17 @@ Sweep::addVersus(const std::string &row, const std::string &col,
     return *this;
 }
 
-Sweep &
-Sweep::addVersus(const std::string &row, const std::string &col,
-                 ExperimentConfig config, Technique technique,
-                 const ExperimentConfig &baseline_config)
-{
-    return addVersus(row, col, std::move(config),
-                     techniqueSpec(technique), baseline_config);
-}
-
 Sweep
 Sweep::cross(const std::vector<std::string> &rows,
-             const std::vector<Technique> &techniques,
+             const std::vector<TechniqueSpec> &techniques,
              const std::function<ExperimentConfig(const std::string &)>
                  &make)
 {
     Sweep sweep;
     for (const std::string &row : rows) {
         const ExperimentConfig cfg = make(row);
-        for (Technique t : techniques)
-            sweep.addComparison(row, techniqueName(t), cfg, t);
+        for (const TechniqueSpec &spec : techniques)
+            sweep.addComparison(row, spec.str(), cfg, spec);
     }
     return sweep;
 }

@@ -100,11 +100,10 @@ class Sweep
     /** Applies to requests added afterwards (default true). */
     Sweep &deriveSeeds(bool derive);
 
-    /** Add a standalone run (no baseline attached). */
+    /** Add a standalone run (no baseline attached). Fatal, before
+     *  any run starts, when spec.name is not registered. */
     Sweep &add(const std::string &row, const std::string &col,
                ExperimentConfig config, const TechniqueSpec &spec);
-    Sweep &add(const std::string &row, const std::string &col,
-               ExperimentConfig config, Technique technique);
 
     /** Register the row's baseline (the registry technique flagged
      *  isBaseline) for `config`, idempotent per fingerprint.
@@ -117,8 +116,6 @@ class Sweep
     Sweep &addComparison(const std::string &row, const std::string &col,
                          ExperimentConfig config,
                          const TechniqueSpec &spec);
-    Sweep &addComparison(const std::string &row, const std::string &col,
-                         ExperimentConfig config, Technique technique);
 
     /** Add a run compared against a baseline on a *different*
      *  configuration (e.g. a parameter sweep whose reference is the
@@ -126,18 +123,16 @@ class Sweep
     Sweep &addVersus(const std::string &row, const std::string &col,
                      ExperimentConfig config, const TechniqueSpec &spec,
                      const ExperimentConfig &baseline_config);
-    Sweep &addVersus(const std::string &row, const std::string &col,
-                     ExperimentConfig config, Technique technique,
-                     const ExperimentConfig &baseline_config);
 
     /**
      * The recurring figure layout: one row per benchmark, one
-     * comparison column per technique, all against the per-row
-     * Linux baseline. `make` builds the row's configuration.
+     * comparison column per technique (titled spec.str()), all
+     * against the per-row Linux baseline. `make` builds the row's
+     * configuration.
      */
     static Sweep cross(
         const std::vector<std::string> &rows,
-        const std::vector<Technique> &techniques,
+        const std::vector<TechniqueSpec> &techniques,
         const std::function<ExperimentConfig(const std::string &)>
             &make);
 

@@ -85,13 +85,15 @@ class SchedulerOptions
 
 /**
  * A technique selection: registry name plus its option blob. This is
- * the currency the harness passes around; the legacy Technique enum
- * converts into one via techniqueSpec() in harness/experiment.hh.
+ * the currency the harness passes around; aggregate initialization
+ * names one without options: TechniqueSpec{"Linux"}.
  */
 struct TechniqueSpec
 {
     std::string name = "SchedTask";
-    SchedulerOptions options;
+    /** Braced so TechniqueSpec{"Linux"} initializes it without a
+     *  missing-initializer warning. */
+    SchedulerOptions options{};
 
     /** Canonical "name" or "name:key=val,..." rendering. */
     std::string str() const;

@@ -5,14 +5,14 @@
  * Techniques self-register under a canonical name with a factory
  * that builds a Scheduler from a SchedulerFactoryContext (the parsed
  * option blob plus the harness's SchedTaskParams ablation knobs).
- * The CLI, the sweep runner, and the legacy Technique enum all
- * resolve techniques here, so adding a scheduler is one registration
- * call — no harness edit, no enum case, no switch.
+ * A TechniqueSpec (name + options) is the only way to name a
+ * technique: the CLI, the sweep runner and every figure resolve it
+ * here, so adding a scheduler is one registration call — no harness
+ * edit, no switch.
  *
  * Properties carried per entry:
  *  - isBaseline: the technique is the reference others are compared
- *    against (Linux). Comparisons consult this flag instead of the
- *    old implicit "first enum value" assumption.
+ *    against (Linux).
  *  - paperOrder: position in the paper's figure columns (>= 0);
  *    entries outside the paper (hetero-schedtask, hts, user plugins)
  *    use -1 and never alter existing figure output.

@@ -331,7 +331,7 @@ TEST(Backlog, QueueSchedulerWithoutCostKeepsZeroBacklog)
     MachineParams mp;
     mp.numCores = 4;
     mp.epochCycles = 50000;
-    auto sched = makeScheduler(Technique::Linux);
+    auto sched = makeScheduler(TechniqueSpec{"Linux"});
     Machine m(mp, HierarchyParams::paperDefault(), suite, workload,
               *sched);
     m.run(3 * mp.epochCycles);

@@ -14,16 +14,17 @@ using namespace schedtask;
 
 TEST(Harness, TechniqueNamesRoundTrip)
 {
-    EXPECT_STREQ(techniqueName(Technique::Linux), "Linux");
-    EXPECT_STREQ(techniqueName(Technique::SchedTask), "SchedTask");
+    EXPECT_STREQ(makeScheduler(TechniqueSpec{"Linux"})->name(), "Linux");
+    EXPECT_STREQ(makeScheduler(TechniqueSpec{"schedtask"})->name(),
+                 "SchedTask");
     EXPECT_EQ(comparedTechniques().size(), 5u);
 }
 
 TEST(Harness, MakeSchedulerMatchesName)
 {
-    for (Technique t : comparedTechniques()) {
+    for (const TechniqueSpec &t : comparedTechniques()) {
         auto sched = makeScheduler(t);
-        EXPECT_STREQ(sched->name(), techniqueName(t));
+        EXPECT_EQ(sched->name(), t.name);
     }
 }
 
@@ -62,7 +63,7 @@ TEST(Harness, RunOnceProducesConsistentResult)
     cfg.baselineCores = 8;
     cfg.warmupEpochs = 1;
     cfg.measureEpochs = 2;
-    const RunResult r = runOnce(cfg, Technique::Linux);
+    const RunResult r = runOnce(cfg, TechniqueSpec{"Linux"});
     EXPECT_EQ(r.numCores, 8u);
     EXPECT_GT(r.instThroughput(), 0.0);
     EXPECT_GT(r.appPerformance(), 0.0);
@@ -77,7 +78,7 @@ TEST(Harness, SelectiveOffloadUsesDoubleCores)
     cfg.baselineCores = 4;
     cfg.warmupEpochs = 1;
     cfg.measureEpochs = 1;
-    const RunResult r = runOnce(cfg, Technique::SelectiveOffload);
+    const RunResult r = runOnce(cfg, TechniqueSpec{"SelectiveOffload"});
     EXPECT_EQ(r.numCores, 8u);
 }
 
@@ -87,8 +88,8 @@ TEST(Harness, RunsAreReproducible)
     cfg.baselineCores = 4;
     cfg.warmupEpochs = 1;
     cfg.measureEpochs = 1;
-    const RunResult a = runOnce(cfg, Technique::SchedTask);
-    const RunResult b = runOnce(cfg, Technique::SchedTask);
+    const RunResult a = runOnce(cfg, TechniqueSpec{"SchedTask"});
+    const RunResult b = runOnce(cfg, TechniqueSpec{"SchedTask"});
     EXPECT_EQ(a.metrics.instsRetired, b.metrics.instsRetired);
     EXPECT_EQ(a.metrics.appEvents, b.metrics.appEvents);
 }

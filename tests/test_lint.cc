@@ -283,54 +283,6 @@ TEST(LintSty01, DoesNotApplyToSourceFiles)
     )lint").empty());
 }
 
-// ---- REG-01: Technique dispatch outside the shim --------------------
-
-TEST(LintReg01, RejectsSwitchOverTechnique)
-{
-    const auto diags = lintSource("tools/foo.cc", R"lint(
-        int pick(Technique technique) {
-            switch (technique) {
-            default: return 0;
-            }
-        }
-    )lint");
-    ASSERT_TRUE(hasRule(diags, "REG-01"));
-}
-
-TEST(LintReg01, RejectsSwitchOverCastTechnique)
-{
-    const auto diags = lintSource("src/sim/foo.cc", R"lint(
-        void f(int raw) {
-            switch (static_cast<Technique>(raw)) {
-            default: break;
-            }
-        }
-    )lint");
-    EXPECT_TRUE(hasRule(diags, "REG-01"));
-}
-
-TEST(LintReg01, ExemptInExperimentShim)
-{
-    EXPECT_TRUE(lintSource("src/harness/experiment.cc", R"lint(
-        int pick(Technique technique) {
-            switch (technique) {
-            default: return 0;
-            }
-        }
-    )lint").empty());
-}
-
-TEST(LintReg01, AcceptsUnrelatedSwitches)
-{
-    EXPECT_TRUE(lintSource("src/sim/foo.cc", R"lint(
-        int pick(int mode) {
-            switch (mode) {
-            default: return 0;
-            }
-        }
-    )lint").empty());
-}
-
 // ---- SIMD-01: no intrinsics anywhere ------------------------------
 
 TEST(LintSimd01, RejectsIntrinsicsOutsideSimdLayer)

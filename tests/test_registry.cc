@@ -1,8 +1,8 @@
 /**
  * @file
  * Scheduler registry and option-blob tests: parse grammar, strict
- * validation, registration round-trips, the legacy Technique shims,
- * and determinism of the post-paper techniques under the sweep
+ * validation, registration round-trips, naming techniques by
+ * TechniqueSpec, and determinism of the post-paper techniques under the sweep
  * runner at any job count.
  */
 
@@ -190,25 +190,29 @@ TEST(Registry, ListsBuiltinsSorted)
     EXPECT_TRUE(has("hts"));
 }
 
-// ---- legacy Technique shims -----------------------------------------
+// ---- naming techniques by TechniqueSpec ----------------------------
 
 TEST(Shims, TechniqueSpecMatchesNames)
 {
-    EXPECT_EQ(techniqueSpec(Technique::Linux).str(), "Linux");
-    EXPECT_EQ(techniqueSpec(Technique::SchedTask).str(), "SchedTask");
-    EXPECT_STREQ(techniqueName(Technique::SLICC), "SLICC");
+    EXPECT_EQ(TechniqueSpec{"Linux"}.str(), "Linux");
+    EXPECT_EQ(TechniqueSpec{"SchedTask"}.str(), "SchedTask");
+    EXPECT_EQ(TechniqueSpec{}.str(), "SchedTask");
+    EXPECT_EQ(TechniqueSpec{"SLICC"}.str(), parseTechniqueSpec("SLICC").str());
+    EXPECT_TRUE(TechniqueSpec{"SLICC"}.options.empty());
 }
 
 TEST(Shims, ComparedTechniquesExcludeBaseline)
 {
     // The historical bug: comparedTechniques() must list the five
     // non-baseline paper techniques, in paper order, never Linux.
-    const std::vector<Technique> &cmp = comparedTechniques();
+    const std::vector<TechniqueSpec> &cmp = comparedTechniques();
     ASSERT_EQ(cmp.size(), 5u);
-    EXPECT_EQ(cmp.front(), Technique::SelectiveOffload);
-    EXPECT_EQ(cmp.back(), Technique::SchedTask);
-    for (Technique t : cmp)
-        EXPECT_NE(t, Technique::Linux);
+    EXPECT_EQ(cmp.front().name, "SelectiveOffload");
+    EXPECT_EQ(cmp.back().name, "SchedTask");
+    for (const TechniqueSpec &t : cmp) {
+        EXPECT_NE(t.name, "Linux");
+        EXPECT_TRUE(t.options.empty()) << t.str();
+    }
     EXPECT_TRUE(SchedulerRegistry::instance().isBaseline("Linux"));
     EXPECT_FALSE(
         SchedulerRegistry::instance().isBaseline("SchedTask"));

@@ -136,7 +136,7 @@ TEST(SchedTaskIntegration, WorkConservedAcrossSchedulers)
     // Whatever the scheduler, the machine must neither lose nor
     // duplicate SuperFunctions: every technique keeps retiring
     // instructions for the whole run.
-    for (Technique t : comparedTechniques()) {
+    for (const TechniqueSpec &t : comparedTechniques()) {
         auto sched = makeScheduler(t);
         BenchmarkSuite suite;
         Workload workload =
@@ -151,7 +151,7 @@ TEST(SchedTaskIntegration, WorkConservedAcrossSchedulers)
         m.run(3 * mp.epochCycles);
         const std::uint64_t second =
             m.metricsSnapshot().instsRetired;
-        EXPECT_GT(second, first) << techniqueName(t);
+        EXPECT_GT(second, first) << t.name;
     }
 }
 

@@ -40,12 +40,12 @@ stressSweep()
     Sweep sweep;
     for (const char *bench : {"Find", "Iscp", "Oscp", "Apache"}) {
         sweep.addComparison(bench, "SchedTask", smallConfig(bench),
-                            Technique::SchedTask);
+                            TechniqueSpec{"SchedTask"});
     }
     sweep.add("Find", "FlexSC", smallConfig("Find"),
-              Technique::FlexSC);
+              TechniqueSpec{"FlexSC"});
     sweep.add("Iscp", "SLICC", smallConfig("Iscp"),
-              Technique::SLICC);
+              TechniqueSpec{"SLICC"});
     return sweep;
 }
 

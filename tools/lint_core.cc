@@ -647,49 +647,6 @@ checkSty01(const std::string &rel_path, const Scrubbed &sc,
 }
 
 void
-checkReg01(const std::string &rel_path, const Scrubbed &sc,
-           const std::vector<Tok> &toks, std::vector<Diag> &diags)
-{
-    // experiment.cc is the one sanctioned enum <-> registry shim.
-    if (rel_path == "src/harness/experiment.cc")
-        return;
-    for (const Tok &t : toks) {
-        if (t.text != "switch")
-            continue;
-        if (nextNonSpace(sc.text, t.end) != '(')
-            continue;
-        const std::size_t open = sc.text.find('(', t.end);
-        int depth = 0;
-        std::size_t close = open;
-        for (std::size_t p = open; p < sc.text.size(); ++p) {
-            if (sc.text[p] == '(')
-                ++depth;
-            else if (sc.text[p] == ')') {
-                --depth;
-                if (depth == 0) {
-                    close = p;
-                    break;
-                }
-            }
-        }
-        if (close == open)
-            continue;
-        const std::string cond =
-            sc.text.substr(open + 1, close - open - 1);
-        for (const Tok &ct : tokenize(cond)) {
-            if (ct.text == "Technique" || ct.text == "technique") {
-                diags.push_back(Diag{
-                    rel_path, t.line, "REG-01",
-                    "switch over a Technique outside the "
-                    "harness/experiment.cc shim; dispatch through "
-                    "the SchedulerRegistry by name instead"});
-                break;
-            }
-        }
-    }
-}
-
-void
 checkSimd01(const std::string &rel_path, const std::vector<Tok> &toks,
             std::vector<Diag> &diags)
 {
@@ -727,7 +684,6 @@ lintSource(const std::string &rel_path, const std::string &content)
     checkSafe01(rel_path, sc, toks, raw);
     checkSafe02(rel_path, sc, toks, raw);
     checkSty01(rel_path, sc, raw);
-    checkReg01(rel_path, sc, toks, raw);
     checkSimd01(rel_path, toks, raw);
 
     std::vector<Diag> diags = sc.pragmaDiags;

@@ -469,7 +469,7 @@ main(int argc, char **argv)
                     .c_str());
 
     if (want_compare && !is_baseline) {
-        const RunResult base = runOnce(cfg, Technique::Linux);
+        const RunResult base = runOnce(cfg, TechniqueSpec{"Linux"});
         const double dthr = percentChange(
             base.instThroughput(),
             m.instThroughput(mp.coreFrequencyGHz));
