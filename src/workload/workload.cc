@@ -17,6 +17,21 @@ std::atomic<std::uint64_t> buildCounter{0};
 
 } // namespace
 
+unsigned
+Workload::partThreads(const BenchmarkProfile &profile, double scale,
+                      unsigned num_cores)
+{
+    const unsigned at_1x = profile.singleThreadedPerCore()
+        ? num_cores
+        : profile.threadsAt1X;
+    const double exact = scale * at_1x;
+    // Compare in floating point first: lround of a huge product
+    // does not fit in unsigned.
+    if (!(exact < maxPartThreads + 0.5))
+        return maxPartThreads + 1;
+    return exact < 0.5 ? 0 : static_cast<unsigned>(std::lround(exact));
+}
+
 Workload
 Workload::build(BenchmarkSuite &suite,
                 const std::vector<WorkloadPart> &parts,
@@ -35,16 +50,13 @@ Workload::build(BenchmarkSuite &suite,
         const std::string prefix = "wl" + std::to_string(build_id) + "."
             + std::to_string(pi) + "." + part.benchmark;
 
-        unsigned thread_count;
-        if (profile.singleThreadedPerCore()) {
-            thread_count = static_cast<unsigned>(
-                std::lround(part.scale * num_cores));
-        } else {
-            thread_count = static_cast<unsigned>(
-                std::lround(part.scale * profile.threadsAt1X));
-        }
-        SCHEDTASK_ASSERT(thread_count > 0, "part ", part.benchmark,
-                         " at scale ", part.scale, " has zero threads");
+        const unsigned thread_count =
+            partThreads(profile, part.scale, num_cores);
+        SCHEDTASK_ASSERT(thread_count > 0
+                             && thread_count <= maxPartThreads,
+                         "part ", part.benchmark, " at scale ",
+                         part.scale, " needs 1..", maxPartThreads,
+                         " threads");
 
         // Multi-threaded parts share one application data region;
         // each single-threaded process gets its own.

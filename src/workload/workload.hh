@@ -80,6 +80,24 @@ class Workload
                                 const std::string &benchmark,
                                 double scale, unsigned num_cores);
 
+    /**
+     * Most threads one part may spawn: ten times the largest part
+     * the paper runs (FileSrv at 16X, 6,400 threads). A thread costs
+     * under 1 KB of host memory, so the cap keeps a mistyped scale
+     * to tens of MB instead of letting it exhaust the host.
+     */
+    static constexpr unsigned maxPartThreads = 65536;
+
+    /**
+     * Threads (processes, for one-process-per-core benchmarks) a
+     * part spawns: scale x threadsAt1X, or scale x num_cores, rounded
+     * to nearest. Saturates at maxPartThreads + 1 (also for NaN), so
+     * callers can reject oversized parts without overflow; 0 means
+     * the part rounds to no threads at all.
+     */
+    static unsigned partThreads(const BenchmarkProfile &profile,
+                                double scale, unsigned num_cores);
+
     /** Appendix Table 1 bag names: MPW-A .. MPW-F. */
     static const std::vector<std::string> &bagNames();
 

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "workload/workload.hh"
 
 using namespace schedtask;
@@ -136,6 +138,31 @@ TEST(Workload, RepeatedBuildsAgainstSameSuiteWork)
     // Unique region names; different physical placements.
     EXPECT_NE(a.threads()[0].privateDataBase,
               b.threads()[0].privateDataBase);
+}
+
+TEST(Workload, PartThreadsRoundsAndSaturates)
+{
+    const BenchmarkSuite suite;
+    const BenchmarkProfile &filesrv = suite.byName("FileSrv");
+    const BenchmarkProfile &find = suite.byName("Find");
+    EXPECT_EQ(Workload::partThreads(filesrv, 16.0, 32), 6400u);
+    EXPECT_EQ(Workload::partThreads(find, 2.0, 32), 64u);
+    EXPECT_EQ(Workload::partThreads(find, 0.01, 32), 0u);
+    EXPECT_EQ(Workload::partThreads(filesrv, 0.001, 32), 0u);
+
+    const unsigned cap = Workload::maxPartThreads;
+    EXPECT_EQ(Workload::partThreads(find, cap / 64.0, 64), cap);
+    EXPECT_EQ(Workload::partThreads(find, (cap + 1) / 64.0, 64), cap + 1);
+    EXPECT_EQ(Workload::partThreads(filesrv, 1e9, 32), cap + 1);
+    EXPECT_EQ(Workload::partThreads(filesrv, 1e300, 32), cap + 1);
+    EXPECT_EQ(Workload::partThreads(filesrv, std::nan(""), 32), cap + 1);
+}
+
+TEST(WorkloadDeath, ZeroThreadPartPanics)
+{
+    BenchmarkSuite suite;
+    EXPECT_DEATH(Workload::buildSingle(suite, "Apache", 0.001, 32),
+                 "Apache at scale 0.001 needs 1..65536 threads");
 }
 
 TEST(WorkloadDeath, UnknownBagPanics)

@@ -149,8 +149,9 @@ parseTechniqueArg(const std::string &text)
 /** Build-and-discard the scheduler before any simulation starts, so
  *  that these are usage errors (exit 2): malformed option values, a
  *  core count (after coresRequired/configureMachine) the full-map
- *  coherence directory cannot track, and a heatmap width PageHeatmap
- *  does not accept. */
+ *  coherence directory cannot track, a heatmap width PageHeatmap
+ *  does not accept, and a scale at which a workload part has no
+ *  threads or more than Workload::maxPartThreads. */
 void
 probeTechnique(const TechniqueSpec &spec, const ExperimentConfig &cfg)
 {
@@ -179,6 +180,21 @@ probeTechnique(const TechniqueSpec &spec, const ExperimentConfig &cfg)
                      "[64, 65536])\n",
                      mp.heatmapBits);
         std::exit(2);
+    }
+    const BenchmarkSuite suite;
+    for (const WorkloadPart &part : cfg.parts) {
+        const unsigned threads = Workload::partThreads(
+            suite.byName(part.benchmark), part.scale, cfg.baselineCores);
+        if (threads == 0 || threads > Workload::maxPartThreads) {
+            std::fprintf(stderr,
+                         "schedtask-sim: invalid value '%g' for "
+                         "--scale: %s would run %s threads (the "
+                         "simulator supports 1..%u per benchmark)\n",
+                         part.scale, part.benchmark.c_str(),
+                         threads == 0 ? "0" : "too many",
+                         Workload::maxPartThreads);
+            std::exit(2);
+        }
     }
 }
 
