@@ -195,14 +195,10 @@ Sweep::add(const std::string &row, const std::string &col,
 {
     // Catch a misspelt name here, while the sweep is declared,
     // rather than as a failed run after others have finished.
-    const SchedulerRegistry &registry = SchedulerRegistry::instance();
-    if (registry.find(spec.name) == nullptr) {
-        std::string names;
-        for (const std::string &name : registry.names())
-            names += names.empty() ? name : ", " + name;
-        SCHEDTASK_FATAL("sweep run ", row, "/", col,
-                        ": unknown technique '", spec.name,
-                        "'; registered techniques: ", names);
+    try {
+        SchedulerRegistry::instance().resolve(spec.name);
+    } catch (const SchedulerOptionError &e) {
+        SCHEDTASK_FATAL("sweep run ", row, "/", col, ": ", e.what());
     }
     noteRowCol(row, col);
     RunRequest req;

@@ -176,10 +176,8 @@ SchedulerRegistry::validateOptions(const SchedulerInfo &info,
     }
 }
 
-std::unique_ptr<Scheduler>
-SchedulerRegistry::make(std::string_view name,
-                        const SchedulerOptions &options,
-                        const SchedTaskParams &sched_task) const
+const SchedulerInfo &
+SchedulerRegistry::resolve(std::string_view name) const
 {
     const SchedulerInfo *info = find(name);
     if (info == nullptr) {
@@ -190,10 +188,19 @@ SchedulerRegistry::make(std::string_view name,
                                    std::string(name) +
                                    "' (registered: " + registered + ")");
     }
-    validateOptions(*info, options);
+    return *info;
+}
+
+std::unique_ptr<Scheduler>
+SchedulerRegistry::make(std::string_view name,
+                        const SchedulerOptions &options,
+                        const SchedTaskParams &sched_task) const
+{
+    const SchedulerInfo &info = resolve(name);
+    validateOptions(info, options);
     const SchedulerFactoryContext ctx{options, sched_task};
-    std::unique_ptr<Scheduler> sched = info->factory(ctx);
-    SCHEDTASK_ASSERT(sched != nullptr, "technique '", info->name,
+    std::unique_ptr<Scheduler> sched = info.factory(ctx);
+    SCHEDTASK_ASSERT(sched != nullptr, "technique '", info.name,
                      "' factory returned nullptr");
     if (options.has("epoch_ms")) {
         const std::uint64_t ms = options.getUnsigned("epoch_ms", kPaperEpochMs);

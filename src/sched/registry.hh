@@ -86,6 +86,10 @@ class SchedulerRegistry
     /** Entry for a name, or nullptr when unknown. */
     const SchedulerInfo *find(std::string_view name) const;
 
+    /** Entry for a name; throws SchedulerOptionError listing the
+     *  registered names when unknown. */
+    const SchedulerInfo &resolve(std::string_view name) const;
+
     /** Canonical names, deterministically sorted. */
     std::vector<std::string> names() const;
 

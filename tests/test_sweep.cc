@@ -240,8 +240,8 @@ TEST(SweepDeath, UnregisteredTechniqueRejectedAtAdd)
     sweep.add("row", "ok", smallConfig(), TechniqueSpec{"Linux"});
     EXPECT_DEATH(sweep.addComparison("row", "typo", smallConfig(),
                                      TechniqueSpec{"SchedTsak"}),
-                 "row/typo: unknown technique 'SchedTsak'; "
-                 "registered techniques: .*SchedTask");
+                 "row/typo: unknown technique 'SchedTsak' "
+                 "\\(registered: .*SchedTask");
 }
 
 TEST(SweepFailure, SerialStopsDispatchAfterFirstFailure)
