@@ -12,10 +12,12 @@
  * Run: ./build/examples/heatmap_playground [bits]
  */
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <vector>
 
+#include "common/parse_num.hh"
 #include "core/page_heatmap.hh"
 #include "stats/table.hh"
 #include "workload/sf_catalog.hh"
@@ -25,8 +27,19 @@ using namespace schedtask;
 int
 main(int argc, char **argv)
 {
-    const unsigned bits =
-        argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 512;
+    unsigned bits = 512;
+    if (argc > 1) {
+        const std::optional<std::uint64_t> value = parseUnsigned(argv[1]);
+        if (!value || *value > 65536
+            || !PageHeatmap::validWidth(static_cast<unsigned>(*value))) {
+            std::fprintf(stderr,
+                         "heatmap_playground: invalid width '%s' "
+                         "(expected a power of two in [64, 65536])\n",
+                         argv[1]);
+            return 2;
+        }
+        bits = static_cast<unsigned>(*value);
+    }
 
     SfCatalog catalog;
     const std::vector<const char *> handlers = {

@@ -9,10 +9,14 @@
  * Run: ./build/examples/trace_inspection [benchmark] [tid]
  */
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
 #include <string>
+#include <vector>
 
+#include "common/parse_num.hh"
 #include "core/schedtask_sched.hh"
 #include "harness/reporting.hh"
 #include "sim/machine.hh"
@@ -25,8 +29,24 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "Apache";
-    const ThreadId tid =
-        argc > 2 ? static_cast<ThreadId>(std::atoi(argv[2])) : 0;
+    const std::vector<std::string> &names =
+        BenchmarkSuite::benchmarkNames();
+    if (std::find(names.begin(), names.end(), bench) == names.end()) {
+        std::fprintf(stderr, "trace_inspection: unknown benchmark '%s'\n",
+                     bench.c_str());
+        return 2;
+    }
+    ThreadId tid = 0;
+    if (argc > 2) {
+        const std::optional<std::uint64_t> value = parseUnsigned(argv[2]);
+        if (!value || *value >= invalidThread) {
+            std::fprintf(stderr,
+                         "trace_inspection: invalid thread id '%s'\n",
+                         argv[2]);
+            return 2;
+        }
+        tid = static_cast<ThreadId>(*value);
+    }
 
     printHeader("SuperFunction timeline (" + bench + ", thread "
                 + std::to_string(tid) + ", SchedTask)");

@@ -1,9 +1,15 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 
+#include "core/page_heatmap.hh"
+#include "harness/reporting.hh"
 #include "harness/sweep.hh"
+#include "mem/directory.hh"
 #include "sched/registry.hh"
+#include "workload/benchmarks.hh"
 
 namespace schedtask
 {
@@ -66,6 +72,66 @@ ExperimentConfig::standardBag(const std::string &bag)
         cfg.measureEpochs = 2;
     }
     return cfg;
+}
+
+std::optional<std::string>
+ExperimentConfig::validate(const TechniqueSpec &spec) const
+{
+    if (parts.empty())
+        return "the workload has no benchmark parts";
+    const std::vector<std::string> &known =
+        BenchmarkSuite::benchmarkNames();
+    for (const WorkloadPart &part : parts) {
+        if (std::find(known.begin(), known.end(), part.benchmark)
+            == known.end()) {
+            return "unknown benchmark '" + part.benchmark + "' (known: "
+                + joinNames(known) + ")";
+        }
+    }
+
+    std::unique_ptr<Scheduler> sched;
+    try {
+        sched = makeScheduler(spec, schedTask);
+    } catch (const SchedulerOptionError &e) {
+        return std::string(e.what());
+    }
+    MachineParams mp = machine;
+    mp.numCores = sched->coresRequired(baselineCores);
+    sched->configureMachine(mp);
+
+    char buf[256];
+    if (mp.numCores < 1 || mp.numCores > CoherenceDirectory::maxCores) {
+        std::snprintf(buf, sizeof(buf),
+                      "%s needs %u cores for --cores %u; the simulator "
+                      "supports 1..%u",
+                      spec.name.c_str(), mp.numCores, baselineCores,
+                      CoherenceDirectory::maxCores);
+        return std::string(buf);
+    }
+    if (!PageHeatmap::validWidth(mp.heatmapBits)) {
+        std::snprintf(buf, sizeof(buf),
+                      "invalid value '%u' for --heatmap-bits (expected a "
+                      "power of two in [64, 65536])",
+                      mp.heatmapBits);
+        return std::string(buf);
+    }
+    // Profiles are immutable, so one shared suite serves every call.
+    static const BenchmarkSuite suite;
+    for (const WorkloadPart &part : parts) {
+        const unsigned threads = Workload::partThreads(
+            suite.byName(part.benchmark), part.scale, baselineCores);
+        if (threads == 0 || threads > Workload::maxPartThreads) {
+            std::snprintf(buf, sizeof(buf),
+                          "invalid value '%g' for --scale: %s would run "
+                          "%s threads (the simulator supports 1..%u per "
+                          "benchmark)",
+                          part.scale, part.benchmark.c_str(),
+                          threads == 0 ? "0" : "too many",
+                          Workload::maxPartThreads);
+            return std::string(buf);
+        }
+    }
+    return std::nullopt;
 }
 
 double

@@ -11,6 +11,7 @@
 #define SCHEDTASK_HARNESS_EXPERIMENT_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -75,6 +76,19 @@ struct ExperimentConfig
 
     /** Standard configuration for a multi-programmed bag. */
     static ExperimentConfig standardBag(const std::string &bag);
+
+    /**
+     * Why `spec` cannot run on this configuration, or nullopt when
+     * it can. This is the one place a run is checked before it
+     * starts: an unknown benchmark, an unregistered technique or a
+     * malformed option value, a core count (after coresRequired()
+     * and configureMachine()) the full-map coherence directory
+     * cannot track, a heatmap width PageHeatmap does not accept, and
+     * a scale at which a part has no threads or more than
+     * Workload::maxPartThreads. Messages name the schedtask-sim
+     * flag that sets the offending field.
+     */
+    std::optional<std::string> validate(const TechniqueSpec &spec) const;
 
     /**
      * Fluent modifiers, so call sites can derive a variant in one

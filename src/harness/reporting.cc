@@ -104,4 +104,13 @@ printHeader(const std::string &title)
     std::printf("\n==== %s ====\n\n", title.c_str());
 }
 
+std::string
+joinNames(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &name : names)
+        out += out.empty() ? name : ", " + name;
+    return out;
+}
+
 } // namespace schedtask

@@ -61,6 +61,9 @@ class SeriesMatrix
 /** Print a section header in a uniform style. */
 void printHeader(const std::string &title);
 
+/** "a, b, c": the valid names a usage error lists. */
+std::string joinNames(const std::vector<std::string> &names);
+
 } // namespace schedtask
 
 #endif // SCHEDTASK_HARNESS_REPORTING_HH

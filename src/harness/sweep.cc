@@ -74,6 +74,17 @@ class Fingerprint
     std::uint64_t h_ = 0x5eedf00d;
 };
 
+// Tripwire for baselineFingerprint(): a new field in any of these
+// structs changes its size and stops the build here. Decide whether
+// a Linux run can observe the field; if it can, mix it in below and
+// perturb it in SweepFingerprint.EveryMixedFieldChangesIt. Then
+// update the size. (Sizes are for the LP64 ABI the presets build.)
+static_assert(sizeof(CacheParams) == 40, "new CacheParams field?");
+static_assert(sizeof(TlbParams) == 16, "new TlbParams field?");
+static_assert(sizeof(HierarchyParams) == 248,
+              "new HierarchyParams field?");
+static_assert(sizeof(MachineParams) == 120, "new MachineParams field?");
+
 void
 mixCache(Fingerprint &fp, const CacheParams &c)
 {
@@ -123,8 +134,11 @@ baselineFingerprint(const ExperimentConfig &config)
     fp.mixDouble(m.littleFrac);
     fp.mixDouble(m.littleCostFactor);
     // machine.heatmapBits and config.schedTask are deliberately
-    // omitted: a Linux run cannot observe them.
+    // omitted: a Linux run cannot observe them. numCores is filled
+    // in per technique from baselineCores, and trace and
+    // traceEpochCapacity are observation only.
 
+    // h.numCores is filled in per technique, like m.numCores.
     const HierarchyParams &h = config.hierarchy;
     mixCache(fp, h.l1i);
     mixCache(fp, h.l1d);
@@ -189,17 +203,27 @@ Sweep::noteRowCol(const std::string &row, const std::string &col)
         cols_.push_back(col);
 }
 
+namespace
+{
+
+/** Catch a misspelt name or an unbuildable machine while the sweep
+ *  is declared, rather than as a failed run (or an assertion inside
+ *  a worker) after other runs have finished. */
+void
+requireValid(const std::string &row, const std::string &col,
+             const ExperimentConfig &config, const TechniqueSpec &spec)
+{
+    if (const std::optional<std::string> error = config.validate(spec))
+        SCHEDTASK_FATAL("sweep run ", row, "/", col, ": ", *error);
+}
+
+} // namespace
+
 Sweep &
 Sweep::add(const std::string &row, const std::string &col,
            ExperimentConfig config, const TechniqueSpec &spec)
 {
-    // Catch a misspelt name here, while the sweep is declared,
-    // rather than as a failed run after others have finished.
-    try {
-        SchedulerRegistry::instance().resolve(spec.name);
-    } catch (const SchedulerOptionError &e) {
-        SCHEDTASK_FATAL("sweep run ", row, "/", col, ": ", e.what());
-    }
+    requireValid(row, col, config, spec);
     noteRowCol(row, col);
     RunRequest req;
     req.row = row;
@@ -243,6 +267,7 @@ Sweep::addBaseline(const std::string &row,
     req.col = label.substr(row.size() + 1);
     req.config = config;
     req.spec = baselineSpec();
+    requireValid(req.row, req.col, req.config, req.spec);
     req.deriveSeed = deriveSeeds_;
     req.isBaseline = true;
     baselineIndex_.emplace(label, requests_.size());

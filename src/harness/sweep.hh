@@ -101,7 +101,8 @@ class Sweep
     Sweep &deriveSeeds(bool derive);
 
     /** Add a standalone run (no baseline attached). Fatal, before
-     *  any run starts, when spec.name is not registered. */
+     *  any run starts, when config.validate(spec) reports an error
+     *  (an unregistered spec.name, an unbuildable machine, ...). */
     Sweep &add(const std::string &row, const std::string &col,
                ExperimentConfig config, const TechniqueSpec &spec);
 

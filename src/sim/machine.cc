@@ -282,60 +282,6 @@ Machine::captureEpochSample()
     resetEpochBaseline();
 }
 
-void
-Machine::exportStats(StatSet &stats) const
-{
-    const SimMetrics m = metricsSnapshot();
-    stats.get("sim.cycles").add(static_cast<double>(m.cycles));
-    stats.get("sim.instsRetired")
-        .add(static_cast<double>(m.instsRetired));
-    stats.get("sim.overheadInsts")
-        .add(static_cast<double>(m.overheadInsts));
-    stats.get("sim.appEvents").add(static_cast<double>(m.appEvents));
-    stats.get("sim.idleCycles")
-        .add(static_cast<double>(m.idleCycles));
-    stats.get("sim.migrations")
-        .add(static_cast<double>(m.migrations));
-    stats.get("sim.irqCount").add(static_cast<double>(m.irqCount));
-    stats.get("sim.irqLatencyMean").add(m.meanIrqLatency());
-    stats.get("sim.ipc").add(m.ipc(params_.numCores));
-    stats.get("sim.idleFraction").add(m.idleFraction(params_.numCores));
-    for (unsigned c = 0; c < numSfCategories; ++c) {
-        stats
-            .get(std::string("sim.insts.")
-                 + sfCategoryName(static_cast<SfCategory>(c)))
-            .add(static_cast<double>(m.instsByCategory[c]));
-    }
-
-    const MemHierarchy &h = *hierarchy_;
-    stats.get("mem.l1i.hitRate.app")
-        .add(h.iCounts(ExecClass::App).hitRate());
-    stats.get("mem.l1i.hitRate.os")
-        .add(h.iCounts(ExecClass::Os).hitRate());
-    stats.get("mem.l1d.hitRate.app")
-        .add(h.dCounts(ExecClass::App).hitRate());
-    stats.get("mem.l1d.hitRate.os")
-        .add(h.dCounts(ExecClass::Os).hitRate());
-    if (h.params().hasPrivateL2)
-        stats.get("mem.l2.hitRate").add(h.l2Counts().hitRate());
-    stats.get("mem.itlb.hitRate").add(h.itlbHitRate());
-    stats.get("mem.dtlb.hitRate").add(h.dtlbHitRate());
-    stats.get("mem.fetchStallCycles")
-        .add(static_cast<double>(h.fetchStallCycles()));
-    stats.get("mem.dataStallCycles")
-        .add(static_cast<double>(h.dataStallCycles()));
-    stats.get("mem.coherenceInvalidations")
-        .add(static_cast<double>(h.coherenceInvalidations()));
-    stats.get("mem.remoteDirtyFills")
-        .add(static_cast<double>(h.remoteDirtyFills()));
-    if (h.prefetcher() != nullptr) {
-        stats.get("mem.prefetchesIssued")
-            .add(static_cast<double>(h.prefetcher()->issued()));
-    }
-    stats.get("irq.delivered")
-        .add(static_cast<double>(irq_ctrl_.delivered()));
-}
-
 SimMetrics
 Machine::metricsSnapshot() const
 {

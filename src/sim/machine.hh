@@ -32,7 +32,6 @@
 #include "sim/sf_trace.hh"
 #include "sim/thread.hh"
 #include "stats/epoch_trace.hh"
-#include "stats/stat_set.hh"
 #include "workload/benchmarks.hh"
 #include "workload/sf_arena.hh"
 #include "workload/workload.hh"
@@ -138,13 +137,6 @@ class Machine
 
     /** Snapshot of the metrics accumulated since the last reset. */
     SimMetrics metricsSnapshot() const;
-
-    /**
-     * Export every counter of the machine — simulation metrics,
-     * cache/TLB rates, coherence traffic, prefetcher activity —
-     * into a named StatSet (gem5-style stats dump).
-     */
-    void exportStats(StatSet &stats) const;
 
     // ---- Accessors -------------------------------------------------
 

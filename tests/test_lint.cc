@@ -162,7 +162,7 @@ TEST(LintDet02, OnlyAppliesToOutputWritingFiles)
 
 TEST(LintDet02, TracksVariablesDeclaredUnordered)
 {
-    const auto diags = lintSource("src/harness/visualize.cc", R"lint(
+    const auto diags = lintSource("src/harness/reporting.cc", R"lint(
         std::unordered_map<int, int> histogram;
         void dump() {
             for (const auto &kv : histogram)
@@ -486,5 +486,13 @@ TEST_F(LintCliTest, RootReportsRepoRelativePaths)
     write("tests/dirty.cc", kDirtySource);
     EXPECT_EQ(run({"--root", dir_.string()}), 1);
     EXPECT_NE(out_.str().find("tests/dirty.cc:1:"),
+              std::string::npos);
+}
+
+TEST_F(LintCliTest, RootScansExamples)
+{
+    write("examples/dirty.cpp", kDirtySource);
+    EXPECT_EQ(run({"--root", dir_.string()}), 1);
+    EXPECT_NE(out_.str().find("examples/dirty.cpp:1:"),
               std::string::npos);
 }

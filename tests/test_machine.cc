@@ -196,23 +196,3 @@ TEST_F(MachineFixture, MigrationCountingDetached)
             / static_cast<double>(metrics.instsRetired);
     EXPECT_LT(per_billion, 50000.0);
 }
-
-TEST_F(MachineFixture, ExportStatsCoversSubsystems)
-{
-    LinuxScheduler sched;
-    Machine m = makeMachine(sched);
-    m.run(3 * params.epochCycles);
-    StatSet stats;
-    m.exportStats(stats);
-    EXPECT_GT(stats.peek("sim.instsRetired").sum(), 0.0);
-    EXPECT_GT(stats.peek("sim.appEvents").sum(), 0.0);
-    EXPECT_GT(stats.peek("mem.l1i.hitRate.os").sum(), 0.0);
-    EXPECT_LE(stats.peek("mem.l1i.hitRate.os").sum(), 1.0);
-    EXPECT_GT(stats.peek("mem.fetchStallCycles").sum(), 0.0);
-    EXPECT_GT(stats.peek("irq.delivered").sum(), 0.0);
-    EXPECT_TRUE(stats.has("sim.insts.application"));
-    EXPECT_TRUE(stats.has("sim.insts.bottomhalf"));
-    // Rendered dump mentions the subsystems.
-    const std::string dump = stats.dump();
-    EXPECT_NE(dump.find("mem.l1d.hitRate.app"), std::string::npos);
-}

@@ -1,72 +1,13 @@
 /**
  * @file
- * Tests for the stats registry and the table formatter.
+ * Tests for the table formatter.
  */
 
 #include <gtest/gtest.h>
 
-#include "stats/stat_set.hh"
 #include "stats/table.hh"
 
 using namespace schedtask;
-
-TEST(StatSet, CreatesOnFirstUse)
-{
-    StatSet set;
-    EXPECT_FALSE(set.has("x"));
-    set.get("x").inc();
-    EXPECT_TRUE(set.has("x"));
-    EXPECT_EQ(set.peek("x").sum(), 1.0);
-}
-
-TEST(StatSet, PeekMissingReturnsZero)
-{
-    StatSet set;
-    EXPECT_EQ(set.peek("missing").sum(), 0.0);
-    EXPECT_EQ(set.peek("missing").samples(), 0u);
-}
-
-TEST(StatSet, MeanOverSamples)
-{
-    StatSet set;
-    Stat &s = set.get("lat");
-    s.add(10.0);
-    s.add(20.0);
-    s.add(30.0);
-    EXPECT_DOUBLE_EQ(s.mean(), 20.0);
-    EXPECT_EQ(s.samples(), 3u);
-}
-
-TEST(StatSet, NamesKeepInsertionOrder)
-{
-    StatSet set;
-    set.get("b");
-    set.get("a");
-    set.get("c");
-    const auto names = set.names();
-    ASSERT_EQ(names.size(), 3u);
-    EXPECT_EQ(names[0], "b");
-    EXPECT_EQ(names[1], "a");
-    EXPECT_EQ(names[2], "c");
-}
-
-TEST(StatSet, ResetAllZeroes)
-{
-    StatSet set;
-    set.get("x").add(5.0);
-    set.resetAll();
-    EXPECT_EQ(set.peek("x").sum(), 0.0);
-    EXPECT_TRUE(set.has("x"));
-}
-
-TEST(StatSet, DumpContainsNamesAndValues)
-{
-    StatSet set;
-    set.get("hits").add(42.0);
-    const std::string dump = set.dump();
-    EXPECT_NE(dump.find("hits"), std::string::npos);
-    EXPECT_NE(dump.find("42"), std::string::npos);
-}
 
 TEST(TextTable, RendersAlignedColumns)
 {

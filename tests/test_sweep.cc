@@ -11,10 +11,12 @@
 
 #include <atomic>
 #include <fstream>
+#include <functional>
 #include <latch>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hh"
@@ -242,6 +244,150 @@ TEST(SweepDeath, UnregisteredTechniqueRejectedAtAdd)
                                      TechniqueSpec{"SchedTsak"}),
                  "row/typo: unknown technique 'SchedTsak' "
                  "\\(registered: .*SchedTask");
+}
+
+TEST(SweepDeath, InvalidConfigRejectedAtAdd)
+{
+    // ExperimentConfig::validate() runs at declaration too, so an
+    // unbuildable figure config dies before any worker starts.
+    Sweep sweep;
+    EXPECT_DEATH(sweep.add("row", "wide", smallConfig().withHeatmapBits(63),
+                           TechniqueSpec{"SchedTask"}),
+                 "row/wide: invalid value '63' for --heatmap-bits");
+    EXPECT_DEATH(sweep.addComparison("row", "big",
+                                     smallConfig().withCores(65),
+                                     TechniqueSpec{"SchedTask"}),
+                 "needs 65 cores .* supports 1\\.\\.64");
+    EXPECT_DEATH(sweep.add("row", "typo", smallConfig("Fnid"),
+                           TechniqueSpec{"Linux"}),
+                 "row/typo: unknown benchmark 'Fnid' \\(known: Find");
+}
+
+TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
+{
+    // validate()'s message for `spec` on `cfg`; "" when runnable.
+    auto problem = [](const ExperimentConfig &cfg, const char *spec) {
+        return cfg.validate(parseTechniqueSpec(spec)).value_or("");
+    };
+    const auto npos = std::string::npos;
+    EXPECT_EQ(problem(smallConfig(), "SchedTask"), "");
+    EXPECT_EQ(problem(ExperimentConfig{}, "Linux"),
+              "the workload has no benchmark parts");
+    EXPECT_EQ(problem(ExperimentConfig::standardBag("MPW-A"), "Linux"), "");
+    // SelectiveOffload doubles the core count: 32 fits, 33 does not.
+    EXPECT_EQ(problem(smallConfig().withCores(32), "SelectiveOffload"), "");
+    EXPECT_NE(problem(smallConfig().withCores(33), "SelectiveOffload")
+                  .find("needs 66 cores"), npos);
+    EXPECT_NE(problem(smallConfig(), "SchedTask:epoch_ms=0")
+                  .find("'epoch_ms' must be >= 1"), npos);
+    EXPECT_NE(problem(ExperimentConfig::standard("Apache", 1e-6), "Linux")
+                  .find("Apache would run 0 threads"), npos);
+}
+
+/** A named one-field perturbation of a T, for the tripwire below. */
+#define PERTURB(T, stmt) \
+    std::pair<std::string, std::function<void(T &)>>( \
+        #stmt, [](T &c) { stmt; })
+
+TEST(SweepFingerprint, EveryMixedFieldChangesIt)
+{
+    // A field that stopped being mixed would merge distinct Linux
+    // baselines silently. The sizeof static_asserts next to
+    // baselineFingerprint() force new fields onto this list or the
+    // one below.
+    using Cfg = ExperimentConfig;
+    auto mixed = std::vector{
+        PERTURB(Cfg, c.parts[0].benchmark = "Iscp"),
+        PERTURB(Cfg, c.parts[0].scale = 1.5),
+        PERTURB(Cfg, c.parts.push_back({"Find", 1.0})),
+        PERTURB(Cfg, c.baselineCores = 8),
+        PERTURB(Cfg, c.warmupEpochs = 3),
+        PERTURB(Cfg, c.measureEpochs = 3),
+        PERTURB(Cfg, c.useCgpPrefetcher = true),
+        PERTURB(Cfg, c.useTraceCache = true),
+        PERTURB(Cfg, c.machine.quantum += 1),
+        PERTURB(Cfg, c.machine.epochCycles += 1),
+        PERTURB(Cfg, c.machine.timesliceInsts += 1),
+        PERTURB(Cfg, c.machine.blockBaseCycles += 1),
+        PERTURB(Cfg, c.machine.dataAccessesPerBlock += 0.5),
+        PERTURB(Cfg, c.machine.coreFrequencyGHz += 0.5),
+        PERTURB(Cfg, c.machine.seed += 1),
+        PERTURB(Cfg, c.machine.recordEpochBreakups = true),
+        PERTURB(Cfg, c.machine.irqEntryCycles += 1),
+        PERTURB(Cfg, c.machine.midSfCheckBlocks += 1),
+        PERTURB(Cfg, c.machine.trackExactPages = true),
+        PERTURB(Cfg, c.machine.littleFrac = 0.25),
+        PERTURB(Cfg, c.machine.littleCostFactor += 1.0),
+        PERTURB(Cfg, c.hierarchy.hasPrivateL2 = false),
+        PERTURB(Cfg, c.hierarchy.memLatency += 1),
+        PERTURB(Cfg, c.hierarchy.frontendBubbleCycles += 1),
+        PERTURB(Cfg, c.hierarchy.remoteFillLatency += 1),
+        PERTURB(Cfg, c.hierarchy.dataHideFactor -= 0.25),
+        PERTURB(Cfg, c.hierarchy.dtlbHideFactor -= 0.25),
+    };
+    const auto cache_fields = std::vector{
+        PERTURB(CacheParams, c.sizeBytes *= 2),
+        PERTURB(CacheParams, c.assoc *= 2),
+        PERTURB(CacheParams, c.blockBytes *= 2),
+        PERTURB(CacheParams, c.latency += 1),
+        PERTURB(CacheParams, c.replacement = ReplacementPolicy::Fifo),
+    };
+    for (const auto &[level, member] :
+         {std::pair{"l1i", &HierarchyParams::l1i},
+          std::pair{"l1d", &HierarchyParams::l1d},
+          std::pair{"l2", &HierarchyParams::l2},
+          std::pair{"llc", &HierarchyParams::llc}}) {
+        for (const auto &[field, perturb] : cache_fields) {
+            mixed.emplace_back(level + (": " + field),
+                               [m = member, f = perturb](Cfg &c) {
+                                   f(c.hierarchy.*m);
+                               });
+        }
+    }
+    const auto tlb_fields = std::vector{
+        PERTURB(TlbParams, c.entries *= 2),
+        PERTURB(TlbParams, c.assoc *= 2),
+        PERTURB(TlbParams, c.missPenalty += 1),
+    };
+    for (const auto &[tlb, member] :
+         {std::pair{"itlb", &HierarchyParams::itlb},
+          std::pair{"dtlb", &HierarchyParams::dtlb}}) {
+        for (const auto &[field, perturb] : tlb_fields) {
+            mixed.emplace_back(tlb + (": " + field),
+                               [m = member, f = perturb](Cfg &c) {
+                                   f(c.hierarchy.*m);
+                               });
+        }
+    }
+
+    const std::uint64_t base = baselineFingerprint(smallConfig());
+    for (const auto &[field, perturb] : mixed) {
+        ExperimentConfig cfg = smallConfig();
+        perturb(cfg);
+        EXPECT_NE(baselineFingerprint(cfg), base) << field;
+    }
+}
+
+TEST(SweepFingerprint, IgnoresFieldsLinuxCannotObserve)
+{
+    // numCores is filled in per technique; trace is observation.
+    using Cfg = ExperimentConfig;
+    const auto ignored = std::vector{
+        PERTURB(Cfg, c.machine.heatmapBits = 1024),
+        PERTURB(Cfg, c.schedTask.stealPolicy = StealPolicy::None),
+        PERTURB(Cfg, c.schedTask.routeInterrupts = false),
+        PERTURB(Cfg, c.schedTask.useExactOverlap = true),
+        PERTURB(Cfg, c.machine.numCores = 7),
+        PERTURB(Cfg, c.hierarchy.numCores = 7),
+        PERTURB(Cfg, c.machine.trace = true),
+        PERTURB(Cfg, c.machine.traceEpochCapacity = 16),
+    };
+    const std::uint64_t base = baselineFingerprint(smallConfig());
+    for (const auto &[field, perturb] : ignored) {
+        ExperimentConfig cfg = smallConfig();
+        perturb(cfg);
+        EXPECT_EQ(baselineFingerprint(cfg), base) << field;
+    }
 }
 
 TEST(SweepFailure, SerialStopsDispatchAfterFirstFailure)

@@ -3,7 +3,7 @@
  * json_lint: validate a JSON (or JSON Lines) file.
  *
  * Used by the tier-1 CI tests to check that the epoch-trace export
- * of `schedtask-sim --trace` is well-formed without depending on an
+ * of `schedtask-sim --trace-dir` is well-formed without depending on an
  * external JSON tool.
  *
  * Usage: json_lint [--jsonl] FILE

@@ -341,8 +341,7 @@ det02Applies(const std::string &rel_path)
         return true;
     const std::string base = baseName(rel_path);
     return startsWith(base, "trace_export")
-           || startsWith(base, "reporting")
-           || startsWith(base, "visualize");
+           || startsWith(base, "reporting");
 }
 
 std::string
@@ -726,8 +725,8 @@ runLint(const std::vector<std::string> &args, std::ostream &out,
     }
 
     if (!root.empty() && files.empty()) {
-        static const std::array<const char *, 4> kSubdirs = {
-            "src", "bench", "tools", "tests"};
+        static const std::array<const char *, 5> kSubdirs = {
+            "src", "bench", "tools", "tests", "examples"};
         for (const char *sub : kSubdirs) {
             const fs::path dir = fs::path(root) / sub;
             std::error_code ec;
@@ -739,7 +738,7 @@ runLint(const std::vector<std::string> &args, std::ostream &out,
                     continue;
                 const std::string ext =
                     entry.path().extension().string();
-                if (ext == ".cc" || ext == ".hh")
+                if (ext == ".cc" || ext == ".hh" || ext == ".cpp")
                     files.push_back(entry.path().string());
             }
         }

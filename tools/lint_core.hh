@@ -13,7 +13,7 @@
  *           steady_clock, ...) outside src/common/random.*
  *   DET-02  range-for / iterator loops over std::unordered_map or
  *           std::unordered_set in output-writing files
- *           (trace_export, reporting, visualize, src/stats/) unless
+ *           (trace_export, reporting, src/stats/) unless
  *           the loop body feeds a sorted container
  *   SAFE-01 atoi/atof/strtol family outside src/common/parse_num.*
  *           (use schedtask::parseUnsigned / parseDouble)
@@ -60,8 +60,9 @@ std::vector<Diag> lintSource(const std::string &rel_path,
 /**
  * The CLI entry point, separated from main() so tests can drive
  * multi-file invocations in-process. Arguments are everything after
- * argv[0]: either `--root DIR` (lint src/ bench/ tools/ tests/ under
- * DIR) or an explicit list of files. Diagnostics go to `out`, usage
+ * argv[0]: either `--root DIR` (lint the .cc/.hh/.cpp files under
+ * src/ bench/ tools/ tests/ examples/ in DIR) or an explicit list of
+ * files. Diagnostics go to `out`, usage
  * and I/O errors to `err`. Returns the process exit code: 0 clean,
  * 1 findings, 2 usage or I/O error.
  */

@@ -3,6 +3,7 @@
  * CLI wrapper for schedtask-lint (see lint_core.hh for the rules).
  *
  *   schedtask_lint --root /path/to/repo    # lint src bench tools tests
+ *                                          # examples
  *   schedtask_lint file.cc other.hh        # lint explicit files
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or I/O error — the same
