@@ -148,13 +148,6 @@ struct ExperimentConfig
     }
 
     ExperimentConfig &
-    withSchedTask(const SchedTaskParams &params)
-    {
-        schedTask = params;
-        return *this;
-    }
-
-    ExperimentConfig &
     withSteal(StealPolicy policy)
     {
         schedTask.stealPolicy = policy;
@@ -261,37 +254,6 @@ struct Comparison
     {
         return percentChange(baseline.instThroughput(),
                              technique.instThroughput());
-    }
-
-    double appPerfChange() const
-    {
-        return percentChange(baseline.appPerformance(),
-                             technique.appPerformance());
-    }
-
-    double iHitAppChange() const
-    {
-        return pointChange(baseline.iHitApp, technique.iHitApp);
-    }
-
-    double iHitOsChange() const
-    {
-        return pointChange(baseline.iHitOs, technique.iHitOs);
-    }
-
-    double iHitAllChange() const
-    {
-        return pointChange(baseline.iHitAll, technique.iHitAll);
-    }
-
-    double dHitAppChange() const
-    {
-        return pointChange(baseline.dHitApp, technique.dHitApp);
-    }
-
-    double dHitOsChange() const
-    {
-        return pointChange(baseline.dHitOs, technique.dHitOs);
     }
 };
 

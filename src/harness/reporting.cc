@@ -99,9 +99,9 @@ SeriesMatrix::render(const std::string &corner, int decimals) const
 }
 
 void
-printHeader(const std::string &title)
+printHeader(const std::string &title, std::FILE *out)
 {
-    std::printf("\n==== %s ====\n\n", title.c_str());
+    std::fprintf(out, "\n==== %s ====\n\n", title.c_str());
 }
 
 std::string

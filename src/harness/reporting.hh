@@ -8,6 +8,7 @@
 #ifndef SCHEDTASK_HARNESS_REPORTING_HH
 #define SCHEDTASK_HARNESS_REPORTING_HH
 
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -59,7 +60,7 @@ class SeriesMatrix
 };
 
 /** Print a section header in a uniform style. */
-void printHeader(const std::string &title);
+void printHeader(const std::string &title, std::FILE *out = stdout);
 
 /** "a, b, c": the valid names a usage error lists. */
 std::string joinNames(const std::vector<std::string> &names);

@@ -8,7 +8,9 @@
 #include <exception>
 #include <filesystem>
 #include <mutex>
+#include <optional>
 #include <thread>
+#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/parse_num.hh"
@@ -84,6 +86,10 @@ static_assert(sizeof(TlbParams) == 16, "new TlbParams field?");
 static_assert(sizeof(HierarchyParams) == 248,
               "new HierarchyParams field?");
 static_assert(sizeof(MachineParams) == 120, "new MachineParams field?");
+// The same for cellKey(): mix a new SchedTaskParams field there and
+// perturb it in SweepCellKey.SchedTaskFieldsSplitOnlyNonBaselineCells.
+static_assert(sizeof(SchedTaskParams) == 48,
+              "new SchedTaskParams field?");
 
 void
 mixCache(Fingerprint &fp, const CacheParams &c)
@@ -172,6 +178,27 @@ runSeed(const RunRequest &request)
         return request.config.machine.seed;
     return mix64(request.config.machine.seed
                  ^ stableHash64(request.row));
+}
+
+std::uint64_t
+cellKey(const RunRequest &request)
+{
+    Fingerprint fp;
+    fp.mixBits(runSeed(request));
+    fp.mixBits(baselineFingerprint(request.config));
+    fp.mixString(request.spec.str());
+    if (SchedulerRegistry::instance().isBaseline(request.spec.name))
+        return fp.value();
+    const SchedTaskParams &st = request.config.schedTask;
+    fp.mixBits(request.config.machine.heatmapBits);
+    fp.mixBits(static_cast<std::uint64_t>(st.stealPolicy));
+    fp.mixDouble(st.reallocationGuard);
+    fp.mixBits(st.routeInterrupts ? 1 : 0);
+    fp.mixBits(st.useExactOverlap ? 1 : 0);
+    fp.mixBits(st.tallocInsts);
+    fp.mixDouble(st.demandSmoothing);
+    fp.mixBits(st.useWaitSignal ? 1 : 0);
+    return fp.value();
 }
 
 unsigned
@@ -311,15 +338,6 @@ Sweep::cross(const std::vector<std::string> &rows,
     return sweep;
 }
 
-Sweep
-Sweep::standardCross()
-{
-    return cross(BenchmarkSuite::benchmarkNames(),
-                 comparedTechniques(), [](const std::string &bench) {
-                     return ExperimentConfig::standard(bench);
-                 });
-}
-
 std::string
 Sweep::firstBaselineLabel(const std::string &row) const
 {
@@ -373,24 +391,14 @@ sanitizeLabel(const std::string &label)
     return out;
 }
 
-/** Effective trace directory: option first, then environment. */
-std::string
-resolveTraceDir(const SweepOptions &options)
-{
-    if (!options.traceDir.empty())
-        return options.traceDir;
-    if (const char *env = std::getenv("SCHEDTASK_TRACE_DIR");
-        env != nullptr && env[0] != '\0') {
-        return env;
-    }
-    return {};
-}
-
 void
 writeRunTraces(const std::string &dir, const RunRequest &req,
                const RunResult &result)
 {
-    const std::string stem = dir + "/" + sanitizeLabel(req.label());
+    char key[32];
+    std::snprintf(key, sizeof(key), "@%016llx",
+                  static_cast<unsigned long long>(cellKey(req)));
+    const std::string stem = dir + "/" + sanitizeLabel(req.label()) + key;
     writeTextFile(stem + ".trace.json",
                   chromeTraceJson(result.metrics.epochSamples,
                                   result.freqGhz));
@@ -400,115 +408,118 @@ writeRunTraces(const std::string &dir, const RunRequest &req,
 
 } // namespace
 
-SweepResults
-SweepRunner::runPartial(const Sweep &sweep,
-                        std::vector<std::string> &failures) const
+std::vector<SweepResults>
+SweepRunner::runAll(const std::vector<const Sweep *> &sweeps,
+                    std::vector<std::string> *partial) const
 {
-    const std::vector<RunRequest> &requests = sweep.requests();
-    SweepResults results;
-    if (requests.empty())
-        return results;
+    std::vector<std::string> fatal;
+    std::vector<std::string> &failures = partial ? *partial : fatal;
 
-    unsigned jobs = options_.jobs == 0 ? defaultJobs() : options_.jobs;
-    if (jobs > requests.size())
-        jobs = static_cast<unsigned>(requests.size());
+    // The distinct cells, in first-seen order.
+    std::unordered_map<std::uint64_t, std::size_t> index;
+    std::vector<const RunRequest *> cells;
+    for (const Sweep *sweep : sweeps) {
+        for (const RunRequest &req : sweep->requests()) {
+            if (index.emplace(cellKey(req), cells.size()).second)
+                cells.push_back(&req);
+        }
+    }
 
-    const std::string trace_dir = resolveTraceDir(options_);
+    // A failed run, or a trace directory that cannot be made, stops
+    // the dispatch of cells not yet started.
+    std::atomic<bool> failed{false};
+    const std::string &trace_dir = options_.traceDir;
     if (!trace_dir.empty()) {
         std::error_code ec;
         std::filesystem::create_directories(trace_dir, ec);
         if (ec) {
             failures.push_back("trace dir '" + trace_dir
                                + "': " + ec.message());
-            return results;
+            failed = true;
         }
     }
 
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
+    // Each worker writes only the slots of the cells it claims.
+    std::vector<std::optional<RunResult>> done_cells(cells.size());
     std::size_t done = 0;
-    std::mutex mutex; // results, progress counter, failures
+    std::mutex mutex; // progress counter, failures, hooks
     // lint:allow(DET-01) wall-clock is progress logging only
     const auto start = std::chrono::steady_clock::now();
 
-    auto worker = [&]() {
-        for (;;) {
-            // Stop dispatching new runs once any run has failed;
-            // runs already claimed by other workers still finish.
-            if (failed.load(std::memory_order_acquire))
-                return;
-            const std::size_t i = next.fetch_add(1);
-            if (i >= requests.size())
-                return;
-            const RunRequest &req = requests[i];
-            try {
-                if (options_.onRunStart)
-                    options_.onRunStart(req);
-                ExperimentConfig cfg = req.config;
-                cfg.machine.seed = runSeed(req);
-                if (!trace_dir.empty())
-                    cfg.machine.trace = true;
-                const std::unique_ptr<Scheduler> scheduler =
-                    makeScheduler(req.spec, cfg.schedTask);
-                const RunResult result =
-                    runWithScheduler(cfg, *scheduler);
-                if (!trace_dir.empty())
-                    writeRunTraces(trace_dir, req, result);
+    parallelFor(cells.size(), [&](std::size_t i) {
+        // Runs already underway on other workers still finish.
+        if (failed.load(std::memory_order_acquire))
+            return;
+        const RunRequest &req = *cells[i];
+        try {
+            if (options_.onRunStart)
+                options_.onRunStart(req);
+            ExperimentConfig cfg = req.config;
+            cfg.machine.seed = runSeed(req);
+            if (!trace_dir.empty())
+                cfg.machine.trace = true;
+            const std::unique_ptr<Scheduler> scheduler =
+                makeScheduler(req.spec, cfg.schedTask);
+            const RunResult &result = done_cells[i].emplace(
+                runWithScheduler(cfg, *scheduler));
+            if (!trace_dir.empty())
+                writeRunTraces(trace_dir, req, result);
 
-                std::lock_guard<std::mutex> lock(mutex);
-                results.results_.emplace(req.label(), result);
-                ++done;
-                if (options_.progress) {
-                    const double secs =
-                        std::chrono::duration<double>(
-                            // lint:allow(DET-01) progress display only
-                            std::chrono::steady_clock::now() - start)
-                            .count();
-                    std::fprintf(stderr,
-                                 "[sweep %zu/%zu] %s done (%.1fs)\n",
-                                 done, requests.size(),
-                                 req.label().c_str(), secs);
-                }
-                if (options_.onRunDone)
-                    options_.onRunDone(req, result);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mutex);
-                failures.push_back(req.label() + ": " + e.what());
-                failed.store(true, std::memory_order_release);
+            std::lock_guard<std::mutex> lock(mutex);
+            ++done;
+            if (options_.progress) {
+                const double secs =
+                    std::chrono::duration<double>(
+                        // lint:allow(DET-01) progress display only
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+                std::fprintf(stderr, "[sweep %zu/%zu] %s done (%.1fs)\n",
+                             done, cells.size(), req.label().c_str(),
+                             secs);
             }
+            if (options_.onRunDone)
+                options_.onRunDone(req, result);
+        } catch (const std::exception &e) {
+            done_cells[i].reset();
+            std::lock_guard<std::mutex> lock(mutex);
+            failures.push_back(req.label() + ": " + e.what());
+            failed.store(true, std::memory_order_release);
         }
-    };
+    }, options_.jobs);
 
-    if (jobs <= 1) {
-        worker();
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(jobs);
-        for (unsigned t = 0; t < jobs; ++t)
-            pool.emplace_back(worker);
-        for (std::thread &t : pool)
-            t.join();
+    if (!fatal.empty()) {
+        std::string msg = "sweep run failed ("
+            + std::to_string(fatal.size()) + " failure"
+            + (fatal.size() == 1 ? "" : "s") + "): ";
+        for (std::size_t i = 0; i < fatal.size(); ++i) {
+            if (i != 0)
+                msg += "; ";
+            msg += fatal[i];
+        }
+        SCHEDTASK_FATAL(msg);
+    }
+    std::vector<SweepResults> results(sweeps.size());
+    for (std::size_t s = 0; s < sweeps.size(); ++s) {
+        for (const RunRequest &req : sweeps[s]->requests()) {
+            if (const std::optional<RunResult> &result =
+                    done_cells[index.at(cellKey(req))])
+                results[s].results_.emplace(req.label(), *result);
+        }
     }
     return results;
 }
 
 SweepResults
+SweepRunner::runPartial(const Sweep &sweep,
+                        std::vector<std::string> &failures) const
+{
+    return std::move(runAll({&sweep}, &failures).front());
+}
+
+SweepResults
 SweepRunner::run(const Sweep &sweep) const
 {
-    std::vector<std::string> failures;
-    SweepResults results = runPartial(sweep, failures);
-    if (!failures.empty()) {
-        std::string msg = "sweep run failed ("
-            + std::to_string(failures.size()) + " failure"
-            + (failures.size() == 1 ? "" : "s") + "): ";
-        for (std::size_t i = 0; i < failures.size(); ++i) {
-            if (i != 0)
-                msg += "; ";
-            msg += failures[i];
-        }
-        SCHEDTASK_FATAL(msg);
-    }
-    return results;
+    return std::move(runAll({&sweep}).front());
 }
 
 void

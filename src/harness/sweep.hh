@@ -20,6 +20,10 @@
  * a LinuxScheduler run can observe; SchedTask-only knobs and the
  * heatmap width are excluded). Within a row, all requests whose
  * fingerprints match share one Linux run.
+ *
+ * Cell dedup: requests with the same cellKey() run once, across all
+ * sweeps handed to one SweepRunner::runAll() call, and each request's
+ * label gets that run's result.
  */
 
 #ifndef SCHEDTASK_HARNESS_SWEEP_HH
@@ -88,6 +92,16 @@ std::string baselineLabelFor(const std::string &row,
 std::uint64_t runSeed(const RunRequest &request);
 
 /**
+ * Identity of the simulation a request runs: requests with equal
+ * keys produce bitwise-identical results, so the runner executes
+ * each key once. A baseline-technique (Linux) request is keyed by
+ * runSeed(), spec.str() and baselineFingerprint(); any other
+ * technique also by machine.heatmapBits and every SchedTaskParams
+ * field.
+ */
+std::uint64_t cellKey(const RunRequest &request);
+
+/**
  * Worker-thread count: SCHEDTASK_JOBS if set (clamped to [1,256]),
  * otherwise the hardware concurrency.
  */
@@ -136,10 +150,6 @@ class Sweep
         const std::vector<TechniqueSpec> &techniques,
         const std::function<ExperimentConfig(const std::string &)>
             &make);
-
-    /** cross() over the 8 paper benchmarks, the five compared
-     *  techniques, and ExperimentConfig::standard(). */
-    static Sweep standardCross();
 
     const std::vector<RunRequest> &requests() const
     {
@@ -195,23 +205,24 @@ struct SweepOptions
     /**
      * Directory for per-run epoch traces. When non-empty, every
      * run executes with MachineParams.trace enabled and writes
-     * "<dir>/<label>.trace.json" (Chrome trace) plus
-     * "<dir>/<label>.jsonl" ('/' in labels becomes '_'; one file
-     * pair per run label, so concurrent workers never share a
-     * file). Empty falls back to the SCHEDTASK_TRACE_DIR
-     * environment variable; unset means no tracing. Tracing is
-     * pure observation — results stay bitwise identical.
+     * "<dir>/<label>@<key>.trace.json" (Chrome trace) plus
+     * "<dir>/<label>@<key>.jsonl": <label> from the cell's first
+     * request ('/' becomes '_'), <key> its cellKey() in hex, so each
+     * distinct cell gets its own pair. Empty means no tracing.
+     * Tracing is pure observation — results stay bitwise identical.
      */
     std::string traceDir;
 
     /** Observation hook, called (under the runner's lock) after
-     *  each run completes. Used by tests and progress consumers. */
+     *  each distinct cell completes, with the cell's first request.
+     *  Used by tests and progress consumers. */
     std::function<void(const RunRequest &, const RunResult &)>
         onRunDone;
 
     /** Observation hook, called on the worker thread right after a
-     *  request is claimed, before it executes. A throwing hook
-     *  fails that run (tests use this to inject failures). */
+     *  cell is claimed, before it executes, with the cell's first
+     *  request. A throwing hook fails that run (tests use this to
+     *  inject failures). */
     std::function<void(const RunRequest &)> onRunStart;
 };
 
@@ -228,6 +239,17 @@ class SweepRunner
     /** Run the sweep; fatal (listing every failed run label) when
      *  any run throws. */
     SweepResults run(const Sweep &sweep) const;
+
+    /**
+     * Run several sweeps as one: each distinct cell among all their
+     * requests runs once, and element i of the result holds
+     * sweeps[i]'s results, equal to what run(*sweeps[i]) returns.
+     * Fatal like run(), or, given `failures`, non-fatal like
+     * runPartial().
+     */
+    std::vector<SweepResults>
+    runAll(const std::vector<const Sweep *> &sweeps,
+           std::vector<std::string> *failures = nullptr) const;
 
     /**
      * Non-fatal variant: executes runs until the first failure is

@@ -10,6 +10,8 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <latch>
@@ -390,6 +392,132 @@ TEST(SweepFingerprint, IgnoresFieldsLinuxCannotObserve)
     }
 }
 
+TEST(SweepCellKey, SchedTaskFieldsSplitOnlyNonBaselineCells)
+{
+    // The union run merges requests with equal keys, so a field a
+    // run can observe must split its key. A Linux run cannot see the
+    // heatmap width or any SchedTaskParams field, so those must not
+    // split a Linux key (or baselines would stop being shared). The
+    // SchedTaskParams sizeof static_assert in sweep.cc forces new
+    // fields onto this list.
+    using Cfg = ExperimentConfig;
+    const auto perturbations = std::vector{
+        PERTURB(Cfg, c.machine.heatmapBits = 1024),
+        PERTURB(Cfg, c.schedTask.stealPolicy = StealPolicy::None),
+        PERTURB(Cfg, c.schedTask.reallocationGuard = 0.5),
+        PERTURB(Cfg, c.schedTask.routeInterrupts = false),
+        PERTURB(Cfg, c.schedTask.useExactOverlap = true),
+        PERTURB(Cfg, c.schedTask.tallocInsts = 1),
+        PERTURB(Cfg, c.schedTask.demandSmoothing = 1.0),
+        PERTURB(Cfg, c.schedTask.useWaitSignal = false),
+    };
+    const auto key = [](const char *technique, const Cfg &cfg) {
+        RunRequest req;
+        req.row = "Find";
+        req.col = technique;
+        req.config = cfg;
+        req.spec = TechniqueSpec{technique};
+        return cellKey(req);
+    };
+    const std::uint64_t schedtask = key("SchedTask", smallConfig());
+    const std::uint64_t linux_key = key("Linux", smallConfig());
+    EXPECT_NE(schedtask, linux_key);
+    for (const auto &[field, perturb] : perturbations) {
+        ExperimentConfig cfg = smallConfig();
+        perturb(cfg);
+        EXPECT_NE(key("SchedTask", cfg), schedtask) << field;
+        EXPECT_EQ(key("Linux", cfg), linux_key) << field;
+    }
+}
+
+namespace
+{
+
+/** Three sweeps that share cells: the second repeats two of the
+ *  first's cells under other labels, the third repeats the first. */
+std::vector<Sweep>
+overlappingSweeps()
+{
+    std::vector<Sweep> sweeps(3);
+    sweeps[0] = Sweep::cross(
+        {"Find", "Iscp"}, {TechniqueSpec{"SchedTask"},
+                           TechniqueSpec{"SLICC"}},
+        [](const std::string &bench) { return smallConfig(bench); });
+    sweeps[1].add("Find", "Linux", smallConfig(), TechniqueSpec{"Linux"});
+    sweeps[1].addComparison("Find", "default", smallConfig(),
+                            TechniqueSpec{"SchedTask"});
+    sweeps[1].addComparison("Find", "no-steal",
+                            smallConfig().withSteal(StealPolicy::None),
+                            TechniqueSpec{"SchedTask"});
+    sweeps[2] = sweeps[0];
+    return sweeps;
+}
+
+/** 2 baselines + 4 techniques, plus the no-steal variant. */
+constexpr unsigned overlappingCells = 7;
+
+} // namespace
+
+TEST(SweepUnion, SharedCellsRunOnceAndMatchStandalone)
+{
+    const std::vector<Sweep> sweeps = overlappingSweeps();
+    std::vector<const Sweep *> all;
+    for (const Sweep &sweep : sweeps)
+        all.push_back(&sweep);
+
+    std::atomic<unsigned> runs{0};
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    opts.onRunDone = [&runs](const RunRequest &, const RunResult &) {
+        ++runs;
+    };
+    const std::vector<SweepResults> union_results =
+        SweepRunner(opts).runAll(all);
+    EXPECT_EQ(runs.load(), overlappingCells);
+    ASSERT_EQ(union_results.size(), sweeps.size());
+
+    opts.onRunDone = nullptr;
+    for (std::size_t s = 0; s < sweeps.size(); ++s) {
+        const SweepResults alone = SweepRunner(opts).run(sweeps[s]);
+        ASSERT_EQ(union_results[s].size(), alone.size()) << s;
+        for (const RunRequest &req : sweeps[s].requests()) {
+            SCOPED_TRACE(req.label());
+            expectBitwiseEqual(union_results[s].at(req.label()),
+                               alone.at(req.label()));
+        }
+    }
+}
+
+TEST(SweepUnion, OneTracePairPerDistinctCell)
+{
+    // Labels such as Find/SchedTask recur across the sweeps; each
+    // distinct cell still gets its own file pair, none overwritten.
+    const std::filesystem::path dir =
+        std::filesystem::path(::testing::TempDir())
+        / ("schedtask_union_traces." + std::to_string(::getpid()));
+    std::filesystem::remove_all(dir);
+    const std::vector<Sweep> sweeps = overlappingSweeps();
+    std::vector<const Sweep *> all;
+    for (const Sweep &sweep : sweeps)
+        all.push_back(&sweep);
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    opts.traceDir = dir.string();
+    (void)SweepRunner(opts).runAll(all);
+
+    unsigned chrome = 0, jsonl = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
+        const std::string name = entry.path().filename().string();
+        chrome += name.ends_with(".trace.json") ? 1 : 0;
+        jsonl += name.ends_with(".jsonl") ? 1 : 0;
+    }
+    EXPECT_EQ(chrome, overlappingCells);
+    EXPECT_EQ(jsonl, overlappingCells);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(SweepFailure, SerialStopsDispatchAfterFirstFailure)
 {
     // Four runs, the second one fails: the first completes, and the
@@ -525,8 +653,13 @@ TEST(SweepTrace, TraceDirWritesValidFilesWithoutPerturbingResults)
     expectBitwiseEqual(with.at("row", "SchedTask"),
                        without.at("row", "SchedTask"));
 
-    // Labels are flattened ('/' -> '_') into one file pair per run.
-    const std::string stem = dir + "/row_SchedTask";
+    // Labels are flattened ('/' -> '_') and suffixed with the cell
+    // key: one file pair per distinct cell.
+    const RunRequest req = build().requests().front();
+    char key[32];
+    std::snprintf(key, sizeof(key), "@%016llx",
+                  static_cast<unsigned long long>(cellKey(req)));
+    const std::string stem = dir + "/row_SchedTask" + key;
     const std::string chrome = readFileOrEmpty(stem + ".trace.json");
     const std::string jsonl = readFileOrEmpty(stem + ".jsonl");
     std::string error;

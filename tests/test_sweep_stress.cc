@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -126,6 +127,10 @@ TEST(SweepStress, ConcurrentTraceWritesAndLogToggles)
         for (char &c : name)
             if (c == '/')
                 c = '_';
+        char key[32];
+        std::snprintf(key, sizeof(key), "@%016llx",
+                      static_cast<unsigned long long>(cellKey(req)));
+        name += key;
         EXPECT_TRUE(std::filesystem::exists(
             dir / (name + ".trace.json")))
             << name;

@@ -8,9 +8,10 @@
 #   * tsan: the SweepRunner stress suite at --jobs 8, so TSan
 #     certifies the thread pool, the logQuiet flag, and the per-run
 #     trace-file writes as race-free.
-#   * checked vs default: a fig07 --fast run under both builds with
-#     tracing on; report and every trace file must be bitwise
-#     identical, proving the invariant checker is pure observation.
+#   * checked vs default: schedtask-figures fig07_fast under both
+#     builds with --trace-dir; report and every trace file must be
+#     bitwise identical, proving the invariant checker is pure
+#     observation.
 #
 # Host-cost measurement lives in perfbench/ (see perfbench/README.md).
 #
@@ -54,15 +55,13 @@ if has_preset tsan; then
 fi
 
 if has_preset default && has_preset checked; then
-    step "checked vs default: fig07 --fast bitwise identity"
+    step "checked vs default: fig07_fast bitwise identity"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    SCHEDTASK_TRACE_DIR="$tmp/default" \
-        ./build-default/bench/fig07_app_performance --fast \
-        >"$tmp/default.out"
-    SCHEDTASK_TRACE_DIR="$tmp/checked" \
-        ./build-checked/bench/fig07_app_performance --fast \
-        >"$tmp/checked.out"
+    for preset in default checked; do
+        ./build-$preset/bench/schedtask-figures \
+            --trace-dir "$tmp/$preset" fig07_fast >"$tmp/$preset.out"
+    done
     diff -u "$tmp/default.out" "$tmp/checked.out"
     diff -r "$tmp/default" "$tmp/checked"
     echo "report and traces bitwise identical"

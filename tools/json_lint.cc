@@ -1,19 +1,20 @@
 /**
  * @file
- * json_lint: validate a JSON (or JSON Lines) file.
+ * json_lint: validate JSON (or JSON Lines) files.
  *
- * Used by the tier-1 CI tests to check that the epoch-trace export
- * of `schedtask-sim --trace-dir` is well-formed without depending on an
- * external JSON tool.
+ * Used by the tier-1 CI tests to check that the epoch-trace exports
+ * of `schedtask-sim --trace-dir` and `schedtask-figures --trace-dir`
+ * are well-formed without depending on an external JSON tool.
  *
- * Usage: json_lint [--jsonl] FILE
- * Exit codes: 0 valid, 1 invalid (error on stderr), 2 usage.
+ * Usage: json_lint [--jsonl] FILE...
+ * Exit codes: 0 all valid, 1 any invalid (errors on stderr), 2 usage.
  */
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "harness/trace_export.hh"
 
@@ -21,43 +22,44 @@ int
 main(int argc, char **argv)
 {
     bool jsonl = false;
-    const char *path = nullptr;
+    std::vector<const char *> paths;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--jsonl") {
             jsonl = true;
         } else if (arg == "--help" || arg == "-h") {
-            std::printf("usage: json_lint [--jsonl] FILE\n");
+            std::printf("usage: json_lint [--jsonl] FILE...\n");
             return 0;
-        } else if (!path) {
-            path = argv[i];
         } else {
-            std::fprintf(stderr, "usage: json_lint [--jsonl] FILE\n");
-            return 2;
+            paths.push_back(argv[i]);
         }
     }
-    if (!path) {
-        std::fprintf(stderr, "usage: json_lint [--jsonl] FILE\n");
+    if (paths.empty()) {
+        std::fprintf(stderr, "usage: json_lint [--jsonl] FILE...\n");
         return 2;
     }
 
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        std::fprintf(stderr, "json_lint: cannot open %s\n", path);
-        return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string text = buf.str();
+    int status = 0;
+    for (const char *path : paths) {
+        std::ifstream in(path, std::ios::binary);
+        if (!in) {
+            std::fprintf(stderr, "json_lint: cannot open %s\n", path);
+            status = 1;
+            continue;
+        }
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        const std::string text = buf.str();
 
-    std::string error;
-    const bool ok = jsonl
-        ? schedtask::validateJsonLines(text, &error)
-        : schedtask::validateJson(text, &error);
-    if (!ok) {
-        std::fprintf(stderr, "json_lint: %s: %s\n", path,
-                     error.c_str());
-        return 1;
+        std::string error;
+        const bool ok = jsonl
+            ? schedtask::validateJsonLines(text, &error)
+            : schedtask::validateJson(text, &error);
+        if (!ok) {
+            std::fprintf(stderr, "json_lint: %s: %s\n", path,
+                         error.c_str());
+            status = 1;
+        }
     }
-    return 0;
+    return status;
 }

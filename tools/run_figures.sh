@@ -1,25 +1,18 @@
 #!/usr/bin/env bash
-# Build the simulator and regenerate every paper figure/table,
-# recording per-figure wall-clock times.
+# Build the simulator and regenerate every paper figure/table with
+# one schedtask-figures run, recording its time to paper.
 #
 # Usage:
-#   tools/run_figures.sh [output-dir]
+#   tools/run_figures.sh [output-dir [schedtask-figures args...]]
 #
-# Environment:
-#   SCHEDTASK_JOBS   worker threads per figure binary (default: all
-#                    hardware threads). Results are bitwise identical
-#                    for any value; only the wall-clock changes.
-#   SCHEDTASK_FAST   set to 1 for a quick smoke pass with shrunken
-#                    measurement windows (numbers will differ).
-#   SCHEDTASK_TRACE  set to 1 to also write epoch telemetry for
-#                    every simulation: one Chrome trace
-#                    (.trace.json, open in ui.perfetto.dev) plus a
-#                    JSONL file per run, under
-#                    <output-dir>/traces/<figure>/. Tracing is pure
-#                    observation; the figure numbers are unchanged.
+# Extra arguments go to schedtask-figures: figure names to render a
+# subset, `--trace-dir DIR` to also write one epoch-trace pair per
+# simulation. SCHEDTASK_JOBS sets the worker threads (results are
+# bitwise identical for any value); SCHEDTASK_FAST=1 shrinks the
+# measurement windows for a quick smoke pass.
 #
-# Output: one .txt per figure in the output dir (default
-# build/figures), plus timings.txt with the per-figure wall-clock.
+# Output: one <figure>.txt per figure in the output dir (default
+# build/figures), plus timings.txt with the time-to-paper line.
 
 set -euo pipefail
 
@@ -27,44 +20,9 @@ cd "$(dirname "$0")/.."
 outdir="${1:-build/figures}"
 
 cmake -B build -S . >/dev/null
-cmake --build build -j "$(nproc)" -- >/dev/null
+cmake --build build -j "$(nproc)" --target schedtask-figures >/dev/null
 mkdir -p "$outdir"
-
-figures=(
-    fig04_breakup
-    fig07_app_performance
-    fig08_microarch
-    fig09_work_stealing
-    fig10_migrations
-    fig11_heatmap_size
-    tab04_workload_scaling
-    sec44_epoch_similarity
-    sec61_other_stats
-    ablation_talloc
-    app_fig1_multiprogrammed
-    app_fig2_prefetcher
-    app_fig3_trace_cache
-    app_tab2_icache_size
-    app_tab3_cache_config
-    app_tab4_core_count
-)
-
-timings="$outdir/timings.txt"
-: > "$timings"
-echo "jobs: ${SCHEDTASK_JOBS:-$(nproc) (default)}" | tee -a "$timings"
-
-total_start=$SECONDS
-for fig in "${figures[@]}"; do
-    start=$SECONDS
-    if [[ "${SCHEDTASK_TRACE:-0}" == 1 ]]; then
-        SCHEDTASK_TRACE_DIR="$outdir/traces/$fig" \
-            ./build/bench/"$fig" > "$outdir/$fig.txt"
-    else
-        ./build/bench/"$fig" > "$outdir/$fig.txt"
-    fi
-    elapsed=$((SECONDS - start))
-    printf '%-28s %5ds\n' "$fig" "$elapsed" | tee -a "$timings"
-done
-printf '%-28s %5ds\n' "total" "$((SECONDS - total_start))" \
-    | tee -a "$timings"
+./build/bench/schedtask-figures --out "$outdir" "${@:2}" 2>&1 \
+    | tee "$outdir/progress.log"
+tail -n 1 "$outdir/progress.log" > "$outdir/timings.txt"
 echo "figures written to $outdir/"
