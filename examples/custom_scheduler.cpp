@@ -19,7 +19,9 @@
  * Run: ./build/examples/custom_scheduler [benchmark]
  */
 
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -82,7 +84,8 @@ registerTypeHash()
         "static type-to-core hashing demo (examples/custom_scheduler)";
     info.options = {{"salt", "hash perturbation (default 0)"}};
     info.factory = [](const SchedulerFactoryContext &ctx) {
-        const std::uint64_t salt = ctx.options.getUnsigned("salt", 0);
+        const std::uint64_t salt = ctx.options.getUnsigned(
+            "salt", 0, 0, std::numeric_limits<std::uint64_t>::max());
         return std::make_unique<TypeHashScheduler>(salt);
     };
     SchedulerRegistry::instance().registerScheduler(std::move(info));

@@ -318,7 +318,8 @@ applySchedTaskOptions(SchedTaskParams &params,
     params.useExactOverlap =
         options.getBool("exact_overlap", params.useExactOverlap);
     params.tallocInsts =
-        options.getUnsigned("talloc_insts", params.tallocInsts);
+        options.getUnsigned("talloc_insts", params.tallocInsts, 0,
+                            kMaxOptionCount);
     params.demandSmoothing =
         options.getDouble("demand_smoothing", params.demandSmoothing);
     params.useWaitSignal =

@@ -89,15 +89,17 @@ ExperimentConfig::validate(const TechniqueSpec &spec) const
         }
     }
 
-    std::unique_ptr<Scheduler> sched;
+    MachineParams mp = machine;
     try {
-        sched = makeScheduler(spec, schedTask);
+        const std::unique_ptr<Scheduler> sched =
+            makeScheduler(spec, schedTask);
+        mp.numCores = sched->coresRequired(baselineCores);
+        // Options bounded by the machine shape (FlexSC's
+        // min_syscall_cores) are checked here.
+        sched->configureMachine(mp);
     } catch (const SchedulerOptionError &e) {
         return std::string(e.what());
     }
-    MachineParams mp = machine;
-    mp.numCores = sched->coresRequired(baselineCores);
-    sched->configureMachine(mp);
 
     char buf[256];
     if (mp.numCores < 1 || mp.numCores > CoherenceDirectory::maxCores) {

@@ -41,6 +41,7 @@ Cache::Cache(const CacheParams &params)
     ways_.resize(num_sets_ * params_.assoc);
 }
 
+template <unsigned A>
 std::optional<Addr>
 Cache::insertAbsent(std::uint64_t base_index, Addr tag)
 {
@@ -48,68 +49,51 @@ Cache::insertAbsent(std::uint64_t base_index, Addr tag)
                      "block tag ", tag, " exceeds the packed 58-bit ",
                      "tag field");
     Way *base = &ways_[base_index];
+    const unsigned ways = waysOf<A>();
 
-    // Victim scan: the first invalid hole wins (an invalidate() can
-    // leave one anywhere in the set), else the set's minimum-rank
-    // (oldest) valid way. Lru evicts the oldest; Fifo works
-    // identically because insert() reorders but access() refreshes
-    // only under Lru (see access()). The caller's hit scan just
+    // Victim pick: the lowest invalid way (an invalidate() can leave
+    // a hole anywhere in the set), else the set's oldest valid way —
+    // the one of rank 0, since valid ranks are dense. Lru evicts the
+    // oldest; Fifo works identically because insert() reorders but
+    // access() refreshes only under Lru. The caller's hit scan just
     // touched the set, so this pass stays in the host's L1.
-    Way *victim = nullptr;
-    unsigned valid_count = 0;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (!isValid(base[w])) {
-            if (victim == nullptr || isValid(*victim))
-                victim = &base[w];
-            continue;
-        }
-        ++valid_count;
-        if (victim == nullptr
-                || (isValid(*victim)
-                    && rankOf(base[w]) < rankOf(*victim)))
-            victim = &base[w];
+    constexpr std::uint64_t validRankZero = validBit >> rankShift;
+    std::uint32_t invalid = 0;
+    std::uint32_t oldest = 0;
+    for (unsigned w = 0; w < ways; ++w) {
+        invalid |= std::uint32_t{!isValid(base[w])} << w;
+        oldest |= std::uint32_t{(base[w].raw >> rankShift) == validRankZero}
+            << w;
     }
-    if (isValid(*victim)
-            && params_.replacement == ReplacementPolicy::Random) {
+    const bool full = invalid == 0;
+    const unsigned valid_count = ways - std::popcount(invalid);
+    unsigned victim = std::countr_zero(full ? oldest : invalid);
+    if (full && params_.replacement == ReplacementPolicy::Random) {
         // 16-bit Galois LFSR: deterministic pseudo-random way.
         lfsr_ = (lfsr_ >> 1) ^ (-(lfsr_ & 1u) & 0xb400u);
-        victim = &base[lfsr_ % params_.assoc];
-        if ((victim->raw & tagMask) == tag) // never evict the incoming block
-            victim = &base[(lfsr_ + 1) % params_.assoc];
+        victim = lfsr_ % ways;
+        if ((base[victim].raw & tagMask) == tag) // never evict the incoming block
+            victim = (lfsr_ + 1) % ways;
     }
 
     // Slot the incoming block in at the top of the set's recency
     // order. Displacing a valid way removes it from the permutation
     // first (ways above it slide down), so valid ranks stay a dense
-    // 0..valid-1 permutation either way.
+    // 0..valid-1 permutation either way; filling a hole removes
+    // nothing (no rank exceeds maxAssoc).
     std::optional<Addr> evicted;
-    std::uint64_t new_rank;
-    if (isValid(*victim)) {
-        evicted = (victim->raw & tagMask) << block_shift_;
-        // Branchless removal from the recency order: invalid ways
-        // and the victim itself never test as above the victim.
-        const std::uint64_t rank = rankOf(*victim);
-        for (unsigned v = 0; v < params_.assoc; ++v)
-            base[v].raw -=
-                std::uint64_t{rankOf(base[v]) > rank} << rankShift;
-        new_rank = valid_count - 1;
-    } else {
-        new_rank = valid_count;
-    }
-    victim->raw = tag | (new_rank << rankShift) | validBit;
-    mru_index_ = static_cast<std::uint64_t>(victim - ways_.data());
+    if (full)
+        evicted = (base[victim].raw & tagMask) << block_shift_;
+    dropRank<A>(base, full ? rankOf(base[victim]) : maxAssoc);
+    const std::uint64_t new_rank = valid_count - (full ? 1 : 0);
+    base[victim].raw = tag | (new_rank << rankShift) | validBit;
+    mru_index_ = base_index + victim;
     return evicted;
 }
 
-bool
-Cache::containsSlow(Addr tag) const
-{
-    const Way *base = &ways_[setIndexOfTag(tag) * params_.assoc];
-    for (unsigned w = 0; w < params_.assoc; ++w)
-        if (wayHits(base[w], tag))
-            return true;
-    return false;
-}
+template std::optional<Addr> Cache::insertAbsent<0>(std::uint64_t, Addr);
+template std::optional<Addr> Cache::insertAbsent<4>(std::uint64_t, Addr);
+template std::optional<Addr> Cache::insertAbsent<8>(std::uint64_t, Addr);
 
 void
 Cache::flush()
@@ -125,6 +109,29 @@ Cache::validBlocks() const
     for (const auto &w : ways_)
         n += isValid(w) ? 1 : 0;
     return n;
+}
+
+bool
+Cache::ranksDense() const
+{
+    for (std::uint64_t set = 0; set < num_sets_; ++set) {
+        const Way *base = &ways_[set * params_.assoc];
+        std::uint64_t valid = 0;
+        std::uint64_t ranks_seen = 0;
+        for (unsigned w = 0; w < params_.assoc; ++w) {
+            if (!isValid(base[w])) {
+                if (rankOf(base[w]) != 0)
+                    return false;
+                continue;
+            }
+            ++valid;
+            ranks_seen |= std::uint64_t{1} << rankOf(base[w]);
+        }
+        // Distinct ranks, all below valid: exactly bits 0..valid-1.
+        if (ranks_seen != (std::uint64_t{1} << valid) - 1)
+            return false;
+    }
+    return true;
 }
 
 bool

@@ -25,22 +25,44 @@
  *    caches (the tag arrays are probed at random addresses, so their
  *    footprint is what the simulator's own miss paths pay for).
  *
+ * Set kernels. Every operation on one set (the hit scan, the recency
+ * touch, the victim pick and the removal of a way from the recency
+ * order) is one function template over the way count A. Each public
+ * operation switches once on the associativity to A = 4 or 8 — every
+ * Table 2 geometry — or to A = 0, which scans the runtime way count.
+ * A fixed A gives the compiler a constant trip count, so it fully
+ * unrolls the plain loops (and may vectorize them for the target
+ * ISA). The bodies are branch-free over the ways: the hit scan
+ * builds a bit mask of the matching ways and takes std::countr_zero;
+ * the victim is the lowest set bit of the invalid-way mask or, when
+ * the set is full, of the "valid and rank 0" mask. Which way hits or
+ * is the victim is data-random, so per-way branches would mispredict
+ * constantly; so would an early exit from the recency touch, which
+ * measured slower than the full branch-free pass.
+ *
  * Recency is kept as a per-set permutation: the valid ways of a set
- * always carry distinct ranks 0..valid-1, oldest first. Touching a
- * way moves it to the top rank and shifts the ways above it down by
- * one — the relative order of all other ways is untouched, which is
- * exactly what stamping with a fresh monotonic counter does. Every
+ * always carry distinct ranks 0..valid-1, oldest first, and invalid
+ * ways carry rank 0 (ranksDense() checks this). Touching a way moves
+ * it to the top rank and shifts the ways above it down by one — the
+ * relative order of all other ways is untouched, which is exactly
+ * what stamping with a fresh monotonic counter does. Every
  * replacement decision depends only on that relative order (the LRU
- * victim is the set's rank-0 way), so the packed layout and all fast
- * paths are exact: they produce bit-identical replacement state to a
- * plain stamped scan.
+ * victim is the set's rank-0 way), so the packed layout, the fast
+ * paths and the mask kernels are exact: a set holds each valid tag at
+ * most once, so "the first matching way" and "the lowest mask bit"
+ * name the same way, and "the minimum-rank valid way" and "the valid
+ * way of rank 0" do too. The kernels therefore leave bit-identical
+ * replacement state to a plain stamped scan, and Random replacement
+ * draws from the same 16-bit LFSR in the same order.
  */
 
 #ifndef SCHEDTASK_MEM_CACHE_HH
 #define SCHEDTASK_MEM_CACHE_HH
 
+#include <bit>
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -106,7 +128,9 @@ class Cache
         // so a hit here needs no recency update whatsoever.
         if (wayHits(ways_[mru_index_], tag))
             return true;
-        return accessSlow(tag);
+        return withWays([&](auto ways) {
+            return hitAndTouch<ways()>(baseIndex<ways()>(tag), tag);
+        });
     }
 
     /**
@@ -137,28 +161,19 @@ class Cache
      * Exactly equivalent to accessTag(tag) followed on a miss by
      * insertTag(tag) — merging just avoids walking the set twice on
      * the fill path, which the hierarchy's miss walks sit on. The
-     * hit scan is the same inline loop as accessTag()'s, so probe
-     * -style callers pay nothing extra on hits.
+     * hit scan is the same kernel as accessTag()'s, so probe-style
+     * callers pay nothing extra on hits.
      */
     std::optional<Addr>
     accessOrInsertTag(Addr tag, bool &hit)
     {
-        const std::uint64_t base_index =
-            setIndexOfTag(tag) * params_.assoc;
-        Way *base = &ways_[base_index];
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            if (wayHits(base[w], tag)) {
-                // Exactly an accessTag() hit. Fifo keeps the original
-                // insertion order (the block is not re-inserted).
-                hit = true;
-                if (lru_refresh_)
-                    touchWay(base, w);
-                mru_index_ = base_index + w;
+        return withWays([&](auto ways) -> std::optional<Addr> {
+            const std::uint64_t base_index = baseIndex<ways()>(tag);
+            hit = hitAndTouch<ways()>(base_index, tag);
+            if (hit)
                 return std::nullopt;
-            }
-        }
-        hit = false;
-        return insertAbsent(base_index, tag);
+            return insertAbsent<ways()>(base_index, tag);
+        });
     }
 
     /** Probe without disturbing LRU state. */
@@ -174,7 +189,10 @@ class Cache
     {
         if (wayHits(ways_[mru_index_], tag))
             return true;
-        return containsSlow(tag);
+        return withWays([&](auto ways) {
+            return hitMask<ways()>(&ways_[baseIndex<ways()>(tag)], tag)
+                != 0;
+        });
     }
 
     /** Invalidate the block containing addr if present. Inline:
@@ -183,22 +201,15 @@ class Cache
     invalidate(Addr addr)
     {
         const Addr tag = tagOf(addr);
-        Way *base = &ways_[setIndexOfTag(tag) * params_.assoc];
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            if (wayHits(base[w], tag)) {
-                // Drop the way from its set's recency order: ways
-                // above it slide down one rank, keeping the valid
-                // ranks a dense 0..valid-1 permutation. Branchless —
-                // invalid ways are rank 0 and never test as above.
-                const std::uint64_t rank = rankOf(base[w]);
-                for (unsigned v = 0; v < params_.assoc; ++v)
-                    base[v].raw -=
-                        std::uint64_t{rankOf(base[v]) > rank}
-                        << rankShift;
-                base[w].raw &= tagMask; // clears valid and rank
+        withWays([&](auto ways) {
+            Way *base = &ways_[baseIndex<ways()>(tag)];
+            const std::uint32_t hits = hitMask<ways()>(base, tag);
+            if (hits == 0)
                 return;
-            }
-        }
+            const unsigned w = std::countr_zero(hits);
+            dropRank<ways()>(base, rankOf(base[w]));
+            base[w].raw &= tagMask; // clears valid and rank
+        });
     }
 
     /** Invalidate every block. */
@@ -220,6 +231,14 @@ class Cache
      * checked preset verifies during whole-figure runs.
      */
     bool tagsUnique() const;
+
+    /**
+     * True when in every set the valid ways carry distinct ranks
+     * 0..valid-1 and the invalid ways carry rank 0 — the recency
+     * invariant the victim pick and the branch-free rank updates
+     * rely on. Checked alongside tagsUnique().
+     */
+    bool ranksDense() const;
 
     /** Configured parameters. */
     const CacheParams &params() const { return params_; }
@@ -257,6 +276,7 @@ class Cache
         std::uint64_t{1} << rankShift;
     static constexpr std::uint64_t validBit =
         std::uint64_t{1} << validShift;
+    static constexpr std::uint64_t rankField = validBit - rankOne;
     static constexpr unsigned maxAssoc = 32;
 
     /**
@@ -281,37 +301,100 @@ class Cache
     static bool
     wayHits(const Way &w, Addr tag)
     {
-        // (raw ^ tag) has zero low bits iff the tags match; shifting
-        // out the rank and valid fields leaves that comparison, and
-        // the sign bit of raw is the valid bit.
-        return ((w.raw ^ tag) << (64 - rankShift)) == 0
-            && (w.raw & validBit) != 0;
+        // Masking out the rank field leaves [valid][tag], which
+        // equals tag | validBit iff the way holds the tag valid (tags
+        // fit the 58-bit field: insertAbsent asserts it).
+        return (w.raw & ~rankField) == (tag | validBit);
+    }
+
+    /**
+     * Call f with the set kernels' way count as a compile-time
+     * constant: 4 and 8 (the Table 2 geometries) get a fixed trip
+     * count the compiler unrolls, anything else the runtime one
+     * (0). This switch is the only associativity dispatch; every
+     * public set operation takes it exactly once.
+     */
+    template <typename F>
+    auto
+    withWays(F &&f) const
+        -> decltype(f(std::integral_constant<unsigned, 0>{}))
+    {
+        switch (params_.assoc) {
+          case 4:
+            return f(std::integral_constant<unsigned, 4>{});
+          case 8:
+            return f(std::integral_constant<unsigned, 8>{});
+          default:
+            return f(std::integral_constant<unsigned, 0>{});
+        }
+    }
+
+    /** The number of ways kernel A scans. */
+    template <unsigned A>
+    unsigned
+    waysOf() const
+    {
+        return A != 0 ? A : params_.assoc;
+    }
+
+    /** Index in ways_ of the first way of tag's set. */
+    template <unsigned A>
+    std::uint64_t
+    baseIndex(Addr tag) const
+    {
+        // Power-of-two set counts (every real geometry) use the
+        // mask; the division survives only for odd TLB sizes.
+        const std::uint64_t set =
+            set_mask_ != 0 ? (tag & set_mask_) : (tag % num_sets_);
+        return set * waysOf<A>();
+    }
+
+    /** Bit w set iff way w of the set holds tag valid (at most one
+     *  bit: a set never holds two valid copies of a tag). */
+    template <unsigned A>
+    std::uint32_t
+    hitMask(const Way *base, Addr tag) const
+    {
+        const std::uint64_t key = tag | validBit;
+        std::uint32_t mask = 0;
+        for (unsigned w = 0; w < waysOf<A>(); ++w)
+            mask |= std::uint32_t{(base[w].raw & ~rankField) == key}
+                << w;
+        return mask;
+    }
+
+    /**
+     * Remove rank `rank` from the set's recency order: every way
+     * ranked above it slides down one. Invalid ways are rank 0 and
+     * never test as above, nor does the removed way itself; a rank
+     * of maxAssoc or more removes nothing.
+     */
+    template <unsigned A>
+    void
+    dropRank(Way *base, std::uint64_t rank)
+    {
+        for (unsigned v = 0; v < waysOf<A>(); ++v)
+            base[v].raw -= std::uint64_t{rankOf(base[v]) > rank}
+                << rankShift;
     }
 
     /**
      * Make way w the most recent of its set: ways ranked above it
      * slide down one, w takes the top rank. The relative order of
      * all other ways is untouched — exactly a fresh-stamp touch.
-     *
-     * Branchless on purpose: which ways sit above w is data-random,
-     * so a conditional store would mispredict on the hottest path in
-     * the simulator. Invalid ways always carry rank 0 (invalidate,
-     * flush and insert all clear it), so they can never test as
-     * "above" and need no validity check; neither does w itself.
+     * Branch-free over the ways: which ways sit above w is
+     * data-random, so a conditional store would mispredict on the
+     * hottest path in the simulator. Invalid ways always carry rank
+     * 0, so they never test as "above" and need no validity check;
+     * neither does w itself.
      */
+    template <unsigned A>
     void
     touchWay(Way *base, unsigned w)
     {
         const std::uint64_t rank = rankOf(base[w]);
-        // Ranks are a dense 0..valid-1 permutation, so assoc-1 can
-        // only be held by the set's most recent way of a full set:
-        // the touch is a provable no-op, skip the store loop (hits
-        // tend to revisit each set's own most recent way long after
-        // the cache warms up, so this is the common hit shape).
-        if (rank == params_.assoc - 1)
-            return;
         std::uint64_t above = 0;
-        for (unsigned v = 0; v < params_.assoc; ++v) {
+        for (unsigned v = 0; v < waysOf<A>(); ++v) {
             const std::uint64_t is_above = rankOf(base[v]) > rank;
             base[v].raw -= is_above << rankShift;
             above += is_above;
@@ -319,42 +402,31 @@ class Cache
         base[w].raw += above << rankShift;
     }
 
-    std::uint64_t
-    setIndexOfTag(Addr tag) const
-    {
-        // Power-of-two set counts (every real geometry) use the
-        // mask; the division survives only for odd TLB sizes.
-        return set_mask_ != 0 ? (tag & set_mask_) : (tag % num_sets_);
-    }
-
-    /** Full way scan behind the MRU fast path of accessTag().
-     *  Inline: the scan is the common path for L1 misses and
-     *  non-MRU hits, and a 4-way packed set is half a cache line. */
+    /**
+     * The hit half of every probe: on a hit in the set at
+     * base_index, refresh the way's recency (Lru only — Fifo keeps
+     * the insertion order) and make it the MRU way.
+     */
+    template <unsigned A>
     bool
-    accessSlow(Addr tag)
+    hitAndTouch(std::uint64_t base_index, Addr tag)
     {
-        const std::uint64_t base_index =
-            setIndexOfTag(tag) * params_.assoc;
         Way *base = &ways_[base_index];
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            if (wayHits(base[w], tag)) {
-                // Fifo keeps the insertion order; Lru refreshes it.
-                if (lru_refresh_)
-                    touchWay(base, w);
-                mru_index_ = base_index + w;
-                return true;
-            }
-        }
-        return false;
+        const std::uint32_t hits = hitMask<A>(base, tag);
+        if (hits == 0)
+            return false;
+        const unsigned w = std::countr_zero(hits);
+        if (lru_refresh_)
+            touchWay<A>(base, w);
+        mru_index_ = base_index + w;
+        return true;
     }
-
-    /** Full way scan behind the MRU fast path of containsTag(). */
-    bool containsSlow(Addr tag) const;
 
     /** Miss half of accessOrInsertTag(): victim selection and the
      *  recency-order insertion, for a tag known absent from the set
      *  at `base_index`. Out of line — the fill path is rare next to
      *  the inline hit scan in front of it. */
+    template <unsigned A>
     std::optional<Addr> insertAbsent(std::uint64_t base_index, Addr tag);
 
     CacheParams params_;

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "common/logging.hh"
+#include "sched/options.hh"
 #include "sim/machine.hh"
 #include "sim/thread.hh"
 
@@ -13,6 +15,21 @@ namespace schedtask
 FlexSCScheduler::FlexSCScheduler(const FlexSCParams &params)
     : params_(params)
 {
+}
+
+void
+FlexSCScheduler::configureMachine(MachineParams &params) const
+{
+    QueueScheduler::configureMachine(params);
+    // The split keeps at least one syscall and one application core
+    // (onEpoch clamps the syscall share to [min, numCores - 1]).
+    if (params.numCores < 2) {
+        throw SchedulerOptionError(
+            "FlexSC needs at least 2 cores (system call and application "
+            "cores), got " + std::to_string(params.numCores));
+    }
+    if (params_.minSyscallCores > params.numCores - 1)
+        throw optionOutOfRange("min_syscall_cores", 1, params.numCores - 1);
 }
 
 void
@@ -186,11 +203,12 @@ registerFlexScTechnique()
         [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
         FlexSCParams p;
         p.linuxSchedulerInsts = ctx.options.getUnsigned(
-            "linux_sched_insts", p.linuxSchedulerInsts);
-        p.yieldQuantum = static_cast<Cycles>(
-            ctx.options.getUnsigned("yield_quantum", p.yieldQuantum));
+            "linux_sched_insts", p.linuxSchedulerInsts, 0, kMaxOptionCount);
+        p.yieldQuantum = ctx.options.getUnsigned(
+            "yield_quantum", p.yieldQuantum, 0, kMaxOptionCount);
+        // configureMachine() narrows the bound to the core count.
         p.minSyscallCores = static_cast<unsigned>(ctx.options.getUnsigned(
-            "min_syscall_cores", p.minSyscallCores));
+            "min_syscall_cores", p.minSyscallCores, 1, kMaxOptionCount));
         return std::make_unique<FlexSCScheduler>(p);
     };
     SchedulerRegistry::instance().registerScheduler(std::move(info));

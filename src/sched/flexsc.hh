@@ -49,6 +49,9 @@ class FlexSCScheduler : public QueueScheduler
 
     const char *name() const override { return "FlexSC"; }
 
+    /** Rejects machines the core split cannot partition: fewer than
+     *  two cores, or min_syscall_cores above numCores - 1. */
+    void configureMachine(MachineParams &params) const override;
     void attach(Machine &machine) override;
     void onSfResume(SuperFunction *parent,
                     const SuperFunction *completed_child) override;

@@ -151,6 +151,15 @@ HtsScheduler::epochDecision() const
     return report;
 }
 
+namespace
+{
+
+// Far past any hardware queue, and bins_ (one deque per bin) stays a
+// few MB; 2^32 bins would need hundreds of GB.
+constexpr std::uint64_t kMaxBins = 65536;
+
+} // namespace
+
 // Registry hook: called from SchedulerRegistry::ensureBuiltins().
 
 void
@@ -173,12 +182,11 @@ registerHtsTechnique()
     info.factory =
         [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
         HtsParams p;
-        p.bins = static_cast<unsigned>(ctx.options.getUnsigned("bins", p.bins));
-        if (p.bins == 0)
-            throw SchedulerOptionError("option 'bins' must be >= 1");
+        p.bins = static_cast<unsigned>(
+            ctx.options.getUnsigned("bins", p.bins, 1, kMaxBins));
         p.affinity = ctx.options.getBool("affinity", p.affinity);
-        p.dispatchCycles = static_cast<Cycles>(
-            ctx.options.getUnsigned("dispatch_cycles", p.dispatchCycles));
+        p.dispatchCycles = ctx.options.getUnsigned(
+            "dispatch_cycles", p.dispatchCycles, 0, kMaxOptionCount);
         return std::make_unique<HtsScheduler>(p);
     };
     SchedulerRegistry::instance().registerScheduler(std::move(info));

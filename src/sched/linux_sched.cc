@@ -100,7 +100,7 @@ registerLinuxTechnique()
         p.balanceEachEpoch =
             ctx.options.getBool("balance_each_epoch", p.balanceEachEpoch);
         p.imbalanceThreshold = static_cast<std::size_t>(ctx.options.getUnsigned(
-            "imbalance_threshold", p.imbalanceThreshold));
+            "imbalance_threshold", p.imbalanceThreshold, 0, kMaxOptionCount));
         return std::make_unique<LinuxScheduler>(p);
     };
     SchedulerRegistry::instance().registerScheduler(std::move(info));

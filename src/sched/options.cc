@@ -85,8 +85,8 @@ SchedulerOptions::findValue(std::string_view key) const
 }
 
 std::uint64_t
-SchedulerOptions::getUnsigned(std::string_view key,
-                              std::uint64_t fallback) const
+SchedulerOptions::getUnsigned(std::string_view key, std::uint64_t fallback,
+                              std::uint64_t lo, std::uint64_t hi) const
 {
     const std::string *value = findValue(key);
     if (value == nullptr)
@@ -95,6 +95,8 @@ SchedulerOptions::getUnsigned(std::string_view key,
     if (!parsed)
         fail("option '" + std::string(key) +
              "': expected an unsigned integer, got '" + *value + "'");
+    if (*parsed < lo || *parsed > hi)
+        throw optionOutOfRange(key, lo, hi);
     return *parsed;
 }
 
@@ -134,6 +136,14 @@ SchedulerOptions::getString(std::string_view key,
 {
     const std::string *value = findValue(key);
     return value != nullptr ? *value : std::string(fallback);
+}
+
+SchedulerOptionError
+optionOutOfRange(std::string_view key, std::uint64_t lo, std::uint64_t hi)
+{
+    return SchedulerOptionError("option '" + std::string(key)
+                                + "' must be in [" + std::to_string(lo)
+                                + ", " + std::to_string(hi) + "]");
 }
 
 std::string

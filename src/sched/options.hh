@@ -53,9 +53,13 @@ class SchedulerOptions
     bool empty() const { return entries_.empty(); }
     std::size_t size() const { return entries_.size(); }
 
-    /** Unsigned integer value (parseUnsigned semantics). */
-    std::uint64_t getUnsigned(std::string_view key,
-                              std::uint64_t fallback) const;
+    /**
+     * Unsigned integer value (parseUnsigned semantics) in [lo, hi].
+     * A present value outside the range throws optionOutOfRange();
+     * the fallback is returned unchecked.
+     */
+    std::uint64_t getUnsigned(std::string_view key, std::uint64_t fallback,
+                              std::uint64_t lo, std::uint64_t hi) const;
 
     /** Floating-point value (parseDouble semantics). */
     double getDouble(std::string_view key, double fallback) const;
@@ -82,6 +86,19 @@ class SchedulerOptions
 
     std::vector<std::pair<std::string, std::string>> entries_;
 };
+
+/**
+ * Upper bound of every option counted in cycles or instructions, and
+ * of counts compared against queue lengths. Such a value is charged
+ * at most once onto a simulated clock that stays below 2^63 (epoch_ms
+ * is bounded for that), so it can never wrap a Cycles sum.
+ */
+inline constexpr std::uint64_t kMaxOptionCount = 0xffff'ffff;
+
+/** The error for option `key` holding a value outside [lo, hi]:
+ *  "option 'key' must be in [lo, hi]". */
+SchedulerOptionError optionOutOfRange(std::string_view key,
+                                      std::uint64_t lo, std::uint64_t hi);
 
 /**
  * A technique selection: registry name plus its option blob. This is

@@ -40,6 +40,9 @@ lowered(std::string_view name)
 // same ratio.
 constexpr std::uint64_t kPaperEpochCycles = 250000;
 constexpr std::uint64_t kPaperEpochMs = 3;
+// 10 s epochs stay below 2^30 cycles, so 2^33 epochs of warm-up plus
+// measurement (each count is a 32-bit CLI value) stay below 2^63.
+constexpr std::uint64_t kMaxEpochMs = 10000;
 
 } // namespace
 
@@ -203,9 +206,8 @@ SchedulerRegistry::make(std::string_view name,
     SCHEDTASK_ASSERT(sched != nullptr, "technique '", info.name,
                      "' factory returned nullptr");
     if (options.has("epoch_ms")) {
-        const std::uint64_t ms = options.getUnsigned("epoch_ms", kPaperEpochMs);
-        if (ms == 0)
-            throw SchedulerOptionError("option 'epoch_ms' must be >= 1");
+        const std::uint64_t ms =
+            options.getUnsigned("epoch_ms", kPaperEpochMs, 1, kMaxEpochMs);
         sched->overrideEpochCycles(
             static_cast<Cycles>(ms * kPaperEpochCycles / kPaperEpochMs));
     }

@@ -94,6 +94,8 @@ class Scheduler
      * registry's epoch-length override (epoch_ms); techniques that
      * bring their own hardware (heterogeneous core layouts) extend
      * it. Must be deterministic and must not retain the reference.
+     * Throws SchedulerOptionError for an option value the machine
+     * shape rules out.
      */
     virtual void configureMachine(MachineParams &params) const;
 

@@ -124,7 +124,8 @@ registerSelectiveOffloadTechnique()
         [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
         SelectiveOffloadParams p;
         p.offloadThresholdInsts = ctx.options.getUnsigned(
-            "offload_threshold", p.offloadThresholdInsts);
+            "offload_threshold", p.offloadThresholdInsts, 0,
+            kMaxOptionCount);
         return std::make_unique<SelectiveOffloadScheduler>(p);
     };
     SchedulerRegistry::instance().registerScheduler(std::move(info));

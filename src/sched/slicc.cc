@@ -187,10 +187,10 @@ registerSliccTechnique()
     info.factory =
         [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
         SliccParams p;
-        p.segmentLines =
-            ctx.options.getUnsigned("segment_lines", p.segmentLines);
-        p.spillThreshold = static_cast<std::size_t>(
-            ctx.options.getUnsigned("spill_threshold", p.spillThreshold));
+        p.segmentLines = ctx.options.getUnsigned(
+            "segment_lines", p.segmentLines, 1, kMaxOptionCount);
+        p.spillThreshold = static_cast<std::size_t>(ctx.options.getUnsigned(
+            "spill_threshold", p.spillThreshold, 0, kMaxOptionCount));
         return std::make_unique<SliccScheduler>(p);
     };
     SchedulerRegistry::instance().registerScheduler(std::move(info));

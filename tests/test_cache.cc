@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the set-associative cache: hit/miss behaviour, LRU
- * replacement, invalidation, and geometry derivation.
+ * replacement, invalidation, geometry derivation, and a differential
+ * check of the set kernels against a naive reference model.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/random.hh"
 #include "common/types.hh"
 #include "mem/cache.hh"
 
@@ -300,4 +302,220 @@ TEST(CacheReplacement, RandomNeverEvictsIncomingBlock)
         c.insert(i * 0x100);
         EXPECT_TRUE(c.access(i * 0x100)) << i;
     }
+}
+
+namespace
+{
+
+/**
+ * Naive per-set reference model of Cache: each way keeps an explicit
+ * stamp (last touch under Lru, insertion under Fifo), the victim is
+ * the first invalid way or else the minimum-stamp valid way, and
+ * Random draws from the same 16-bit Galois LFSR with the same "never
+ * evict the incoming block" rule. No packing, no fast paths.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(std::uint64_t sets, unsigned assoc, unsigned block_shift,
+                   ReplacementPolicy policy)
+        : sets_(sets), assoc_(assoc), block_shift_(block_shift),
+          policy_(policy), ways_(sets * assoc)
+    {
+    }
+
+    bool
+    access(Addr addr)
+    {
+        RefWay *w = find(addr >> block_shift_);
+        if (w == nullptr)
+            return false;
+        if (policy_ == ReplacementPolicy::Lru)
+            w->stamp = ++clock_;
+        return true;
+    }
+
+    std::optional<Addr>
+    accessOrInsert(Addr addr, bool &hit)
+    {
+        hit = access(addr);
+        if (hit)
+            return std::nullopt;
+        const Addr tag = addr >> block_shift_;
+        RefWay *set = &ways_[(tag % sets_) * assoc_];
+        unsigned victim = assoc_;
+        for (unsigned w = 0; w < assoc_ && victim == assoc_; ++w)
+            if (!set[w].valid)
+                victim = w;
+        if (victim == assoc_) {
+            victim = 0;
+            for (unsigned w = 1; w < assoc_; ++w)
+                if (set[w].stamp < set[victim].stamp)
+                    victim = w;
+            if (policy_ == ReplacementPolicy::Random) {
+                lfsr_ = (lfsr_ >> 1) ^ (-(lfsr_ & 1u) & 0xb400u);
+                victim = lfsr_ % assoc_;
+                if (set[victim].tag == tag)
+                    victim = (lfsr_ + 1) % assoc_;
+            }
+        }
+        std::optional<Addr> evicted;
+        if (set[victim].valid)
+            evicted = set[victim].tag << block_shift_;
+        set[victim] = RefWay{true, tag, ++clock_};
+        return evicted;
+    }
+
+    bool
+    contains(Addr addr)
+    {
+        return find(addr >> block_shift_) != nullptr;
+    }
+
+    void
+    invalidate(Addr addr)
+    {
+        if (RefWay *w = find(addr >> block_shift_))
+            w->valid = false;
+    }
+
+    void
+    flush()
+    {
+        for (RefWay &w : ways_)
+            w.valid = false;
+    }
+
+  private:
+    struct RefWay
+    {
+        bool valid = false;
+        Addr tag = 0;
+        std::uint64_t stamp = 0;
+    };
+
+    RefWay *
+    find(Addr tag)
+    {
+        RefWay *set = &ways_[(tag % sets_) * assoc_];
+        for (unsigned w = 0; w < assoc_; ++w)
+            if (set[w].valid && set[w].tag == tag)
+                return &set[w];
+        return nullptr;
+    }
+
+    std::uint64_t sets_;
+    unsigned assoc_;
+    unsigned block_shift_;
+    ReplacementPolicy policy_;
+    std::vector<RefWay> ways_;
+    std::uint64_t clock_ = 0;
+    std::uint32_t lfsr_ = 0xace1u;
+};
+
+/**
+ * Drive Cache and ReferenceCache through one seeded random sequence
+ * of every public set operation and compare them after each op: the
+ * hit result, the evicted address (address 0 included) and
+ * contains(). Associativities 4 and 8 run the fixed-way kernels, the
+ * rest the runtime one; 24 sets exercises the modulo set index.
+ */
+void
+checkAgainstReference(ReplacementPolicy policy)
+{
+    const unsigned assocs[] = {1, 2, 3, 4, 8, 16, 32};
+    const std::uint64_t set_counts[] = {1, 4, 24, 64};
+    const unsigned block_shifts[] = {6, 12};
+    Rng rng(0xcac4e);
+    for (unsigned assoc : assocs) {
+        for (std::uint64_t sets : set_counts) {
+            for (unsigned shift : block_shifts) {
+                const std::uint64_t block = std::uint64_t{1} << shift;
+                Cache c(CacheParams{sets * assoc * block, assoc, block, 1,
+                                    policy});
+                ReferenceCache ref(sets, assoc, shift, policy);
+                const std::uint64_t capacity = sets * assoc;
+                // Odd tags carry the top address bit, so the full
+                // packed tag width is compared too.
+                const Addr high = Addr{1} << (63 - shift);
+                const std::uint64_t ops = 6 * capacity + 1000;
+                for (std::uint64_t i = 0; i < ops; ++i) {
+                    const Addr tag = rng.below(3 * capacity);
+                    const Addr addr = ((tag & 1) != 0 ? tag | high : tag)
+                            << shift
+                        | rng.below(block);
+                    // Streamed only when an assertion fails.
+                    const auto where = [&] {
+                        return ::testing::Message()
+                            << "assoc " << assoc << " sets " << sets
+                            << " block " << block << " op " << i
+                            << " addr 0x" << std::hex << addr;
+                    };
+                    const std::uint64_t op = rng.below(1000);
+                    if (op < 350) {
+                        ASSERT_EQ(c.access(addr), ref.access(addr)) << where();
+                    } else if (op < 600) {
+                        bool hit = false;
+                        bool ref_hit = false;
+                        const std::optional<Addr> evicted =
+                            c.accessOrInsertTag(c.tagOf(addr), hit);
+                        ASSERT_EQ(evicted, ref.accessOrInsert(addr, ref_hit))
+                            << where();
+                        ASSERT_EQ(hit, ref_hit) << where();
+                    } else if (op < 800) {
+                        bool ref_hit = false;
+                        ASSERT_EQ(c.insert(addr),
+                                  ref.accessOrInsert(addr, ref_hit))
+                            << where();
+                    } else if (op < 900) {
+                        // a pure contains(): only the check below
+                    } else if (op < 999) {
+                        c.invalidate(addr);
+                        ref.invalidate(addr);
+                    } else {
+                        c.flush();
+                        ref.flush();
+                    }
+                    ASSERT_EQ(c.contains(addr), ref.contains(addr))
+                        << where();
+                    if (i % 64 == 0 || i + 1 == ops) {
+                        ASSERT_TRUE(c.ranksDense()) << where();
+                        ASSERT_TRUE(c.tagsUnique()) << where();
+                    }
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(CacheReference, Lru)
+{
+    checkAgainstReference(ReplacementPolicy::Lru);
+}
+
+TEST(CacheReference, Fifo)
+{
+    checkAgainstReference(ReplacementPolicy::Fifo);
+}
+
+TEST(CacheReference, Random)
+{
+    checkAgainstReference(ReplacementPolicy::Random);
+}
+
+TEST(Cache, RanksDenseThroughInvalidateAndFlush)
+{
+    Cache c(smallCache());
+    EXPECT_TRUE(c.ranksDense());
+    c.insert(0x0);
+    c.insert(0x100);
+    c.invalidate(0x0);
+    EXPECT_TRUE(c.ranksDense());
+    c.insert(0x200);
+    c.access(0x100);
+    EXPECT_TRUE(c.ranksDense());
+    c.flush();
+    EXPECT_TRUE(c.ranksDense());
 }

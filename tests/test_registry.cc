@@ -31,7 +31,7 @@ TEST(Options, ParsesTypedValues)
     const SchedulerOptions opts =
         SchedulerOptions::parse("a=1,b=2.5,c=yes,d=text");
     EXPECT_EQ(opts.size(), 4u);
-    EXPECT_EQ(opts.getUnsigned("a", 0), 1u);
+    EXPECT_EQ(opts.getUnsigned("a", 0, 0, 9), 1u);
     EXPECT_DOUBLE_EQ(opts.getDouble("b", 0.0), 2.5);
     EXPECT_TRUE(opts.getBool("c", false));
     EXPECT_EQ(opts.getString("d", ""), "text");
@@ -42,7 +42,7 @@ TEST(Options, AbsentKeysYieldFallback)
 {
     const SchedulerOptions opts = SchedulerOptions::parse("");
     EXPECT_TRUE(opts.empty());
-    EXPECT_EQ(opts.getUnsigned("missing", 7), 7u);
+    EXPECT_EQ(opts.getUnsigned("missing", 7, 0, 9), 7u);
     EXPECT_DOUBLE_EQ(opts.getDouble("missing", 1.5), 1.5);
     EXPECT_FALSE(opts.getBool("missing", false));
 }
@@ -51,9 +51,26 @@ TEST(Options, MalformedValueThrows)
 {
     const SchedulerOptions opts =
         SchedulerOptions::parse("n=abc,f=zz,b=maybe");
-    EXPECT_THROW(opts.getUnsigned("n", 0), SchedulerOptionError);
+    EXPECT_THROW(opts.getUnsigned("n", 0, 0, 9), SchedulerOptionError);
     EXPECT_THROW(opts.getDouble("f", 0.0), SchedulerOptionError);
     EXPECT_THROW(opts.getBool("b", false), SchedulerOptionError);
+}
+
+TEST(Options, UnsignedOutsideRangeThrows)
+{
+    const SchedulerOptions opts =
+        SchedulerOptions::parse("lo=2,hi=9,big=18446744073709551615");
+    EXPECT_EQ(opts.getUnsigned("lo", 5, 2, 9), 2u);
+    EXPECT_EQ(opts.getUnsigned("hi", 5, 2, 9), 9u);
+    try {
+        opts.getUnsigned("lo", 5, 3, 9);
+        FAIL() << "2 is outside [3, 9]";
+    } catch (const SchedulerOptionError &e) {
+        EXPECT_STREQ(e.what(), "option 'lo' must be in [3, 9]");
+    }
+    EXPECT_THROW(opts.getUnsigned("hi", 5, 2, 8), SchedulerOptionError);
+    EXPECT_THROW(opts.getUnsigned("big", 5, 0, kMaxOptionCount),
+                 SchedulerOptionError);
 }
 
 TEST(Options, RejectsBadGrammar)
@@ -258,9 +275,44 @@ TEST(RegistryOptions, HtsValidatesBins)
     const auto sched = SchedulerRegistry::instance().make(
         parseTechniqueSpec("hts:bins=4,affinity=0,dispatch_cycles=16"));
     ASSERT_NE(dynamic_cast<HtsScheduler *>(sched.get()), nullptr);
+    for (const char *bad : {"hts:bins=0", "hts:bins=65537",
+                            "hts:bins=4294967295", "hts:bins=4294967297",
+                            "hts:dispatch_cycles=18446744073709551615"}) {
+        EXPECT_THROW(
+            SchedulerRegistry::instance().make(parseTechniqueSpec(bad)),
+            SchedulerOptionError)
+            << bad;
+    }
+}
+
+TEST(RegistryOptions, EpochMsBoundedAgainstCycleOverflow)
+{
+    MachineParams mp;
+    SchedulerRegistry::instance()
+        .make(parseTechniqueSpec("SchedTask:epoch_ms=10000"))
+        ->configureMachine(mp);
+    EXPECT_EQ(mp.epochCycles, 10000u * 250000u / 3u);
     EXPECT_THROW(SchedulerRegistry::instance().make(
-                     parseTechniqueSpec("hts:bins=0")),
+                     parseTechniqueSpec("SchedTask:epoch_ms=10001")),
                  SchedulerOptionError);
+}
+
+TEST(RegistryOptions, FlexSCMinSyscallCoresBoundedByCoreCount)
+{
+    const auto make = [](const char *spec) {
+        return SchedulerRegistry::instance().make(parseTechniqueSpec(spec));
+    };
+    MachineParams mp;
+    mp.numCores = 32;
+    make("FlexSC:min_syscall_cores=31")->configureMachine(mp);
+    EXPECT_THROW(make("FlexSC:min_syscall_cores=32")->configureMachine(mp),
+                 SchedulerOptionError);
+    EXPECT_THROW(make("FlexSC:min_syscall_cores=0"), SchedulerOptionError);
+    // Past 32 bits the value is rejected, not truncated to 1.
+    EXPECT_THROW(make("FlexSC:min_syscall_cores=4294967297"),
+                 SchedulerOptionError);
+    mp.numCores = 1;
+    EXPECT_THROW(make("FlexSC")->configureMachine(mp), SchedulerOptionError);
 }
 
 // ---- post-paper techniques under the sweep runner -------------------

@@ -281,7 +281,7 @@ TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
     EXPECT_NE(problem(smallConfig().withCores(33), "SelectiveOffload")
                   .find("needs 66 cores"), npos);
     EXPECT_NE(problem(smallConfig(), "SchedTask:epoch_ms=0")
-                  .find("'epoch_ms' must be >= 1"), npos);
+                  .find("'epoch_ms' must be in [1, 10000]"), npos);
     EXPECT_NE(problem(ExperimentConfig::standard("Apache", 1e-6), "Linux")
                   .find("Apache would run 0 threads"), npos);
 }

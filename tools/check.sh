@@ -1,17 +1,19 @@
 #!/usr/bin/env bash
 #
 # Full correctness gate. For each requested preset (default: all
-# four from CMakePresets.json) this configures, builds with
+# five from CMakePresets.json) this configures, builds with
 # warnings-as-errors, and runs the tier-1 suite — which includes the
 # schedtask_lint tree scan. Then two cross-preset checks:
 #
 #   * tsan: the SweepRunner stress suite at --jobs 8, so TSan
 #     certifies the thread pool, the logQuiet flag, and the per-run
 #     trace-file writes as race-free.
-#   * checked vs default: schedtask-figures fig07_fast under both
-#     builds with --trace-dir; report and every trace file must be
-#     bitwise identical, proving the invariant checker is pure
-#     observation.
+#   * default, checked and portable (any two or more of them):
+#     schedtask-figures fig07_fast under each build with --trace-dir;
+#     report and every trace file must be bitwise identical, proving
+#     the invariant checker is pure observation and the simulated
+#     results do not depend on the target ISA (-march=x86-64-v3
+#     vectorizes the cache set kernels, the portable build does not).
 #
 # Host-cost measurement lives in perfbench/ (see perfbench/README.md).
 #
@@ -23,7 +25,7 @@ cd "$(dirname "${BASH_SOURCE[0]}")/.."
 JOBS="${JOBS:-$(nproc)}"
 PRESETS=("$@")
 if [ ${#PRESETS[@]} -eq 0 ]; then
-    PRESETS=(default asan-ubsan tsan checked)
+    PRESETS=(default asan-ubsan tsan checked portable)
 fi
 
 has_preset() {
@@ -54,16 +56,23 @@ if has_preset tsan; then
         ./build-tsan/tests/test_sweep_stress
 fi
 
-if has_preset default && has_preset checked; then
-    step "checked vs default: fig07_fast bitwise identity"
+IDENTITY=()
+for preset in default checked portable; do
+    has_preset "$preset" && IDENTITY+=("$preset")
+done
+if [ ${#IDENTITY[@]} -ge 2 ]; then
+    step "${IDENTITY[*]}: fig07_fast bitwise identity"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
-    for preset in default checked; do
+    for preset in "${IDENTITY[@]}"; do
         ./build-$preset/bench/schedtask-figures \
             --trace-dir "$tmp/$preset" fig07_fast >"$tmp/$preset.out"
     done
-    diff -u "$tmp/default.out" "$tmp/checked.out"
-    diff -r "$tmp/default" "$tmp/checked"
+    ref="${IDENTITY[0]}"
+    for preset in "${IDENTITY[@]:1}"; do
+        diff -u "$tmp/$ref.out" "$tmp/$preset.out"
+        diff -r "$tmp/$ref" "$tmp/$preset"
+    done
     echo "report and traces bitwise identical"
 fi
 
