@@ -32,7 +32,6 @@
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "harness/sweep.hh"
-#include "sched/linux_sched.hh"
 #include "stats/table.hh"
 #include "workload/benchmarks.hh"
 
@@ -59,7 +58,7 @@ struct FigureSpec
 {
     /** Command-line selector and stem of `<name>.txt`. */
     const char *name;
-    /** The sweeps the figure reads (null for hand-driven studies). */
+    /** The sweeps the figure reads. */
     std::vector<Sweep> (*sweeps)();
     void (*render)(const FigureRun &run, std::FILE *out);
     /** False for smoke entries a full paper run leaves out. */
@@ -176,6 +175,25 @@ fig04Render(const FigureRun &run, std::FILE *out)
  * justifies profiling one epoch to schedule the next.
  */
 
+/** The first 10 epochs from a cold start (no warm-up) of each
+ *  benchmark under Linux, with the per-epoch breakups recorded; the
+ *  window stays fixed under SCHEDTASK_FAST. */
+constexpr unsigned sec44Epochs = 10;
+
+std::vector<Sweep>
+sec44Sweeps()
+{
+    Sweep sweep;
+    sweep.deriveSeeds(false);
+    for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
+        ExperimentConfig cfg =
+            ExperimentConfig::standard(bench).withEpochs(0, sec44Epochs);
+        cfg.machine.recordEpochBreakups = true;
+        sweep.add(bench, "Linux", cfg, TechniqueSpec{"Linux"});
+    }
+    return {sweep};
+}
+
 /** Cosine similarity between two per-type instruction maps. */
 double
 epochSimilarity(
@@ -202,48 +220,27 @@ epochSimilarity(
 }
 
 void
-sec44Render(const FigureRun &, std::FILE *out)
+sec44Render(const FigureRun &run, std::FILE *out)
 {
     printHeader("Section 4.4: cosine similarity of instruction "
                 "breakups across consecutive epochs (Linux baseline)",
                 out);
 
-    constexpr unsigned epochs = 10;
     TextTable table({"benchmark", "e1-2", "e2-3", "e3-4", "e4-5",
                      "e5-6", "e6-7", "e7-8", "e8-9", "e9-10"});
-
-    // The similarity study needs the per-epoch breakup series, so it
-    // drives Machine by hand; parallelFor spreads the benchmarks
-    // over worker threads and the rows land in suite order.
-    const auto &benchmarks = BenchmarkSuite::benchmarkNames();
-    std::vector<std::vector<std::string>> rows(benchmarks.size());
-    parallelFor(benchmarks.size(), [&](std::size_t i) {
-        const std::string &bench = benchmarks[i];
-        BenchmarkSuite suite;
-        Workload workload =
-            Workload::buildSingle(suite, bench, 2.0, 32);
-        MachineParams mp;
-        mp.numCores = 32;
-        mp.recordEpochBreakups = true;
-        LinuxScheduler sched;
-        Machine machine(mp, HierarchyParams::paperDefault(), suite,
-                        workload, sched);
-        machine.run(epochs * mp.epochCycles);
-
-        const auto &series = machine.metricsSnapshot().epochTypeInsts;
+    for (const std::string &bench : run.sweeps[0].rows()) {
+        const auto &series =
+            run.results[0].at(bench, "Linux").metrics.epochTypeInsts;
         std::vector<std::string> cells = {bench};
-        for (unsigned e = 0; e + 1 < epochs; ++e) {
+        for (unsigned e = 0; e + 1 < sec44Epochs; ++e) {
             cells.push_back(
                 e + 1 < series.size()
                     ? TextTable::num(
                           epochSimilarity(series[e], series[e + 1]), 3)
                     : "-");
         }
-        rows[i] = std::move(cells);
-        std::fprintf(stderr, "%s done\n", bench.c_str());
-    });
-    for (std::vector<std::string> &cells : rows)
         table.addRow(std::move(cells));
+    }
 
     std::fprintf(out, "%s\n", table.render().c_str());
     std::fprintf(out, "Paper: similarity rises through bring-up and "
@@ -1114,7 +1111,7 @@ appFig3Render(const FigureRun &run, std::FILE *out)
 /** Every figure, in the order a full run renders them. */
 const FigureSpec figures[] = {
     {"fig04_breakup", fig04Sweeps, fig04Render},
-    {"sec44_epoch_similarity", nullptr, sec44Render},
+    {"sec44_epoch_similarity", sec44Sweeps, sec44Render},
     {"fig07_app_performance", standardCross, fig07Render},
     {"fig07_fast", fig07FastSweeps, fig07FastRender, false},
     {"fig08_microarch", standardCross, fig08Render},
@@ -1197,7 +1194,7 @@ main(int argc, char **argv)
     std::vector<std::vector<Sweep>> sweeps(count);
     std::vector<const Sweep *> all;
     for (std::size_t f = 0; f < count; ++f) {
-        if (selected[f] && figures[f].sweeps)
+        if (selected[f])
             sweeps[f] = figures[f].sweeps();
         for (const Sweep &sweep : sweeps[f])
             all.push_back(&sweep);

@@ -258,12 +258,14 @@ SchedTaskScheduler::overheadFor(SchedEvent event,
 } // namespace schedtask
 
 // Registry hook: called from SchedulerRegistry::ensureBuiltins().
-// The option helpers are shared with derivatives (hetero-schedtask).
 
 #include <memory>
 #include <utility>
 
 namespace schedtask
+{
+
+namespace
 {
 
 std::vector<SchedulerOptionSpec>
@@ -291,6 +293,8 @@ schedTaskOptionSpecs()
     };
 }
 
+/** Apply registry options onto SchedTask params; throws
+ *  SchedulerOptionError on bad values (keys are validated upstream). */
 void
 applySchedTaskOptions(SchedTaskParams &params,
                       const SchedulerOptions &options)
@@ -312,7 +316,8 @@ applySchedTaskOptions(SchedTaskParams &params,
                 policy + "'");
     }
     params.reallocationGuard =
-        options.getDouble("realloc_guard", params.reallocationGuard);
+        options.getDouble("realloc_guard", params.reallocationGuard, 0.0,
+                          1.0);
     params.routeInterrupts =
         options.getBool("route_irqs", params.routeInterrupts);
     params.useExactOverlap =
@@ -321,10 +326,13 @@ applySchedTaskOptions(SchedTaskParams &params,
         options.getUnsigned("talloc_insts", params.tallocInsts, 0,
                             kMaxOptionCount);
     params.demandSmoothing =
-        options.getDouble("demand_smoothing", params.demandSmoothing);
+        options.getDouble("demand_smoothing", params.demandSmoothing, 0.0,
+                          1.0);
     params.useWaitSignal =
         options.getBool("wait_signal", params.useWaitSignal);
 }
+
+} // namespace
 
 void
 registerSchedTaskTechnique()

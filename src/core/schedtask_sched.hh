@@ -50,16 +50,6 @@ struct SchedTaskParams
     bool useWaitSignal = true;
 };
 
-/** Registry option keys shared by SchedTask and its derivatives. */
-std::vector<SchedulerOptionSpec> schedTaskOptionSpecs();
-
-/**
- * Apply registry options onto SchedTask params; throws
- * SchedulerOptionError on bad values (keys are validated upstream).
- */
-void applySchedTaskOptions(SchedTaskParams &params,
-                           const SchedulerOptions &options);
-
 class SchedTaskScheduler : public QueueScheduler
 {
   public:

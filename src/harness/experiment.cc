@@ -156,8 +156,8 @@ runWithScheduler(const ExperimentConfig &config, Scheduler &scheduler)
 
     MachineParams mp = config.machine;
     mp.numCores = scheduler.coresRequired(config.baselineCores);
-    // Techniques that bring their own hardware (heterogeneous core
-    // layouts, epoch-length overrides) adjust the machine here.
+    // Epoch-length overrides and machine-shape checks (FlexSC's
+    // syscall-core bound) apply here.
     scheduler.configureMachine(mp);
 
     Machine machine(mp, config.hierarchy, suite, workload, scheduler);

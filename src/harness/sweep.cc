@@ -81,11 +81,11 @@ class Fingerprint
 // a Linux run can observe the field; if it can, mix it in below and
 // perturb it in SweepFingerprint.EveryMixedFieldChangesIt. Then
 // update the size. (Sizes are for the LP64 ABI the presets build.)
-static_assert(sizeof(CacheParams) == 40, "new CacheParams field?");
+static_assert(sizeof(CacheParams) == 32, "new CacheParams field?");
 static_assert(sizeof(TlbParams) == 16, "new TlbParams field?");
-static_assert(sizeof(HierarchyParams) == 248,
+static_assert(sizeof(HierarchyParams) == 216,
               "new HierarchyParams field?");
-static_assert(sizeof(MachineParams) == 120, "new MachineParams field?");
+static_assert(sizeof(MachineParams) == 40, "new MachineParams field?");
 // The same for cellKey(): mix a new SchedTaskParams field there and
 // perturb it in SweepCellKey.SchedTaskFieldsSplitOnlyNonBaselineCells.
 static_assert(sizeof(SchedTaskParams) == 48,
@@ -98,7 +98,6 @@ mixCache(Fingerprint &fp, const CacheParams &c)
     fp.mixBits(c.assoc);
     fp.mixBits(c.blockBytes);
     fp.mixBits(c.latency);
-    fp.mixBits(static_cast<std::uint64_t>(c.replacement));
 }
 
 void
@@ -126,23 +125,15 @@ baselineFingerprint(const ExperimentConfig &config)
     fp.mixBits(config.useTraceCache ? 1 : 0);
 
     const MachineParams &m = config.machine;
-    fp.mixBits(m.quantum);
     fp.mixBits(m.epochCycles);
-    fp.mixBits(m.timesliceInsts);
-    fp.mixBits(m.blockBaseCycles);
-    fp.mixDouble(m.dataAccessesPerBlock);
     fp.mixDouble(m.coreFrequencyGHz);
     fp.mixBits(m.seed);
     fp.mixBits(m.recordEpochBreakups ? 1 : 0);
-    fp.mixBits(m.irqEntryCycles);
-    fp.mixBits(m.midSfCheckBlocks);
     fp.mixBits(m.trackExactPages ? 1 : 0);
-    fp.mixDouble(m.littleFrac);
-    fp.mixDouble(m.littleCostFactor);
     // machine.heatmapBits and config.schedTask are deliberately
     // omitted: a Linux run cannot observe them. numCores is filled
-    // in per technique from baselineCores, and trace and
-    // traceEpochCapacity are observation only.
+    // in per technique from baselineCores, and trace is observation
+    // only.
 
     // h.numCores is filled in per technique, like m.numCores.
     const HierarchyParams &h = config.hierarchy;

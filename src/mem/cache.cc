@@ -37,7 +37,6 @@ Cache::Cache(const CacheParams &params)
     // the index is then a modulo rather than a mask.
     set_mask_ = (num_sets_ & (num_sets_ - 1)) == 0 ? num_sets_ - 1 : 0;
     block_shift_ = log2Exact(params_.blockBytes);
-    lru_refresh_ = params_.replacement == ReplacementPolicy::Lru;
     ways_.resize(num_sets_ * params_.assoc);
 }
 
@@ -52,11 +51,10 @@ Cache::insertAbsent(std::uint64_t base_index, Addr tag)
     const unsigned ways = waysOf<A>();
 
     // Victim pick: the lowest invalid way (an invalidate() can leave
-    // a hole anywhere in the set), else the set's oldest valid way —
-    // the one of rank 0, since valid ranks are dense. Lru evicts the
-    // oldest; Fifo works identically because insert() reorders but
-    // access() refreshes only under Lru. The caller's hit scan just
-    // touched the set, so this pass stays in the host's L1.
+    // a hole anywhere in the set), else the set's least recently
+    // used valid way — the one of rank 0, since valid ranks are
+    // dense. The caller's hit scan just touched the set, so this pass
+    // stays in the host's L1.
     constexpr std::uint64_t validRankZero = validBit >> rankShift;
     std::uint32_t invalid = 0;
     std::uint32_t oldest = 0;
@@ -67,14 +65,7 @@ Cache::insertAbsent(std::uint64_t base_index, Addr tag)
     }
     const bool full = invalid == 0;
     const unsigned valid_count = ways - std::popcount(invalid);
-    unsigned victim = std::countr_zero(full ? oldest : invalid);
-    if (full && params_.replacement == ReplacementPolicy::Random) {
-        // 16-bit Galois LFSR: deterministic pseudo-random way.
-        lfsr_ = (lfsr_ >> 1) ^ (-(lfsr_ & 1u) & 0xb400u);
-        victim = lfsr_ % ways;
-        if ((base[victim].raw & tagMask) == tag) // never evict the incoming block
-            victim = (lfsr_ + 1) % ways;
-    }
+    const unsigned victim = std::countr_zero(full ? oldest : invalid);
 
     // Slot the incoming block in at the top of the set's recency
     // order. Displacing a valid way removes it from the permutation

@@ -52,8 +52,7 @@
  * most once, so "the first matching way" and "the lowest mask bit"
  * name the same way, and "the minimum-rank valid way" and "the valid
  * way of rank 0" do too. The kernels therefore leave bit-identical
- * replacement state to a plain stamped scan, and Random replacement
- * draws from the same 16-bit LFSR in the same order.
+ * replacement state to a plain stamped scan.
  */
 
 #ifndef SCHEDTASK_MEM_CACHE_HH
@@ -70,14 +69,6 @@
 namespace schedtask
 {
 
-/** Replacement policy of a set-associative cache. */
-enum class ReplacementPolicy : std::uint8_t
-{
-    Lru,    ///< true least-recently-used (the default everywhere)
-    Fifo,   ///< oldest-inserted evicted first
-    Random, ///< pseudo-random way (deterministic LFSR)
-};
-
 /** Geometry and latency of one cache level. */
 struct CacheParams
 {
@@ -89,8 +80,6 @@ struct CacheParams
     std::uint64_t blockBytes = lineBytes;
     /** Access latency in cycles (applied by the hierarchy). */
     Cycles latency = 3;
-    /** Victim selection on insertion. */
-    ReplacementPolicy replacement = ReplacementPolicy::Lru;
 };
 
 /**
@@ -404,8 +393,7 @@ class Cache
 
     /**
      * The hit half of every probe: on a hit in the set at
-     * base_index, refresh the way's recency (Lru only — Fifo keeps
-     * the insertion order) and make it the MRU way.
+     * base_index, refresh the way's recency and make it the MRU way.
      */
     template <unsigned A>
     bool
@@ -416,8 +404,7 @@ class Cache
         if (hits == 0)
             return false;
         const unsigned w = std::countr_zero(hits);
-        if (lru_refresh_)
-            touchWay<A>(base, w);
+        touchWay<A>(base, w);
         mru_index_ = base_index + w;
         return true;
     }
@@ -433,9 +420,7 @@ class Cache
     std::uint64_t num_sets_;
     std::uint64_t set_mask_; // num_sets_ - 1 when a power of two, else 0
     unsigned block_shift_;
-    bool lru_refresh_; // replacement == Lru: hits refresh the rank
     std::uint64_t mru_index_ = 0; // way of the last hit or insert
-    std::uint32_t lfsr_ = 0xace1u; // Random replacement state
     std::vector<Way> ways_; // num_sets_ * assoc, row-major
 };
 

@@ -1,6 +1,7 @@
 #include "sched/options.hh"
 
 #include <cctype>
+#include <sstream>
 
 #include "common/parse_num.hh"
 
@@ -101,7 +102,8 @@ SchedulerOptions::getUnsigned(std::string_view key, std::uint64_t fallback,
 }
 
 double
-SchedulerOptions::getDouble(std::string_view key, double fallback) const
+SchedulerOptions::getDouble(std::string_view key, double fallback,
+                            double lo, double hi) const
 {
     const std::string *value = findValue(key);
     if (value == nullptr)
@@ -110,6 +112,12 @@ SchedulerOptions::getDouble(std::string_view key, double fallback) const
     if (!parsed)
         fail("option '" + std::string(key) +
              "': expected a number, got '" + *value + "'");
+    if (*parsed < lo || *parsed > hi) {
+        std::ostringstream msg;
+        msg << "option '" << key << "' must be in [" << lo << ", " << hi
+            << "]";
+        throw SchedulerOptionError(msg.str());
+    }
     return *parsed;
 }
 

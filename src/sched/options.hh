@@ -61,8 +61,13 @@ class SchedulerOptions
     std::uint64_t getUnsigned(std::string_view key, std::uint64_t fallback,
                               std::uint64_t lo, std::uint64_t hi) const;
 
-    /** Floating-point value (parseDouble semantics). */
-    double getDouble(std::string_view key, double fallback) const;
+    /**
+     * Floating-point value (parseDouble semantics) in [lo, hi]. A
+     * present value outside the range throws "option 'key' must be
+     * in [lo, hi]"; the fallback is returned unchecked.
+     */
+    double getDouble(std::string_view key, double fallback, double lo,
+                     double hi) const;
 
     /** Boolean value: 1/0, true/false, yes/no, on/off. */
     bool getBool(std::string_view key, bool fallback) const;

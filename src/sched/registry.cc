@@ -19,8 +19,6 @@ void registerFlexScTechnique();
 void registerDisAggregateOsTechnique();
 void registerSliccTechnique();
 void registerSchedTaskTechnique();
-void registerHeteroSchedTaskTechnique();
-void registerHtsTechnique();
 
 namespace
 {
@@ -83,8 +81,6 @@ SchedulerRegistry::ensureBuiltins()
     registerDisAggregateOsTechnique();
     registerSliccTechnique();
     registerSchedTaskTechnique();
-    registerHeteroSchedTaskTechnique();
-    registerHtsTechnique();
     builtins_ready_.store(true, std::memory_order_release);
 }
 

@@ -14,8 +14,8 @@
  *  - isBaseline: the technique is the reference others are compared
  *    against (Linux).
  *  - paperOrder: position in the paper's figure columns (>= 0);
- *    entries outside the paper (hetero-schedtask, hts, user plugins)
- *    use -1 and never alter existing figure output.
+ *    entries outside the paper (user plugins) use -1 and never alter
+ *    existing figure output.
  *
  * Registration is not thread-safe; register at startup, before any
  * sweep workers run. make()/find() are const and safe to call from

@@ -58,12 +58,6 @@ struct SchedOverhead
 {
     std::uint64_t insts = 0;
     const SfTypeInfo *code = nullptr;
-    /**
-     * Flat latency added to the core clock without fetching any
-     * instructions — the cost model for hardware scheduler queues
-     * (HTS) whose dispatch does not execute software.
-     */
-    Cycles fixedCycles = 0;
 };
 
 /**
@@ -91,8 +85,8 @@ class Scheduler
      * Adjust machine parameters before the Machine is built. The
      * harness calls this after fixing the core count and before
      * constructing the Machine. The base implementation applies the
-     * registry's epoch-length override (epoch_ms); techniques that
-     * bring their own hardware (heterogeneous core layouts) extend
+     * registry's epoch-length override (epoch_ms); techniques with
+     * a machine-shape constraint (FlexSC's syscall-core bound) extend
      * it. Must be deterministic and must not retain the reference.
      * Throws SchedulerOptionError for an option value the machine
      * shape rules out.

@@ -40,8 +40,7 @@ constexpr std::uint64_t unboundedSegBlocks =
 
 Core::Core(CoreId id, Machine &machine, unsigned heatmap_bits,
            HotState &hot, Rng rng)
-    : hot_(hot), id_(id), m_(machine),
-      cost_factor_(machine.coreCostFactor(id)), heatmap_(heatmap_bits)
+    : hot_(hot), id_(id), m_(machine), heatmap_(heatmap_bits)
 {
     hot_.rng = rng;
     const SfTypeInfo &sched_code = m_.schedulerCode();
@@ -102,7 +101,7 @@ Core::startIrqHandler()
     m_.recordIrqServiced(hot_.clock > irq.raisedAt
                              ? hot_.clock - irq.raisedAt
                              : 0);
-    hot_.clock += scaleCost(m_.params().irqEntryCycles);
+    hot_.clock += irqEntryCycles;
 
     if (hot_.current != nullptr) {
         endSlice(hot_.current);
@@ -179,9 +178,6 @@ void
 Core::chargeOverhead(SchedEvent event, const SuperFunction *sf)
 {
     const SchedOverhead oh = m_.sched().overheadFor(event, sf);
-    // Hardware scheduler latency (HTS): a flat clock charge with no
-    // instruction fetch, independent of core speed.
-    hot_.clock += oh.fixedCycles;
     if (oh.insts == 0)
         return;
     const Footprint *code =
@@ -193,9 +189,8 @@ Core::chargeOverhead(SchedEvent event, const SuperFunction *sf)
         (oh.insts + instsPerFetchBlock - 1) / instsPerFetchBlock;
     for (std::uint64_t b = 0; b < blocks; ++b) {
         const Addr line = overhead_walker_.nextLine(hot_.rng);
-        hot_.clock += scaleCost(
-            m_.params().blockBaseCycles
-            + m_.hierarchy().fetch(id_, line, ExecClass::Os));
+        hot_.clock +=
+            blockBaseCycles + m_.hierarchy().fetch(id_, line, ExecClass::Os);
     }
     m_.recordOverheadInsts(blocks * instsPerFetchBlock);
 }
@@ -243,11 +238,10 @@ Core::executeCurrent(Cycles limit)
     const bool is_app = info.category == SfCategory::Application;
     const bool is_irq = info.category == SfCategory::Interrupt;
     const ExecClass cls = is_app ? ExecClass::App : ExecClass::Os;
-    const MachineParams &p = m_.params();
-    const unsigned base_accesses =
-        static_cast<unsigned>(p.dataAccessesPerBlock);
-    const double frac_access =
-        p.dataAccessesPerBlock - static_cast<double>(base_accesses);
+    constexpr unsigned base_accesses =
+        static_cast<unsigned>(dataAccessesPerBlock);
+    constexpr double frac_access =
+        dataAccessesPerBlock - static_cast<double>(base_accesses);
     const double write_fraction = info.writeFraction;
     const bool heatmap_on = m_.heatmapsEnabled();
     const bool exact_pages = m_.exactPagesEnabled();
@@ -287,21 +281,21 @@ Core::executeCurrent(Cycles limit)
         // ---- segment length: blocks until the nearest boundary ----
         std::uint64_t seg = is_irq
             ? unboundedSegBlocks
-            : p.midSfCheckBlocks - h.blocksSinceCheck;
+            : midSfCheckBlocks - h.blocksSinceCheck;
         if (sf->blockAtInsts != 0)
             seg = std::min(seg,
                            blocksUntil(sf->instsDone, sf->blockAtInsts));
         seg = std::min(seg, blocksUntil(sf->instsDone, sf->instsTarget));
         if (timeslice_armed)
             seg = std::min(seg, blocksUntil(sf->instsThisDispatch,
-                                            p.timesliceInsts));
+                                            timesliceInsts));
 
         // ---- execute the segment: pure per-block work -------------
         std::uint64_t blocks = 0;
         while (blocks < seg && h.clock < limit) {
             // One fetch block: 16 instructions from one i-cache line.
             const Addr line = walker.nextLine(h.rng);
-            Cycles cost = p.blockBaseCycles + mem.fetch(id_, line, cls);
+            Cycles cost = blockBaseCycles + mem.fetch(id_, line, cls);
 
             unsigned accesses = base_accesses;
             if (frac_access > 0.0 && h.rng.chance(frac_access))
@@ -314,7 +308,7 @@ Core::executeCurrent(Cycles limit)
                 cost += mem.data(id_, daddr, write, cls);
             }
 
-            h.clock += scaleCost(cost);
+            h.clock += cost;
             if (heatmap_on)
                 heatmap_.insertAddr(line);
             if (exact_pages)
@@ -394,7 +388,7 @@ Core::executeCurrent(Cycles limit)
         // Timeslice preemption applies to application code only;
         // kernel handlers run to completion (as in the paper).
         if (timeslice_armed
-                && sf->instsThisDispatch >= p.timesliceInsts) {
+                && sf->instsThisDispatch >= timesliceInsts) {
             if (sched.hasRunnable(id_)) {
                 --h.blocksSinceCheck;
                 flushInsts();
@@ -411,7 +405,7 @@ Core::executeCurrent(Cycles limit)
         // Interrupt handlers are excluded: they run to completion
         // on the interrupted core, which also keeps the paused
         // SuperFunctions beneath them resumable.
-        if (!is_irq && h.blocksSinceCheck >= p.midSfCheckBlocks) {
+        if (!is_irq && h.blocksSinceCheck >= midSfCheckBlocks) {
             h.blocksSinceCheck = 0;
             const CoreId target = sched.midSfPlacement(sf, id_);
             if (target != id_) {

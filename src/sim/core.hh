@@ -165,26 +165,9 @@ class Core
     /** Pick a data address for the running SuperFunction. */
     Addr pickDataAddr();
 
-    /**
-     * Apply this core's execution-cost multiplier (big.LITTLE).
-     * Big cores (factor 1.0) take the untouched fast path, keeping
-     * homogeneous runs bitwise identical.
-     */
-    Cycles
-    scaleCost(Cycles cycles) const
-    {
-        if (cost_factor_ == 1.0)
-            return cycles;
-        return static_cast<Cycles>(static_cast<double>(cycles) *
-                                       cost_factor_ +
-                                   0.5);
-    }
-
     HotState &hot_;
     CoreId id_;
     Machine &m_;
-    /** Execution-cost multiplier (1.0 = big core). */
-    double cost_factor_ = 1.0;
     std::vector<SuperFunction *> paused_;
     std::deque<PendingIrq> pending_irqs_;
     PageHeatmap heatmap_;

@@ -23,19 +23,6 @@ Machine::Machine(const MachineParams &params, const HierarchyParams &hier,
     hp.numCores = params_.numCores;
     hierarchy_ = std::make_unique<MemHierarchy>(hp);
 
-    // big.LITTLE layout: the top floor(numCores * littleFrac) core
-    // ids are LITTLE. At least one big core always remains.
-    unsigned little = 0;
-    if (params_.littleFrac > 0.0) {
-        little = static_cast<unsigned>(static_cast<double>(params_.numCores) *
-                                       params_.littleFrac);
-        if (little >= params_.numCores)
-            little = params_.numCores - 1;
-        SCHEDTASK_ASSERT(params_.littleCostFactor >= 1.0,
-                         "littleCostFactor must be >= 1.0");
-    }
-    little_base_ = params_.numCores - little;
-
     heatmaps_enabled_ = scheduler_->wantsHeatmap();
     scheduler_->attach(*this);
 
@@ -54,7 +41,7 @@ Machine::Machine(const MachineParams &params, const HierarchyParams &hier,
 
     if (params_.trace) {
         epoch_trace_ =
-            std::make_unique<EpochTrace>(params_.traceEpochCapacity);
+            std::make_unique<EpochTrace>(traceEpochCapacity);
         epoch_core_acc_.assign(params_.numCores, EpochCoreSample{});
         resetEpochBaseline();
     }
@@ -90,7 +77,7 @@ Machine::run(Cycles duration)
     while (now_ < end) {
         notePanicContext(epochs_done_, now_);
         const Cycles qend =
-            std::min({now_ + params_.quantum, end, next_epoch_});
+            std::min({now_ + quantumCycles, end, next_epoch_});
         events_.runDue(now_);
         // Multi-pass quantum: a core that ran dry is re-polled after
         // the other cores ran, so work enqueued to it mid-quantum is

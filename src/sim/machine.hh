@@ -9,8 +9,8 @@
  * every core runs up to the quantum end. Epoch boundaries invoke
  * the scheduler's per-epoch work (TAlloc for SchedTask). This is
  * the quantum-synchronization scheme used by parallel full-system
- * simulators; with the default 800-cycle quantum the cross-core
- * skew is negligible at the paper's 3 ms epochs.
+ * simulators; with the 250-cycle quantum the cross-core skew is
+ * negligible at the paper's 3 ms epochs.
  */
 
 #ifndef SCHEDTASK_SIM_MACHINE_HH
@@ -39,6 +39,28 @@
 namespace schedtask
 {
 
+/** Quantum length for core synchronization. Small enough that a
+ *  cross-core enqueue rarely strands an idle core for long. */
+inline constexpr Cycles quantumCycles = 250;
+
+/** Timeslice for application SuperFunctions, in instructions. */
+inline constexpr std::uint64_t timesliceInsts = 20000;
+
+/** Pipelined cost of one 16-instruction fetch block. */
+inline constexpr Cycles blockBaseCycles = 8;
+
+/** Mean data accesses per fetch block. */
+inline constexpr double dataAccessesPerBlock = 1.2;
+
+/** Fixed interrupt entry cost. */
+inline constexpr Cycles irqEntryCycles = 120;
+
+/** Cadence (in fetch blocks) of mid-SF placement checks. */
+inline constexpr unsigned midSfCheckBlocks = 32;
+
+/** Epochs kept in the telemetry ring (oldest evicted). */
+inline constexpr std::size_t traceEpochCapacity = 8192;
+
 /** Top-level simulation parameters. */
 struct MachineParams
 {
@@ -46,21 +68,8 @@ struct MachineParams
      *  for techniques that use extra cores). */
     unsigned numCores = 32;
 
-    /** Quantum length for core synchronization. Small enough that
-     *  a cross-core enqueue rarely strands an idle core for long. */
-    Cycles quantum = 250;
-
     /** Epoch length (the paper's 3 ms, at simulation time scale). */
     Cycles epochCycles = 250000;
-
-    /** Timeslice for application SuperFunctions, in instructions. */
-    std::uint64_t timesliceInsts = 20000;
-
-    /** Pipelined cost of one 16-instruction fetch block. */
-    Cycles blockBaseCycles = 8;
-
-    /** Mean data accesses per fetch block. */
-    double dataAccessesPerBlock = 1.2;
 
     /** Core frequency used to convert cycles to seconds. */
     double coreFrequencyGHz = 2.0;
@@ -71,23 +80,8 @@ struct MachineParams
     /** Page-heatmap register width (Section 6.5 sweeps this). */
     unsigned heatmapBits = 512;
 
-    /** Fraction of cores that are LITTLE in a big.LITTLE layout
-     *  (hetero-schedtask). The LITTLE cores occupy the top of the
-     *  core-id range; 0.0 keeps the machine homogeneous. */
-    double littleFrac = 0.0;
-
-    /** Execution-cost multiplier of a LITTLE core (>= 1.0). Only
-     *  consulted when littleFrac > 0. */
-    double littleCostFactor = 2.0;
-
     /** Record per-epoch instruction breakups (Section 4.4). */
     bool recordEpochBreakups = false;
-
-    /** Fixed interrupt entry cost. */
-    Cycles irqEntryCycles = 120;
-
-    /** Cadence (in fetch blocks) of mid-SF placement checks. */
-    unsigned midSfCheckBlocks = 32;
 
     /** Track the exact set of code pages each superFuncType
      *  touches (ground truth for the Fig. 11 ranking study). */
@@ -96,9 +90,6 @@ struct MachineParams
     /** Capture per-epoch telemetry (EpochSamples). Observation
      *  only: results are bitwise identical with tracing off. */
     bool trace = false;
-
-    /** Epochs kept in the telemetry ring (oldest evicted). */
-    std::size_t traceEpochCapacity = 8192;
 };
 
 /**
@@ -155,19 +146,6 @@ class Machine
         return threads_;
     }
     Core &core(CoreId id) { return *cores_[id]; }
-
-    /** Number of LITTLE cores (0 on a homogeneous machine). */
-    unsigned littleCount() const { return params_.numCores - little_base_; }
-
-    /** True when the core is a LITTLE core. */
-    bool isLittleCore(CoreId id) const { return id >= little_base_; }
-
-    /** Execution-cost multiplier of a core (1.0 for big cores). */
-    double
-    coreCostFactor(CoreId id) const
-    {
-        return isLittleCore(id) ? params_.littleCostFactor : 1.0;
-    }
 
     /** Workload part count (event attribution). */
     unsigned numParts() const { return num_parts_; }
@@ -307,8 +285,6 @@ class Machine
     const SfTypeInfo *sched_code_;
     unsigned num_parts_ = 0;
     bool heatmaps_enabled_ = false;
-    /** First LITTLE core id; numCores when all cores are big. */
-    CoreId little_base_ = 0;
 
     /** Hot per-core state, packed contiguously (SoA split; see
      *  Core::HotState). Sized once in the constructor and never

@@ -218,38 +218,9 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair<unsigned, unsigned>{64, 8},
                       std::pair<unsigned, unsigned>{256, 4}));
 
-TEST(CacheReplacement, FifoIgnoresAccessRecency)
-{
-    CacheParams p = smallCache();
-    p.replacement = ReplacementPolicy::Fifo;
-    Cache c(p);
-    c.insert(0x0);   // oldest in set 0
-    c.insert(0x100);
-    EXPECT_TRUE(c.access(0x0)); // touching must NOT refresh
-    c.insert(0x200); // evicts the oldest insert: 0x0
-    EXPECT_FALSE(c.access(0x0));
-    EXPECT_TRUE(c.access(0x100));
-}
-
-TEST(CacheReplacement, FifoDoubleInsertKeepsInsertionStamp)
-{
-    // Re-inserting a resident block is a touch, not a re-insertion:
-    // under Fifo the original insertion stamp must survive, so the
-    // block is still evicted in arrival order.
-    CacheParams p = smallCache();
-    p.replacement = ReplacementPolicy::Fifo;
-    Cache c(p);
-    c.insert(0x0);   // oldest in set 0
-    c.insert(0x100);
-    c.insert(0x0);   // touch; must NOT refresh the stamp
-    EXPECT_EQ(c.insert(0x200), 0x0u); // still evicts the oldest
-    EXPECT_FALSE(c.access(0x0));
-    EXPECT_TRUE(c.access(0x100));
-}
-
 TEST(CacheReplacement, LruDoubleInsertRefreshesStamp)
 {
-    // The same touch under Lru *does* refresh recency.
+    // Re-inserting a resident block is a touch: it refreshes recency.
     Cache c(smallCache());
     c.insert(0x0);
     c.insert(0x100);
@@ -259,68 +230,20 @@ TEST(CacheReplacement, LruDoubleInsertRefreshesStamp)
     EXPECT_FALSE(c.access(0x100));
 }
 
-TEST(CacheReplacement, RandomIsDeterministicAndValid)
-{
-    CacheParams p = smallCache();
-    p.replacement = ReplacementPolicy::Random;
-    Cache a(p), b(p);
-    // Same insertion sequence -> same evictions (deterministic LFSR).
-    std::vector<std::optional<Addr>> ev_a, ev_b;
-    for (Addr i = 0; i < 16; ++i) {
-        ev_a.push_back(a.insert(i * 0x100));
-        ev_b.push_back(b.insert(i * 0x100));
-    }
-    EXPECT_EQ(ev_a, ev_b);
-    // Capacity invariant holds.
-    EXPECT_LE(a.validBlocks(), 8u);
-}
-
-TEST(CacheReplacement, RandomUnaffectedByInterleavedAccesses)
-{
-    // The replacement LFSR only advances on evicting inserts, so
-    // read probes between inserts must not perturb the eviction
-    // sequence.
-    CacheParams p = smallCache();
-    p.replacement = ReplacementPolicy::Random;
-    Cache a(p), b(p);
-    std::vector<std::optional<Addr>> ev_a, ev_b;
-    for (Addr i = 0; i < 16; ++i) {
-        ev_a.push_back(a.insert(i * 0x100));
-        b.access((i / 2) * 0x100); // extra probes on b only
-        b.contains(i * 0x100);
-        ev_b.push_back(b.insert(i * 0x100));
-    }
-    EXPECT_EQ(ev_a, ev_b);
-}
-
-TEST(CacheReplacement, RandomNeverEvictsIncomingBlock)
-{
-    CacheParams p = smallCache();
-    p.replacement = ReplacementPolicy::Random;
-    Cache c(p);
-    for (Addr i = 0; i < 64; ++i) {
-        c.insert(i * 0x100);
-        EXPECT_TRUE(c.access(i * 0x100)) << i;
-    }
-}
-
 namespace
 {
 
 /**
  * Naive per-set reference model of Cache: each way keeps an explicit
- * stamp (last touch under Lru, insertion under Fifo), the victim is
- * the first invalid way or else the minimum-stamp valid way, and
- * Random draws from the same 16-bit Galois LFSR with the same "never
- * evict the incoming block" rule. No packing, no fast paths.
+ * last-touch stamp, and the victim is the first invalid way or else
+ * the minimum-stamp valid way. No packing, no fast paths.
  */
 class ReferenceCache
 {
   public:
-    ReferenceCache(std::uint64_t sets, unsigned assoc, unsigned block_shift,
-                   ReplacementPolicy policy)
+    ReferenceCache(std::uint64_t sets, unsigned assoc, unsigned block_shift)
         : sets_(sets), assoc_(assoc), block_shift_(block_shift),
-          policy_(policy), ways_(sets * assoc)
+          ways_(sets * assoc)
     {
     }
 
@@ -330,8 +253,7 @@ class ReferenceCache
         RefWay *w = find(addr >> block_shift_);
         if (w == nullptr)
             return false;
-        if (policy_ == ReplacementPolicy::Lru)
-            w->stamp = ++clock_;
+        w->stamp = ++clock_;
         return true;
     }
 
@@ -352,12 +274,6 @@ class ReferenceCache
             for (unsigned w = 1; w < assoc_; ++w)
                 if (set[w].stamp < set[victim].stamp)
                     victim = w;
-            if (policy_ == ReplacementPolicy::Random) {
-                lfsr_ = (lfsr_ >> 1) ^ (-(lfsr_ & 1u) & 0xb400u);
-                victim = lfsr_ % assoc_;
-                if (set[victim].tag == tag)
-                    victim = (lfsr_ + 1) % assoc_;
-            }
         }
         std::optional<Addr> evicted;
         if (set[victim].valid)
@@ -407,10 +323,8 @@ class ReferenceCache
     std::uint64_t sets_;
     unsigned assoc_;
     unsigned block_shift_;
-    ReplacementPolicy policy_;
     std::vector<RefWay> ways_;
     std::uint64_t clock_ = 0;
-    std::uint32_t lfsr_ = 0xace1u;
 };
 
 /**
@@ -421,7 +335,7 @@ class ReferenceCache
  * rest the runtime one; 24 sets exercises the modulo set index.
  */
 void
-checkAgainstReference(ReplacementPolicy policy)
+checkAgainstReference()
 {
     const unsigned assocs[] = {1, 2, 3, 4, 8, 16, 32};
     const std::uint64_t set_counts[] = {1, 4, 24, 64};
@@ -431,9 +345,8 @@ checkAgainstReference(ReplacementPolicy policy)
         for (std::uint64_t sets : set_counts) {
             for (unsigned shift : block_shifts) {
                 const std::uint64_t block = std::uint64_t{1} << shift;
-                Cache c(CacheParams{sets * assoc * block, assoc, block, 1,
-                                    policy});
-                ReferenceCache ref(sets, assoc, shift, policy);
+                Cache c(CacheParams{sets * assoc * block, assoc, block, 1});
+                ReferenceCache ref(sets, assoc, shift);
                 const std::uint64_t capacity = sets * assoc;
                 // Odd tags carry the top address bit, so the full
                 // packed tag width is compared too.
@@ -492,17 +405,7 @@ checkAgainstReference(ReplacementPolicy policy)
 
 TEST(CacheReference, Lru)
 {
-    checkAgainstReference(ReplacementPolicy::Lru);
-}
-
-TEST(CacheReference, Fifo)
-{
-    checkAgainstReference(ReplacementPolicy::Fifo);
-}
-
-TEST(CacheReference, Random)
-{
-    checkAgainstReference(ReplacementPolicy::Random);
+    checkAgainstReference();
 }
 
 TEST(Cache, RanksDenseThroughInvalidateAndFlush)

@@ -2,8 +2,8 @@
  * @file
  * Scheduler registry and option-blob tests: parse grammar, strict
  * validation, registration round-trips, naming techniques by
- * TechniqueSpec, and determinism of the post-paper techniques under the sweep
- * runner at any job count.
+ * TechniqueSpec, and determinism of option-carrying technique specs
+ * under the sweep runner at any job count.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 
 #include "harness/experiment.hh"
 #include "harness/sweep.hh"
-#include "sched/hts.hh"
 #include "sched/options.hh"
 #include "sched/registry.hh"
 #include "sim/machine.hh"
@@ -32,7 +31,7 @@ TEST(Options, ParsesTypedValues)
         SchedulerOptions::parse("a=1,b=2.5,c=yes,d=text");
     EXPECT_EQ(opts.size(), 4u);
     EXPECT_EQ(opts.getUnsigned("a", 0, 0, 9), 1u);
-    EXPECT_DOUBLE_EQ(opts.getDouble("b", 0.0), 2.5);
+    EXPECT_DOUBLE_EQ(opts.getDouble("b", 0.0, 0.0, 9.0), 2.5);
     EXPECT_TRUE(opts.getBool("c", false));
     EXPECT_EQ(opts.getString("d", ""), "text");
     EXPECT_EQ(opts.str(), "a=1,b=2.5,c=yes,d=text");
@@ -43,7 +42,7 @@ TEST(Options, AbsentKeysYieldFallback)
     const SchedulerOptions opts = SchedulerOptions::parse("");
     EXPECT_TRUE(opts.empty());
     EXPECT_EQ(opts.getUnsigned("missing", 7, 0, 9), 7u);
-    EXPECT_DOUBLE_EQ(opts.getDouble("missing", 1.5), 1.5);
+    EXPECT_DOUBLE_EQ(opts.getDouble("missing", 1.5, 0.0, 1.0), 1.5);
     EXPECT_FALSE(opts.getBool("missing", false));
 }
 
@@ -52,7 +51,7 @@ TEST(Options, MalformedValueThrows)
     const SchedulerOptions opts =
         SchedulerOptions::parse("n=abc,f=zz,b=maybe");
     EXPECT_THROW(opts.getUnsigned("n", 0, 0, 9), SchedulerOptionError);
-    EXPECT_THROW(opts.getDouble("f", 0.0), SchedulerOptionError);
+    EXPECT_THROW(opts.getDouble("f", 0.0, 0.0, 1.0), SchedulerOptionError);
     EXPECT_THROW(opts.getBool("b", false), SchedulerOptionError);
 }
 
@@ -71,6 +70,26 @@ TEST(Options, UnsignedOutsideRangeThrows)
     EXPECT_THROW(opts.getUnsigned("hi", 5, 2, 8), SchedulerOptionError);
     EXPECT_THROW(opts.getUnsigned("big", 5, 0, kMaxOptionCount),
                  SchedulerOptionError);
+}
+
+TEST(Options, DoubleOutsideRangeThrows)
+{
+    const SchedulerOptions opts =
+        SchedulerOptions::parse("zero=0,one=1,neg=-5,huge=1e308,mid=0.25");
+    EXPECT_DOUBLE_EQ(opts.getDouble("zero", 0.5, 0.0, 1.0), 0.0);
+    EXPECT_DOUBLE_EQ(opts.getDouble("one", 0.5, 0.0, 1.0), 1.0);
+    EXPECT_DOUBLE_EQ(opts.getDouble("mid", 0.5, 0.0, 1.0), 0.25);
+    try {
+        opts.getDouble("neg", 0.5, 0.0, 1.0);
+        FAIL() << "-5 is outside [0, 1]";
+    } catch (const SchedulerOptionError &e) {
+        EXPECT_STREQ(e.what(), "option 'neg' must be in [0, 1]");
+    }
+    EXPECT_THROW(opts.getDouble("huge", 0.5, 0.0, 1.0),
+                 SchedulerOptionError);
+    EXPECT_THROW(opts.getDouble("mid", 0.5, 0.5, 1.0), SchedulerOptionError);
+    // The fallback is returned unchecked, like getUnsigned's.
+    EXPECT_DOUBLE_EQ(opts.getDouble("missing", 7.0, 0.0, 1.0), 7.0);
 }
 
 TEST(Options, RejectsBadGrammar)
@@ -203,8 +222,8 @@ TEST(Registry, ListsBuiltinsSorted)
     };
     EXPECT_TRUE(has("Linux"));
     EXPECT_TRUE(has("SchedTask"));
-    EXPECT_TRUE(has("hetero-schedtask"));
-    EXPECT_TRUE(has("hts"));
+    EXPECT_TRUE(has("FlexSC"));
+    EXPECT_TRUE(has("SLICC"));
 }
 
 // ---- naming techniques by TechniqueSpec ----------------------------
@@ -251,37 +270,21 @@ TEST(RegistryOptions, EpochMsScalesEpochCycles)
                  SchedulerOptionError);
 }
 
-TEST(RegistryOptions, HeteroConfiguresLittleCores)
+TEST(RegistryOptions, SchedTaskValuesBounded)
 {
-    const auto sched = SchedulerRegistry::instance().make(
-        parseTechniqueSpec(
-            "hetero-schedtask:little_frac=0.5,little_cost=3.0"));
-    MachineParams mp;
-    sched->configureMachine(mp);
-    EXPECT_DOUBLE_EQ(mp.littleFrac, 0.5);
-    EXPECT_DOUBLE_EQ(mp.littleCostFactor, 3.0);
-
+    const auto make = [](const char *spec) {
+        return SchedulerRegistry::instance().make(parseTechniqueSpec(spec));
+    };
+    make("SchedTask:demand_smoothing=0,realloc_guard=1,"
+         "talloc_insts=4294967295");
     // Out-of-range values are rejected, not clamped.
-    EXPECT_THROW(SchedulerRegistry::instance().make(parseTechniqueSpec(
-                     "hetero-schedtask:little_frac=1.5")),
-                 SchedulerOptionError);
-    EXPECT_THROW(SchedulerRegistry::instance().make(parseTechniqueSpec(
-                     "hetero-schedtask:little_cost=0.5")),
-                 SchedulerOptionError);
-}
-
-TEST(RegistryOptions, HtsValidatesBins)
-{
-    const auto sched = SchedulerRegistry::instance().make(
-        parseTechniqueSpec("hts:bins=4,affinity=0,dispatch_cycles=16"));
-    ASSERT_NE(dynamic_cast<HtsScheduler *>(sched.get()), nullptr);
-    for (const char *bad : {"hts:bins=0", "hts:bins=65537",
-                            "hts:bins=4294967295", "hts:bins=4294967297",
-                            "hts:dispatch_cycles=18446744073709551615"}) {
-        EXPECT_THROW(
-            SchedulerRegistry::instance().make(parseTechniqueSpec(bad)),
-            SchedulerOptionError)
-            << bad;
+    for (const char *bad : {"SchedTask:demand_smoothing=-5",
+                            "SchedTask:demand_smoothing=1e308",
+                            "SchedTask:realloc_guard=-1",
+                            "SchedTask:realloc_guard=1.5",
+                            "SchedTask:talloc_insts=4294967296",
+                            "SchedTask:talloc_insts=18446744073709551615"}) {
+        EXPECT_THROW(make(bad), SchedulerOptionError) << bad;
     }
 }
 
@@ -315,7 +318,7 @@ TEST(RegistryOptions, FlexSCMinSyscallCoresBoundedByCoreCount)
     EXPECT_THROW(make("FlexSC")->configureMachine(mp), SchedulerOptionError);
 }
 
-// ---- post-paper techniques under the sweep runner -------------------
+// ---- option-carrying specs under the sweep runner -------------------
 
 namespace
 {
@@ -352,16 +355,16 @@ runAt(const Sweep &sweep, unsigned jobs)
 
 TEST(PostPaperSweep, DeterministicAtAnyJobCount)
 {
+    // Specs whose options reach configureMachine (epoch_ms, FlexSC's
+    // syscall-core bound) next to a plain one, on two benchmarks.
     Sweep sweep;
-    sweep.addComparison(
-        "Find", "hetero", smallConfig(),
-        parseTechniqueSpec("hetero-schedtask:little_frac=0.5"));
-    sweep.addComparison("Find", "hts", smallConfig(),
-                        parseTechniqueSpec("hts:bins=8"));
-    sweep.addComparison("Iscp", "hetero", smallConfig("Iscp"),
-                        parseTechniqueSpec("hetero-schedtask"));
-    sweep.addComparison("Iscp", "hts", smallConfig("Iscp"),
-                        parseTechniqueSpec("hts"));
+    for (const char *bench : {"Find", "Iscp"}) {
+        for (const char *spec : {"SchedTask:epoch_ms=4",
+                                 "FlexSC:min_syscall_cores=2", "SLICC"}) {
+            sweep.addComparison(bench, spec, smallConfig(bench),
+                                parseTechniqueSpec(spec));
+        }
+    }
 
     const SweepResults serial = runAt(sweep, 1);
     const SweepResults parallel = runAt(sweep, 8);
@@ -373,18 +376,14 @@ TEST(PostPaperSweep, DeterministicAtAnyJobCount)
     }
 }
 
-TEST(PostPaperSweep, HeteroActuallyRunsLittleCores)
+TEST(PostPaperSweep, ConfigureMachineChangesOnlyTechniqueMachine)
 {
-    // The technique brings its own hardware: the baseline keeps the
-    // homogeneous machine while hetero's own run sees LITTLE cores.
+    // epoch_ms=6 doubles the technique's 3 ms epochs through
+    // configureMachine; the Linux baseline keeps the configured ones,
+    // so the technique measures exactly twice the baseline's window.
     const Comparison cmp =
-        compare(smallConfig(),
-                parseTechniqueSpec(
-                    "hetero-schedtask:little_frac=0.5,little_cost=2"));
-    EXPECT_GT(cmp.baseline.metrics.instsRetired, 0u);
-    EXPECT_GT(cmp.technique.metrics.instsRetired, 0u);
-    // A machine where half the cores run 2x slower retires less work
-    // than the homogeneous baseline in the same wall-clock window.
-    EXPECT_LT(cmp.technique.metrics.instsRetired,
-              cmp.baseline.metrics.instsRetired);
+        compare(smallConfig(), parseTechniqueSpec("SchedTask:epoch_ms=6"));
+    EXPECT_GT(cmp.baseline.metrics.cycles, 0u);
+    EXPECT_EQ(cmp.technique.metrics.cycles,
+              2 * cmp.baseline.metrics.cycles);
 }

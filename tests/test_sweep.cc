@@ -307,19 +307,11 @@ TEST(SweepFingerprint, EveryMixedFieldChangesIt)
         PERTURB(Cfg, c.measureEpochs = 3),
         PERTURB(Cfg, c.useCgpPrefetcher = true),
         PERTURB(Cfg, c.useTraceCache = true),
-        PERTURB(Cfg, c.machine.quantum += 1),
         PERTURB(Cfg, c.machine.epochCycles += 1),
-        PERTURB(Cfg, c.machine.timesliceInsts += 1),
-        PERTURB(Cfg, c.machine.blockBaseCycles += 1),
-        PERTURB(Cfg, c.machine.dataAccessesPerBlock += 0.5),
         PERTURB(Cfg, c.machine.coreFrequencyGHz += 0.5),
         PERTURB(Cfg, c.machine.seed += 1),
         PERTURB(Cfg, c.machine.recordEpochBreakups = true),
-        PERTURB(Cfg, c.machine.irqEntryCycles += 1),
-        PERTURB(Cfg, c.machine.midSfCheckBlocks += 1),
         PERTURB(Cfg, c.machine.trackExactPages = true),
-        PERTURB(Cfg, c.machine.littleFrac = 0.25),
-        PERTURB(Cfg, c.machine.littleCostFactor += 1.0),
         PERTURB(Cfg, c.hierarchy.hasPrivateL2 = false),
         PERTURB(Cfg, c.hierarchy.memLatency += 1),
         PERTURB(Cfg, c.hierarchy.frontendBubbleCycles += 1),
@@ -332,7 +324,6 @@ TEST(SweepFingerprint, EveryMixedFieldChangesIt)
         PERTURB(CacheParams, c.assoc *= 2),
         PERTURB(CacheParams, c.blockBytes *= 2),
         PERTURB(CacheParams, c.latency += 1),
-        PERTURB(CacheParams, c.replacement = ReplacementPolicy::Fifo),
     };
     for (const auto &[level, member] :
          {std::pair{"l1i", &HierarchyParams::l1i},
@@ -382,7 +373,6 @@ TEST(SweepFingerprint, IgnoresFieldsLinuxCannotObserve)
         PERTURB(Cfg, c.machine.numCores = 7),
         PERTURB(Cfg, c.hierarchy.numCores = 7),
         PERTURB(Cfg, c.machine.trace = true),
-        PERTURB(Cfg, c.machine.traceEpochCapacity = 16),
     };
     const std::uint64_t base = baselineFingerprint(smallConfig());
     for (const auto &[field, perturb] : ignored) {

@@ -9,11 +9,13 @@
 #     certifies the thread pool, the logQuiet flag, and the per-run
 #     trace-file writes as race-free.
 #   * default, checked and portable (any two or more of them):
-#     schedtask-figures fig07_fast under each build with --trace-dir;
-#     report and every trace file must be bitwise identical, proving
-#     the invariant checker is pure observation and the simulated
-#     results do not depend on the target ISA (-march=x86-64-v3
-#     vectorizes the cache set kernels, the portable build does not).
+#     schedtask-figures fig07_fast sec44_epoch_similarity under each
+#     build, in one --trace-dir call; the reports and every trace file
+#     (the fig07_fast cross and the eight full-size 10-epoch sec44
+#     Linux cells) must be bitwise identical, proving the invariant
+#     checker is pure observation and the simulated results do not
+#     depend on the target ISA (-march=x86-64-v3 vectorizes the cache
+#     set kernels, the portable build does not).
 #
 # Host-cost measurement lives in perfbench/ (see perfbench/README.md).
 #
@@ -61,12 +63,13 @@ for preset in default checked portable; do
     has_preset "$preset" && IDENTITY+=("$preset")
 done
 if [ ${#IDENTITY[@]} -ge 2 ]; then
-    step "${IDENTITY[*]}: fig07_fast bitwise identity"
+    step "${IDENTITY[*]}: fig07_fast + sec44_epoch_similarity bitwise identity"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
     for preset in "${IDENTITY[@]}"; do
         ./build-$preset/bench/schedtask-figures \
-            --trace-dir "$tmp/$preset" fig07_fast >"$tmp/$preset.out"
+            --trace-dir "$tmp/$preset" fig07_fast sec44_epoch_similarity \
+            >"$tmp/$preset.out"
     done
     ref="${IDENTITY[0]}"
     for preset in "${IDENTITY[@]:1}"; do

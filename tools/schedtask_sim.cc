@@ -55,7 +55,6 @@ usage(int code)
         "  --measure N        measured epochs (default 6)\n"
         "  --fast             shortcut for --warmup 1 --measure 2\n"
         "  --heatmap-bits N   Page-heatmap width (default 512)\n"
-        "  --steal POLICY     none|same|similar|busiest (default similar)\n"
         "  --seed N           master seed (default 1)\n"
         "  --jobs N           worker threads for --compare (default:\n"
         "                     SCHEDTASK_JOBS or the hardware "
@@ -182,21 +181,6 @@ headlineTable(const RunResult &r)
     return table;
 }
 
-StealPolicy
-parseSteal(const std::string &name)
-{
-    if (name == "none")
-        return StealPolicy::None;
-    if (name == "same")
-        return StealPolicy::SameOnly;
-    if (name == "similar")
-        return StealPolicy::SameAndSimilar;
-    if (name == "busiest")
-        return StealPolicy::BusiestFirst;
-    std::fprintf(stderr, "unknown steal policy: %s\n", name.c_str());
-    std::exit(2);
-}
-
 } // namespace
 
 int
@@ -209,7 +193,6 @@ main(int argc, char **argv)
     double scale = 2.0;
     unsigned warmup = 4, measure = 6;
     unsigned heatmap_bits = 512;
-    StealPolicy steal = StealPolicy::SameAndSimilar;
     std::uint64_t seed = 1;
     unsigned jobs = 0;
     bool want_compare = false;
@@ -246,8 +229,6 @@ main(int argc, char **argv)
         } else if (arg == "--heatmap-bits") {
             heatmap_bits =
                 requireUnsigned<unsigned>("--heatmap-bits", next(), 1);
-        } else if (arg == "--steal") {
-            steal = parseSteal(next());
         } else if (arg == "--seed") {
             seed = requireUnsigned<std::uint64_t>("--seed", next(), 0);
         } else if (arg == "--jobs") {
@@ -280,7 +261,6 @@ main(int argc, char **argv)
     cfg.measureEpochs = measure;
     cfg.machine.heatmapBits = heatmap_bits;
     cfg.machine.seed = seed;
-    cfg.schedTask.stealPolicy = steal;
 
     // Unknown benchmarks, malformed option values and unbuildable
     // machines are usage errors, reported before any run starts.
