@@ -24,6 +24,7 @@
 #include <filesystem>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -176,8 +177,9 @@ fig04Render(const FigureRun &run, std::FILE *out)
  */
 
 /** The first 10 epochs from a cold start (no warm-up) of each
- *  benchmark under Linux, with the per-epoch breakups recorded; the
- *  window stays fixed under SCHEDTASK_FAST. */
+ *  benchmark under Linux, traced for the per-epoch breakups
+ *  (EpochSample::instsByType); the window stays fixed under
+ *  SCHEDTASK_FAST. */
 constexpr unsigned sec44Epochs = 10;
 
 std::vector<Sweep>
@@ -188,7 +190,7 @@ sec44Sweeps()
     for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
         ExperimentConfig cfg =
             ExperimentConfig::standard(bench).withEpochs(0, sec44Epochs);
-        cfg.machine.recordEpochBreakups = true;
+        cfg.machine.trace = true;
         sweep.add(bench, "Linux", cfg, TechniqueSpec{"Linux"});
     }
     return {sweep};
@@ -230,13 +232,15 @@ sec44Render(const FigureRun &run, std::FILE *out)
                      "e5-6", "e6-7", "e7-8", "e8-9", "e9-10"});
     for (const std::string &bench : run.sweeps[0].rows()) {
         const auto &series =
-            run.results[0].at(bench, "Linux").metrics.epochTypeInsts;
+            run.results[0].at(bench, "Linux").metrics.epochSamples;
         std::vector<std::string> cells = {bench};
         for (unsigned e = 0; e + 1 < sec44Epochs; ++e) {
             cells.push_back(
                 e + 1 < series.size()
                     ? TextTable::num(
-                          epochSimilarity(series[e], series[e + 1]), 3)
+                          epochSimilarity(series[e].instsByType,
+                                          series[e + 1].instsByType),
+                          3)
                     : "-");
         }
         table.addRow(std::move(cells));
@@ -454,11 +458,12 @@ fig10Render(const FigureRun &run, std::FILE *out)
  * of the Bloom-filter overlap ranking versus the exact footprint
  * ranking, as a function of the Page-heatmap register width.
  *
- * For each benchmark we build the system-wide stats table of a
+ * For each benchmark we take the system-wide stats table of a
  * steady-state epoch under SchedTask, rank every superFuncType's
  * peers by (a) the Hamming weight of ANDed heatmaps and (b) the
- * exact common-page counts of the footprints, and report Kendall's
- * tau-b between the two rankings, averaged over the types.
+ * exact common-page counts of the code pages touched that epoch,
+ * and report Kendall's tau-b between the two rankings, averaged
+ * over the types (SchedEpochReport::rankingTau).
  *
  * The second table reports the mean SchedTask performance benefit
  * per register width (paper: 128b +15.9%, 256b +19.4%, 512b +22.8%,
@@ -467,93 +472,43 @@ fig10Render(const FigureRun &run, std::FILE *out)
 
 const std::vector<unsigned> widths = {128, 256, 512, 1024, 2048};
 
-/**
- * Mean Kendall tau-b between the Bloom-filter ranking and the
- * ranking over the *actual touched page sets* (the paper compares
- * against "the actual set of i-cache line addresses").
- */
-double
-rankingQuality(const std::string &bench, unsigned bits)
-{
-    BenchmarkSuite suite;
-    Workload workload = Workload::buildSingle(suite, bench, 2.0, 32);
-    MachineParams mp;
-    mp.numCores = 32;
-    mp.heatmapBits = bits;
-    mp.trackExactPages = true;
-    SchedTaskScheduler sched;
-    Machine machine(mp, HierarchyParams::paperDefault(), suite,
-                    workload, sched);
-    // Align the exact-page window with the stats table's window:
-    // TAlloc aggregates exactly the final epoch.
-    machine.run(4 * mp.epochCycles);
-    machine.clearExactPages();
-    machine.run(mp.epochCycles);
-
-    const StatsTable &stats = sched.talloc().systemStats();
-    const OverlapTable bloom = OverlapTable::fromHeatmaps(stats);
-    const auto &exact_pages = machine.exactPagesByType();
-
-    auto exactOverlap = [&](SfType a, SfType b) -> double {
-        auto ia = exact_pages.find(a.raw());
-        auto ib = exact_pages.find(b.raw());
-        if (ia == exact_pages.end() || ib == exact_pages.end())
-            return 0.0;
-        double common = 0.0;
-        for (Addr pf : ia->second)
-            common += ib->second.count(pf) ? 1.0 : 0.0;
-        return common;
-    };
-
-    std::vector<double> taus;
-    for (const auto &[raw, entry] : stats.rows()) {
-        const SfType type = SfType::fromRaw(raw);
-        const auto &peers = bloom.peersOf(type);
-        if (peers.size() < 3)
-            continue;
-        std::vector<double> bloom_scores, exact_scores;
-        std::unordered_set<std::uint64_t> distinct;
-        for (const OverlapPeer &peer : peers) {
-            bloom_scores.push_back(static_cast<double>(peer.overlap));
-            const double ex = exactOverlap(type, peer.type);
-            exact_scores.push_back(ex);
-            distinct.insert(static_cast<std::uint64_t>(ex));
-        }
-        // A ranking with fewer than three distinct levels carries
-        // no ordering information; tau over it is pure tie noise.
-        if (distinct.size() < 3)
-            continue;
-        taus.push_back(kendallTauB(bloom_scores, exact_scores));
-    }
-    return arithmeticMean(taus);
-}
-
 std::string
 widthName(unsigned bits)
 {
     return std::to_string(bits) + " bits";
 }
 
-// One sweep over benchmark x {widths, ideal}. The Linux baseline
-// does not consult the heatmap, so each benchmark's baseline
-// deduplicates to a single run shared by every column.
+// Benchmark x {widths, ideal}: the Linux baseline does not consult
+// the heatmap, so each benchmark's baseline deduplicates to a single
+// run shared by every column. Then the tau grid, benchmark x width:
+// traced SchedTask runs with exact page tracking, whose one measured
+// epoch reports the tau (a window fixed under SCHEDTASK_FAST).
 std::vector<Sweep>
 fig11Sweeps()
 {
-    Sweep sweep;
+    Sweep perf;
+    Sweep tau;
+    tau.deriveSeeds(false);
     for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
-        for (unsigned b : widths)
-            sweep.addComparison(
+        for (unsigned b : widths) {
+            perf.addComparison(
                 bench, widthName(b),
                 ExperimentConfig::standard(bench).withHeatmapBits(b),
                 TechniqueSpec{"SchedTask"});
+            ExperimentConfig cfg = ExperimentConfig::standard(bench)
+                                       .withHeatmapBits(b)
+                                       .withEpochs(4, 1);
+            cfg.machine.trackExactPages = true;
+            cfg.machine.trace = true;
+            tau.add(bench, widthName(b), cfg, TechniqueSpec{"SchedTask"});
+        }
         // Ideal ranking: exact footprint overlap, no Bloom filter.
-        sweep.addComparison(
+        perf.addComparison(
             bench, "ideal ranking",
             ExperimentConfig::standard(bench).withExactOverlap(),
             TechniqueSpec{"SchedTask"});
     }
-    return {sweep};
+    return {perf, tau};
 }
 
 void
@@ -567,20 +522,14 @@ fig11Render(const FigureRun &run, std::FILE *out)
     for (unsigned b : widths)
         cols.push_back(widthName(b));
     SeriesMatrix tau(benchmarks, cols);
-
-    // The tau study drives Machine by hand (it needs the stats table
-    // and the exact page sets mid-run), so it parallelizes over the
-    // benchmark x width grid rather than through a Sweep.
-    parallelFor(benchmarks.size() * widths.size(),
-                [&](std::size_t i) {
-                    const std::string &bench =
-                        benchmarks[i / widths.size()];
-                    const unsigned b = widths[i % widths.size()];
-                    tau.set(bench, widthName(b),
-                            rankingQuality(bench, b));
-                    std::fprintf(stderr, ".");
-                });
-    std::fprintf(stderr, " tau grid done\n");
+    for (const std::string &bench : benchmarks) {
+        for (const std::string &col : cols)
+            tau.set(bench, col,
+                    run.results[1]
+                        .at(bench, col)
+                        .metrics.epochSamples.back()
+                        .sched.rankingTau);
+    }
     std::fprintf(out, "%s\n", tau.render("benchmark", 2).c_str());
 
     printHeader("Section 6.5: mean SchedTask throughput benefit (%) "

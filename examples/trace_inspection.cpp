@@ -1,10 +1,9 @@
 /**
  * @file
  * Reconstructing the paper's Figure 5 (the timeline of a thread's
- * execution): attach a tracer to a running machine and print one
- * thread's SuperFunction lifecycle — dispatches, migrations between
- * cores at SuperFunction boundaries, blocks on devices, wakeups by
- * bottom halves.
+ * execution): trace a run and print one thread's SuperFunction
+ * lifecycle — dispatches, migrations between cores at SuperFunction
+ * boundaries, blocks on devices, wakeups by bottom halves.
  *
  * Run: ./build/examples/trace_inspection [benchmark] [tid]
  */
@@ -17,10 +16,8 @@
 #include <vector>
 
 #include "common/parse_num.hh"
-#include "core/schedtask_sched.hh"
+#include "harness/experiment.hh"
 #include "harness/reporting.hh"
-#include "sim/machine.hh"
-#include "sim/sf_trace.hh"
 #include "workload/benchmarks.hh"
 
 using namespace schedtask;
@@ -51,27 +48,36 @@ main(int argc, char **argv)
     printHeader("SuperFunction timeline (" + bench + ", thread "
                 + std::to_string(tid) + ", SchedTask)");
 
-    BenchmarkSuite suite;
-    Workload workload = Workload::buildSingle(suite, bench, 1.0, 8);
-    MachineParams mp;
-    mp.numCores = 8;
-    mp.epochCycles = 60000;
-    SchedTaskScheduler sched;
-    Machine machine(mp, HierarchyParams::paperDefault(), suite,
-                    workload, sched);
-
     // Warm up so TAlloc has an allocation, then trace two epochs.
-    machine.run(3 * mp.epochCycles);
-    SfTracer tracer(1 << 18);
-    machine.attachTracer(&tracer);
-    machine.run(2 * mp.epochCycles);
+    ExperimentConfig cfg = ExperimentConfig::standard(bench, 1.0)
+                               .withCores(8)
+                               .withEpochCycles(60000)
+                               .withEpochs(3, 2);
+    cfg.machine.trace = true;
+    const RunResult run = runOnce(cfg, TechniqueSpec{"SchedTask"});
 
-    std::printf("%s\n", tracer.render(tid, 80).c_str());
-    std::printf("(%llu events recorded in total; showing thread %u "
+    // Events carry types, not names: any suite's catalog names them.
+    const BenchmarkSuite suite;
+    std::printf("%-12s%-10s%-6s%-8ssuperfunction\n", "cycle", "event",
+                "core", "tid");
+    std::size_t shown = 0;
+    for (const SfEvent &e : run.metrics.sfEvents) {
+        if (e.tid != tid)
+            continue;
+        if (shown++ == 80) {
+            std::printf("... (truncated)\n");
+            break;
+        }
+        const SfTypeInfo *info = suite.catalog().bySfType(e.type);
+        std::printf("%-12llu%-10s%-6u%-8u%s #%llu\n",
+                    static_cast<unsigned long long>(e.when),
+                    sfEventKindName(e.kind), e.core, e.tid,
+                    info != nullptr ? info->name.c_str() : "?",
+                    static_cast<unsigned long long>(e.sfId & 0xffffff));
+    }
+    std::printf("(the last %zu events of the window; showing thread %u "
                 "only)\n",
-                static_cast<unsigned long long>(
-                    tracer.totalRecorded()),
-                tid);
+                run.metrics.sfEvents.size(), tid);
     std::printf("\nRead the timeline like the paper's Figure 5: the "
                 "thread's system-call SuperFunctions run on the "
                 "cores TAlloc assigned to their types, and the "

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "common/logging.hh"
+#include "common/math_utils.hh"
 #include "workload/sf_catalog.hh"
 
 namespace schedtask
@@ -156,6 +157,44 @@ OverlapTable::mergedPeers(const std::vector<SfType> &local_types) const
                          return x.type.raw() < y.type.raw();
                      });
     return merged;
+}
+
+double
+rankingTau(const StatsTable &stats, const OverlapTable &ranking,
+           const ExactPageSets &exact_pages)
+{
+    auto exactOverlap = [&](SfType a, SfType b) -> double {
+        auto ia = exact_pages.find(a.raw());
+        auto ib = exact_pages.find(b.raw());
+        if (ia == exact_pages.end() || ib == exact_pages.end())
+            return 0.0;
+        double common = 0.0;
+        for (Addr pf : ia->second)
+            common += ib->second.count(pf) ? 1.0 : 0.0;
+        return common;
+    };
+
+    std::vector<double> taus;
+    for (const auto &[raw, entry] : stats.rows()) {
+        const SfType type = SfType::fromRaw(raw);
+        const auto &peers = ranking.peersOf(type);
+        if (peers.size() < 3)
+            continue;
+        std::vector<double> ranked_scores, exact_scores;
+        std::unordered_set<std::uint64_t> distinct;
+        for (const OverlapPeer &peer : peers) {
+            ranked_scores.push_back(static_cast<double>(peer.overlap));
+            const double ex = exactOverlap(type, peer.type);
+            exact_scores.push_back(ex);
+            distinct.insert(static_cast<std::uint64_t>(ex));
+        }
+        // A ranking with fewer than three distinct levels carries
+        // no ordering information; tau over it is pure tie noise.
+        if (distinct.size() < 3)
+            continue;
+        taus.push_back(kendallTauB(ranked_scores, exact_scores));
+    }
+    return arithmeticMean(taus);
 }
 
 } // namespace schedtask

@@ -8,7 +8,8 @@
  * OS-specific and application types are not computed (the paper
  * never co-locates those on similarity grounds). The table can also
  * be built from exact footprint page sets, which is the "ideal
- * ranking" upper bound of Section 6.5.
+ * ranking" upper bound of Section 6.5; rankingTau() scores a table
+ * against the code pages a run actually touched (Figure 11).
  */
 
 #ifndef SCHEDTASK_CORE_OVERLAP_TABLE_HH
@@ -16,8 +17,10 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "common/types.hh"
 #include "core/sf_type.hh"
 #include "core/stats_table.hh"
 
@@ -77,6 +80,19 @@ class OverlapTable
                        std::unordered_map<std::uint64_t,
                                           std::uint64_t>> index_;
 };
+
+/** The exact code pages each superFuncType (raw encoding) touched. */
+using ExactPageSets =
+    std::unordered_map<std::uint64_t, std::unordered_set<Addr>>;
+
+/**
+ * Figure 11's ranking fidelity: the mean over the stats table's
+ * types of Kendall's tau-b between a type's peers as `ranking`
+ * orders them and the same peers ordered by exact common-page count
+ * in `exact_pages`; 0 when no type has an informative ranking.
+ */
+double rankingTau(const StatsTable &stats, const OverlapTable &ranking,
+                  const ExactPageSets &exact_pages);
 
 } // namespace schedtask
 

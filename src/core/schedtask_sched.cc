@@ -165,8 +165,7 @@ SchedTaskScheduler::onEpoch()
     // last epoch. Queue waits only become a demand signal when
     // cores idled (otherwise waiting in a saturated queue is
     // normal and the signal would oscillate the allocation).
-    const std::uint64_t idle_now =
-        machine_->metricsSnapshot().idleCycles;
+    const std::uint64_t idle_now = machine_->idleCycles();
     const std::uint64_t idle_delta =
         idle_now >= last_idle_cycles_ ? idle_now - last_idle_cycles_
                                       : idle_now;
@@ -231,6 +230,9 @@ SchedTaskScheduler::epochDecision() const
              overlap_.peersOf(SfType::fromRaw(raw)))
             report.heatmapOverlap += peer.overlap;
     }
+    if (machine_->exactPagesEnabled())
+        report.rankingTau = rankingTau(talloc_->systemStats(), overlap_,
+                                       machine_->exactPagesByType());
     return report;
 }
 

@@ -128,7 +128,6 @@ baselineFingerprint(const ExperimentConfig &config)
     fp.mixBits(m.epochCycles);
     fp.mixDouble(m.coreFrequencyGHz);
     fp.mixBits(m.seed);
-    fp.mixBits(m.recordEpochBreakups ? 1 : 0);
     fp.mixBits(m.trackExactPages ? 1 : 0);
     // machine.heatmapBits and config.schedTask are deliberately
     // omitted: a Linux run cannot observe them. numCores is filled
@@ -178,6 +177,10 @@ cellKey(const RunRequest &request)
     fp.mixBits(runSeed(request));
     fp.mixBits(baselineFingerprint(request.config));
     fp.mixString(request.spec.str());
+    // Tracing changes no simulated number, but it decides whether
+    // the result carries the telemetry a reader asked for, so a
+    // traced request never shares an untraced twin's cell.
+    fp.mixBits(request.config.machine.trace ? 1 : 0);
     if (SchedulerRegistry::instance().isBaseline(request.spec.name))
         return fp.value();
     const SchedTaskParams &st = request.config.schedTask;
@@ -392,6 +395,7 @@ writeRunTraces(const std::string &dir, const RunRequest &req,
     const std::string stem = dir + "/" + sanitizeLabel(req.label()) + key;
     writeTextFile(stem + ".trace.json",
                   chromeTraceJson(result.metrics.epochSamples,
+                                  result.metrics.sfEvents,
                                   result.freqGhz));
     writeTextFile(stem + ".jsonl",
                   epochTraceJsonl(result.metrics.epochSamples));

@@ -95,9 +95,11 @@ std::uint64_t runSeed(const RunRequest &request);
  * Identity of the simulation a request runs: requests with equal
  * keys produce bitwise-identical results, so the runner executes
  * each key once. A baseline-technique (Linux) request is keyed by
- * runSeed(), spec.str() and baselineFingerprint(); any other
- * technique also by machine.heatmapBits and every SchedTaskParams
- * field.
+ * runSeed(), spec.str(), baselineFingerprint() and machine.trace
+ * (a traced request needs the telemetry an untraced twin's result
+ * lacks); any other technique also by machine.heatmapBits and every
+ * SchedTaskParams field. The key is taken from the request as
+ * declared, before SweepOptions::traceDir switches tracing on.
  */
 std::uint64_t cellKey(const RunRequest &request);
 

@@ -44,6 +44,7 @@ appendSchedReport(std::string &out, const SchedEpochReport &r)
     out += ",\"workSteals\":" + jsonNum(r.workSteals);
     out += ",\"heatmapSetBits\":" + jsonNum(r.heatmapSetBits);
     out += ",\"heatmapOverlap\":" + jsonNum(r.heatmapOverlap);
+    out += ",\"rankingTau\":" + jsonNum(r.rankingTau);
     out += "}";
 }
 
@@ -104,7 +105,7 @@ epochTraceJsonl(const std::vector<EpochSample> &samples)
 
 std::string
 chromeTraceJson(const std::vector<EpochSample> &samples,
-                double freq_ghz)
+                const std::vector<SfEvent> &events, double freq_ghz)
 {
     // cycles -> microseconds of simulated time.
     const double us_per_cycle =
@@ -181,6 +182,21 @@ chromeTraceJson(const std::vector<EpochSample> &samples,
         emit("{\"name\":\"l1iMissRate\",\"ph\":\"C\",\"pid\":0,"
              "\"ts\":" + jsonNum(ts) + ",\"args\":{\"value\":"
              + jsonNum(s.l1iMissRate) + "}}");
+    }
+
+    // SuperFunction events: instant markers on their core's track.
+    for (const SfEvent &e : events) {
+        char type[24];
+        std::snprintf(type, sizeof(type), "%llx",
+                      static_cast<unsigned long long>(e.type.raw()));
+        emit(std::string("{\"name\":\"") + sfEventKindName(e.kind)
+             + "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":0,\"tid\":"
+             + std::to_string(e.core) + ",\"ts\":"
+             + jsonNum(static_cast<double>(e.when) * us_per_cycle)
+             + ",\"args\":{\"thread\":"
+             + (e.tid == invalidThread ? "null" : std::to_string(e.tid))
+             + ",\"type\":\"" + type + "\",\"sf\":" + jsonNum(e.sfId)
+             + "}}");
     }
 
     out += "]}";

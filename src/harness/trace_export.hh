@@ -7,10 +7,11 @@
  *    regression diffing between techniques/revisions (jq/diff);
  *  - Chrome trace-event JSON ("traceEvents"): one duration event
  *    per core per epoch named after the dominant SuperFunction
- *    category, plus counter tracks for cosine similarity,
- *    migrations and queued work. The file opens directly in
- *    Perfetto (ui.perfetto.dev) or chrome://tracing as a per-core
- *    timeline.
+ *    category, one instant event per SuperFunction lifecycle event
+ *    on its core's track, plus counter tracks for cosine
+ *    similarity, migrations and queued work. The file opens
+ *    directly in Perfetto (ui.perfetto.dev) or chrome://tracing as
+ *    a per-core timeline.
  *
  * A small strict JSON validator is included so tests and the
  * json_lint tool can check well-formedness without external
@@ -40,6 +41,7 @@ std::string epochTraceJsonl(const std::vector<EpochSample> &samples);
  * simulated time (cycles / (freq_ghz * 1000)).
  */
 std::string chromeTraceJson(const std::vector<EpochSample> &samples,
+                            const std::vector<SfEvent> &events,
                             double freq_ghz);
 
 /** Write a file whole; throws std::runtime_error on I/O failure. */

@@ -125,21 +125,8 @@ class Core
 
     CoreId id() const { return id_; }
 
-    /** The SuperFunction currently executing, if any. */
-    const SuperFunction *current() const { return hot_.current; }
-
-    /** True when nothing is running and nothing is pending. */
-    bool
-    isIdle() const
-    {
-        return hot_.current == nullptr && pending_irqs_.empty();
-    }
-
     /** Per-core Page-heatmap register (Section 3.2 hardware). */
     const PageHeatmap &heatmapRegister() const { return heatmap_; }
-
-    /** Interrupts delivered but not yet serviced. */
-    std::size_t pendingIrqCount() const { return pending_irqs_.size(); }
 
   private:
     friend class Machine;

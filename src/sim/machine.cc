@@ -40,8 +40,8 @@ Machine::Machine(const MachineParams &params, const HierarchyParams &hier,
     metrics_.perCoreIdleCycles.assign(params_.numCores, 0);
 
     if (params_.trace) {
-        epoch_trace_ =
-            std::make_unique<EpochTrace>(traceEpochCapacity);
+        epoch_trace_ = std::make_unique<EpochTrace>(
+            traceEpochCapacity, traceEventCapacity);
         epoch_core_acc_.assign(params_.numCores, EpochCoreSample{});
         resetEpochBaseline();
     }
@@ -100,14 +100,15 @@ Machine::run(Cycles duration)
         if (now_ >= next_epoch_) {
             chargeEpochWork();
             scheduler_->onEpoch();
-            if (params_.recordEpochBreakups) {
-                metrics_.epochTypeInsts.push_back(epoch_insts_);
-                epoch_insts_.clear();
-            }
             if constexpr (checkedBuild)
                 checkEpochInvariants();
             if (epoch_trace_)
                 captureEpochSample();
+            // The exact-page window is one epoch, aligned with the
+            // stats table TAlloc just aggregated (and the sample's
+            // rankingTau just read).
+            if (params_.trackExactPages)
+                exact_pages_.clear();
             next_epoch_ += params_.epochCycles;
             ++epochs_done_;
         }
@@ -168,19 +169,26 @@ Machine::checkEpochInvariants() const
                          "formula for pfn ", pfn);
     }
 
-    // In trace mode the per-core category accumulator must equal the
-    // epoch's non-overhead instruction delta (recordInsts feeds both
-    // from the same argument).
+    // In trace mode the per-core category and per-type accumulators
+    // must each equal the epoch's non-overhead instruction delta
+    // (recordInsts feeds all three from the same argument).
     if (epoch_trace_) {
         std::uint64_t acc = 0;
         for (const EpochCoreSample &cs : epoch_core_acc_)
             for (std::uint64_t v : cs.instsByCategory)
                 acc += v;
+        std::uint64_t by_type = 0;
+        for (const auto &[type, insts] : epoch_type_acc_)
+            by_type += insts;
         const std::uint64_t delta =
-            (metrics_.instsRetired - epoch_base_.insts)
-            - (metrics_.overheadInsts - epoch_base_.overhead);
+            (metrics_.instsRetired - epoch_base_.metrics.instsRetired)
+            - (metrics_.overheadInsts
+               - epoch_base_.metrics.overheadInsts);
         SCHEDTASK_ASSERT(acc == delta,
                          "per-core epoch accumulator ", acc,
+                         " != epoch instruction delta ", delta);
+        SCHEDTASK_ASSERT(by_type == delta,
+                         "per-type epoch accumulator ", by_type,
                          " != epoch instruction delta ", delta);
     }
 }
@@ -201,12 +209,12 @@ Machine::resetStats()
     metrics_.appEventsByPart.assign(num_parts_, 0);
     metrics_.instsByPart.assign(num_parts_, 0);
     metrics_.perCoreIdleCycles.assign(params_.numCores, 0);
-    epoch_insts_.clear();
     hierarchy_->resetStats();
     std::fill(thread_insts_.begin(), thread_insts_.end(), 0);
     if (epoch_trace_) {
         epoch_trace_->clear();
         epoch_core_acc_.assign(params_.numCores, EpochCoreSample{});
+        epoch_type_acc_.clear();
         resetEpochBaseline();
     }
 }
@@ -214,53 +222,43 @@ Machine::resetStats()
 void
 Machine::resetEpochBaseline()
 {
-    epoch_base_ = EpochBaseline{};
-    epoch_base_.insts = metrics_.instsRetired;
-    epoch_base_.overhead = metrics_.overheadInsts;
-    epoch_base_.migrations = metrics_.migrations;
-    epoch_base_.idle = metrics_.idleCycles;
-    epoch_base_.irqs = metrics_.irqCount;
-    epoch_base_.l1i = hierarchy_->iCountsTotal();
-    epoch_base_.l2 = hierarchy_->l2Counts();
-    epoch_base_.startCycle = now_;
-    epoch_base_.coreIdle = metrics_.perCoreIdleCycles;
+    epoch_base_ = EpochBaseline{metrics_, hierarchy_->iCountsTotal(),
+                                hierarchy_->l2Counts(), now_};
 }
 
 void
 Machine::captureEpochSample()
 {
+    const SimMetrics &base = epoch_base_.metrics;
     EpochSample s;
-    s.index = epoch_trace_->totalRecorded();
+    s.index = epoch_trace_->samples().totalRecorded();
     s.startCycle = epoch_base_.startCycle;
     s.endCycle = now_;
-    s.instsRetired = metrics_.instsRetired - epoch_base_.insts;
-    s.overheadInsts = metrics_.overheadInsts - epoch_base_.overhead;
-    s.migrations = metrics_.migrations - epoch_base_.migrations;
-    s.idleCycles = metrics_.idleCycles - epoch_base_.idle;
-    s.irqCount = metrics_.irqCount - epoch_base_.irqs;
+    s.instsRetired = metrics_.instsRetired - base.instsRetired;
+    s.overheadInsts = metrics_.overheadInsts - base.overheadInsts;
+    // Copy, then clear: clear() keeps the bucket array, so every
+    // epoch's map iterates in the order its insertions produce.
+    s.instsByType = epoch_type_acc_;
+    epoch_type_acc_.clear();
+    s.migrations = metrics_.migrations - base.migrations;
+    s.idleCycles = metrics_.idleCycles - base.idleCycles;
+    s.irqCount = metrics_.irqCount - base.irqCount;
 
-    const AccessCounts l1i = hierarchy_->iCountsTotal();
-    const std::uint64_t i_acc = l1i.accesses - epoch_base_.l1i.accesses;
-    const std::uint64_t i_hit = l1i.hits - epoch_base_.l1i.hits;
-    s.l1iMissRate = i_acc == 0
-        ? 0.0
-        : 1.0 - static_cast<double>(i_hit) / static_cast<double>(i_acc);
-    const AccessCounts l2 = hierarchy_->l2Counts();
-    const std::uint64_t l2_acc = l2.accesses - epoch_base_.l2.accesses;
-    const std::uint64_t l2_hit = l2.hits - epoch_base_.l2.hits;
-    s.l2MissRate = l2_acc == 0
-        ? 0.0
-        : 1.0
-            - static_cast<double>(l2_hit)
-                / static_cast<double>(l2_acc);
+    // Miss rate of the epoch's accesses; 0 when there were none.
+    const auto missRate = [](const AccessCounts &now,
+                             const AccessCounts &then) {
+        return 1.0
+            - AccessCounts{now.accesses - then.accesses,
+                           now.hits - then.hits}
+                  .hitRate();
+    };
+    s.l1iMissRate = missRate(hierarchy_->iCountsTotal(), epoch_base_.l1i);
+    s.l2MissRate = missRate(hierarchy_->l2Counts(), epoch_base_.l2);
 
     s.cores = epoch_core_acc_;
-    for (unsigned c = 0; c < params_.numCores; ++c) {
-        const std::uint64_t base = c < epoch_base_.coreIdle.size()
-            ? epoch_base_.coreIdle[c]
-            : 0;
-        s.cores[c].idleCycles = metrics_.perCoreIdleCycles[c] - base;
-    }
+    for (unsigned c = 0; c < params_.numCores; ++c)
+        s.cores[c].idleCycles =
+            metrics_.perCoreIdleCycles[c] - base.perCoreIdleCycles[c];
 
     s.sched = scheduler_->epochDecision();
 
@@ -276,8 +274,10 @@ Machine::metricsSnapshot() const
     snap.perThreadInsts.reserve(threads_.size());
     for (const auto &thread : threads_)
         snap.perThreadInsts.push_back(thread_insts_[thread->id()]);
-    if (epoch_trace_)
-        snap.epochSamples = epoch_trace_->samples();
+    if (epoch_trace_) {
+        snap.epochSamples = epoch_trace_->samples().items();
+        snap.sfEvents = epoch_trace_->events().items();
+    }
     return snap;
 }
 
@@ -312,11 +312,11 @@ Machine::recordInsts(SuperFunction *sf, std::uint64_t insts)
         metrics_.instsByPart[sf->partIndex] += insts;
     if (sf->thread != nullptr)
         thread_insts_[sf->thread->id()] += insts;
-    if (params_.recordEpochBreakups)
-        epoch_insts_[sf->type.raw()] += insts;
-    if (epoch_trace_ && sf->coreId < epoch_core_acc_.size()) {
-        epoch_core_acc_[sf->coreId].instsByCategory[
-            static_cast<unsigned>(sf->info->category)] += insts;
+    if (epoch_trace_) {
+        if (sf->coreId < epoch_core_acc_.size())
+            epoch_core_acc_[sf->coreId].instsByCategory[
+                static_cast<unsigned>(sf->info->category)] += insts;
+        epoch_type_acc_[sf->type.raw()] += insts;
     }
 }
 

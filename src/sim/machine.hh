@@ -17,11 +17,12 @@
 #define SCHEDTASK_SIM_MACHINE_HH
 
 #include <memory>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/random.hh"
 #include "common/types.hh"
+#include "core/overlap_table.hh"
 #include "core/super_function.hh"
 #include "mem/hierarchy.hh"
 #include "sched/scheduler.hh"
@@ -29,7 +30,6 @@
 #include "sim/event_queue.hh"
 #include "sim/interrupt.hh"
 #include "sim/metrics.hh"
-#include "sim/sf_trace.hh"
 #include "sim/thread.hh"
 #include "stats/epoch_trace.hh"
 #include "workload/benchmarks.hh"
@@ -61,6 +61,10 @@ inline constexpr unsigned midSfCheckBlocks = 32;
 /** Epochs kept in the telemetry ring (oldest evicted). */
 inline constexpr std::size_t traceEpochCapacity = 8192;
 
+/** SuperFunction events kept in the telemetry ring: the most recent
+ *  ones of the measured window (oldest evicted). */
+inline constexpr std::size_t traceEventCapacity = 4096;
+
 /** Top-level simulation parameters. */
 struct MachineParams
 {
@@ -80,15 +84,14 @@ struct MachineParams
     /** Page-heatmap register width (Section 6.5 sweeps this). */
     unsigned heatmapBits = 512;
 
-    /** Record per-epoch instruction breakups (Section 4.4). */
-    bool recordEpochBreakups = false;
-
     /** Track the exact set of code pages each superFuncType
-     *  touches (ground truth for the Fig. 11 ranking study). */
+     *  touches per epoch (ground truth for the Fig. 11 ranking
+     *  study, reported as SchedEpochReport::rankingTau). */
     bool trackExactPages = false;
 
-    /** Capture per-epoch telemetry (EpochSamples). Observation
-     *  only: results are bitwise identical with tracing off. */
+    /** Capture per-epoch telemetry (EpochSamples) and SuperFunction
+     *  events. Observation only: results are bitwise identical with
+     *  tracing off. */
     bool trace = false;
 };
 
@@ -129,6 +132,10 @@ class Machine
     /** Snapshot of the metrics accumulated since the last reset. */
     SimMetrics metricsSnapshot() const;
 
+    /** Idle core-cycles since the last reset (metricsSnapshot()'s
+     *  idleCycles without copying the rest). */
+    std::uint64_t idleCycles() const { return metrics_.idleCycles; }
+
     // ---- Accessors -------------------------------------------------
 
     unsigned numCores() const { return params_.numCores; }
@@ -138,14 +145,12 @@ class Machine
     const MemHierarchy &hierarchy() const { return *hierarchy_; }
     Scheduler &sched() { return *scheduler_; }
     InterruptController &irqController() { return irq_ctrl_; }
-    EventQueue &events() { return events_; }
     const SfTypeInfo &schedulerCode() const { return *sched_code_; }
     std::vector<std::unique_ptr<Thread>> &threads() { return threads_; }
     const std::vector<std::unique_ptr<Thread>> &threads() const
     {
         return threads_;
     }
-    Core &core(CoreId id) { return *cores_[id]; }
 
     /** Workload part count (event attribution). */
     unsigned numParts() const { return num_parts_; }
@@ -213,12 +218,9 @@ class Machine
         exact_pages_[type.raw()].insert(pfn);
     }
 
-    /** Drop accumulated exact pages (epoch alignment). */
-    void clearExactPages() { exact_pages_.clear(); }
-
-    /** Exact touched code pages per superFuncType. */
-    const std::unordered_map<std::uint64_t,
-                             std::unordered_set<Addr>> &
+    /** Exact code pages each superFuncType touched since the last
+     *  epoch boundary (cleared after each boundary's sample). */
+    const ExactPageSets &
     exactPagesByType() const
     {
         return exact_pages_;
@@ -227,25 +229,13 @@ class Machine
     /** All handler SuperFunctions ever allocated (diagnostics). */
     const SfArena &sfPool() const { return sf_arena_; }
 
-    /** Attach (or detach with nullptr) a SuperFunction tracer. */
-    void attachTracer(SfTracer *tracer) { tracer_ = tracer; }
-
-    /** Record one trace event if a tracer is attached. */
+    /** Record one SuperFunction event when tracing. */
     void
     trace(SfEventKind kind, CoreId core, const SuperFunction *sf)
     {
-        if (tracer_ == nullptr)
-            return;
-        SfEvent e;
-        e.when = now_;
-        e.kind = kind;
-        e.core = core;
-        e.tid = sf->tid;
-        e.type = sf->type;
-        e.sfId = sf->id;
-        e.typeName =
-            sf->info != nullptr ? sf->info->name.c_str() : "";
-        tracer_->record(e);
+        if (epoch_trace_)
+            epoch_trace_->record(
+                SfEvent{now_, kind, core, sf->tid, sf->type, sf->id});
     }
 
   private:
@@ -260,9 +250,10 @@ class Machine
      * see common/invariants.hh): instruction accounting balances,
      * idle cycles sum per core, the scheduler's queue bookkeeping
      * agrees with its queues, heatmap popcounts fit the register,
-     * and in trace mode the per-core category accumulator matches
-     * the epoch's instruction delta. Called before the sample
-     * capture resets the accumulator and baseline.
+     * and in trace mode the per-core category and per-type
+     * accumulators match the epoch's instruction delta. Called
+     * before the sample capture resets the accumulators and
+     * baseline.
      */
     void checkEpochInvariants() const;
 
@@ -308,31 +299,26 @@ class Machine
     std::uint64_t epochs_done_ = 0;
 
     SimMetrics metrics_;
-    std::unordered_map<std::uint64_t, std::uint64_t> epoch_insts_;
 
     /** Epoch telemetry (only allocated when params_.trace). The
      *  baseline holds the cumulative counter values at the last
      *  captured boundary, so each sample is a pure delta. */
     struct EpochBaseline
     {
-        std::uint64_t insts = 0;
-        std::uint64_t overhead = 0;
-        std::uint64_t migrations = 0;
-        std::uint64_t idle = 0;
-        std::uint64_t irqs = 0;
+        SimMetrics metrics;
         AccessCounts l1i;
         AccessCounts l2;
         Cycles startCycle = 0;
-        std::vector<std::uint64_t> coreIdle;
     };
     std::unique_ptr<EpochTrace> epoch_trace_;
     EpochBaseline epoch_base_;
     /** Per-core category instructions of the current epoch. */
     std::vector<EpochCoreSample> epoch_core_acc_;
+    /** Per-type instructions of the current epoch (the sample's
+     *  instsByType). */
+    std::unordered_map<std::uint64_t, std::uint64_t> epoch_type_acc_;
 
-    std::unordered_map<std::uint64_t, std::unordered_set<Addr>>
-        exact_pages_;
-    SfTracer *tracer_ = nullptr;
+    ExactPageSets exact_pages_;
 };
 
 } // namespace schedtask

@@ -5,15 +5,15 @@
  * These are exactly the quantities the paper's figures report:
  * instruction throughput, application events per second, core
  * idleness, cache hit rates (read from the MemHierarchy), thread
- * migrations, interrupt latency, per-thread instruction counts
- * (Jain fairness), and per-epoch instruction breakups (Section 4.4).
+ * migrations, interrupt latency and per-thread instruction counts
+ * (Jain fairness). With tracing on they also carry the run's epoch
+ * telemetry (stats/epoch_trace.hh).
  */
 
 #ifndef SCHEDTASK_SIM_METRICS_HH
 #define SCHEDTASK_SIM_METRICS_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -64,12 +64,12 @@ struct SimMetrics
     /** Per-thread retired instructions (fairness index). */
     std::vector<std::uint64_t> perThreadInsts;
 
-    /** Per-epoch instruction counts by superFuncType (optional). */
-    std::vector<std::unordered_map<std::uint64_t, std::uint64_t>>
-        epochTypeInsts;
-
     /** Epoch telemetry (filled when MachineParams.trace is set). */
     std::vector<EpochSample> epochSamples;
+
+    /** The most recent SuperFunction lifecycle events of the window
+     *  (filled when MachineParams.trace is set). */
+    std::vector<SfEvent> sfEvents;
 
     // ---- Derived quantities ---------------------------------------
 

@@ -1,30 +1,43 @@
 #include "stats/epoch_trace.hh"
 
 #include "common/invariants.hh"
-#include "common/logging.hh"
 
 namespace schedtask
 {
 
-EpochTrace::EpochTrace(std::size_t capacity) : capacity_(capacity)
+const char *
+sfEventKindName(SfEventKind kind)
 {
-    SCHEDTASK_ASSERT(capacity_ >= 1, "epoch trace needs capacity");
-    ring_.reserve(capacity_);
+    switch (kind) {
+      case SfEventKind::Dispatch:
+        return "dispatch";
+      case SfEventKind::Complete:
+        return "complete";
+      case SfEventKind::Block:
+        return "block";
+      case SfEventKind::Wakeup:
+        return "wakeup";
+      case SfEventKind::Pause:
+        return "pause";
+      case SfEventKind::Migrate:
+        return "migrate";
+    }
+    return "unknown";
 }
 
 void
 EpochTrace::record(EpochSample sample)
 {
     if constexpr (checkedBuild) {
-        SCHEDTASK_ASSERT(sample.index == total_,
+        const std::uint64_t total = samples_.totalRecorded();
+        SCHEDTASK_ASSERT(sample.index == total,
                          "epoch sample index ", sample.index,
-                         " != ", total_, " recorded so far");
+                         " != ", total, " recorded so far");
         SCHEDTASK_ASSERT(sample.endCycle >= sample.startCycle,
                          "epoch sample runs backwards: [",
                          sample.startCycle, ", ", sample.endCycle,
                          ")");
-        SCHEDTASK_ASSERT(total_ == 0
-                             || sample.startCycle >= last_end_,
+        SCHEDTASK_ASSERT(total == 0 || sample.startCycle >= last_end_,
                          "epoch sample starts at ",
                          sample.startCycle,
                          " before the previous end ", last_end_);
@@ -40,44 +53,13 @@ EpochTrace::record(EpochSample sample)
                          " exceeds ", span, " core-cycles");
     }
     last_end_ = sample.endCycle;
-    if (ring_.size() < capacity_) {
-        ring_.push_back(std::move(sample));
-    } else {
-        ring_[head_] = std::move(sample);
-        wrapped_ = true;
-    }
-    head_ = (head_ + 1) % capacity_;
-    ++total_;
-}
-
-std::vector<EpochSample>
-EpochTrace::samples() const
-{
-    std::vector<EpochSample> out;
-    out.reserve(size());
-    if (!wrapped_) {
-        out.assign(ring_.begin(), ring_.end());
-        return out;
-    }
-    for (std::size_t i = 0; i < capacity_; ++i)
-        out.push_back(ring_[(head_ + i) % capacity_]);
-    return out;
-}
-
-std::size_t
-EpochTrace::size() const
-{
-    return wrapped_ ? capacity_ : ring_.size();
+    samples_.push(std::move(sample));
 }
 
 void
-EpochTrace::clear()
+EpochTrace::record(const SfEvent &event)
 {
-    ring_.clear();
-    head_ = 0;
-    wrapped_ = false;
-    total_ = 0;
-    last_end_ = 0;
+    events_.push(event);
 }
 
 } // namespace schedtask

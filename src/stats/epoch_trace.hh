@@ -4,14 +4,16 @@
  *
  * The figures report end-of-window aggregates, but the paper's
  * narrative — breakup cosine similarity, the 0.98 re-allocation
- * guard, per-epoch overlap tables (Sections 4.4/5.2) — is a
+ * guard, per-epoch overlap tables (Sections 4.4/5.2), a thread's
+ * SuperFunctions hopping between cores (Figure 5) — is a
  * time-series story. When tracing is enabled, the Machine snapshots
  * one EpochSample per epoch boundary: per-core occupancy by
- * SuperFunction category, idle cycles, migrations, interrupt
- * counts, L1i/L2 miss rates, and the scheduler's own per-epoch
- * decision report (SchedEpochReport). Samples live in a bounded
- * ring (EpochTrace) so long simulations cannot exhaust memory, and
- * are copied into SimMetrics::epochSamples by metricsSnapshot().
+ * SuperFunction category, instructions per superFuncType, idle
+ * cycles, migrations, interrupt counts, L1i/L2 miss rates, and the
+ * scheduler's own per-epoch decision report (SchedEpochReport), and
+ * it records every SuperFunction lifecycle event (SfEvent). Both
+ * live in bounded rings (EpochTrace) so long simulations cannot
+ * exhaust memory; metricsSnapshot() copies them into SimMetrics.
  *
  * Exporters (JSON Lines and Chrome trace-event format) live in
  * harness/trace_export.hh.
@@ -20,9 +22,14 @@
 #ifndef SCHEDTASK_STATS_EPOCH_TRACE_HH
 #define SCHEDTASK_STATS_EPOCH_TRACE_HH
 
+#include <algorithm>
 #include <cstdint>
+#include <iterator>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "core/sf_type.hh"
 
@@ -73,6 +80,11 @@ struct SchedEpochReport
 
     /** Summed directed pairwise overlap over the overlap table. */
     std::uint64_t heatmapOverlap = 0;
+
+    /** Figure 11's ranking fidelity, rankingTau() of the overlap
+     *  table against the epoch's exact touched pages (SchedTask,
+     *  when the machine tracks exact pages; 0 otherwise). */
+    double rankingTau = 0.0;
 };
 
 /** One core's occupancy during one epoch. */
@@ -102,6 +114,11 @@ struct EpochSample
     /** Scheduler-routine instructions this epoch. */
     std::uint64_t overheadInsts = 0;
 
+    /** Section 4.4's breakup: instructions retired this epoch per
+     *  superFuncType (raw encoding), scheduler routines excluded.
+     *  Its iteration order is deterministic for a given run. */
+    std::unordered_map<std::uint64_t, std::uint64_t> instsByType;
+
     /** Inter-core thread migrations this epoch. */
     std::uint64_t migrations = 0;
 
@@ -125,38 +142,118 @@ struct EpochSample
     std::vector<EpochCoreSample> cores;
 };
 
-/**
- * Bounded ring of EpochSamples (mirrors SfTracer's scheme): the
- * most recent `capacity` epochs are kept, older ones are dropped.
- */
-class EpochTrace
+/** Kind of a SuperFunction lifecycle event. */
+enum class SfEventKind : std::uint8_t
+{
+    Dispatch, ///< a core started executing a SuperFunction slice
+    Complete, ///< the SuperFunction finished
+    Block,    ///< it went to the waiting state (device I/O)
+    Wakeup,   ///< it became runnable again
+    Pause,    ///< preempted in place by an interrupt
+    Migrate,  ///< it will continue on a different core
+};
+
+/** Human-readable event-kind name. */
+const char *sfEventKindName(SfEventKind kind);
+
+/** One SuperFunction lifecycle event (Figure 5's timeline). It
+ *  carries the type, not its name, so it outlives the run's
+ *  catalog; any BenchmarkSuite's SfCatalog::bySfType names it. */
+struct SfEvent
+{
+    Cycles when = 0;
+    SfEventKind kind = SfEventKind::Dispatch;
+    CoreId core = invalidCore;
+    ThreadId tid = invalidThread;
+    SfType type;
+    std::uint64_t sfId = 0;
+};
+
+/** Bounded ring: the most recent `capacity` items, oldest dropped. */
+template <typename T>
+class BoundedRing
 {
   public:
-    explicit EpochTrace(std::size_t capacity = 8192);
+    explicit BoundedRing(std::size_t capacity) : capacity_(capacity)
+    {
+        SCHEDTASK_ASSERT(capacity_ >= 1, "ring needs capacity");
+    }
 
-    /** Append one sample, evicting the oldest when full. */
-    void record(EpochSample sample);
+    void
+    push(T item)
+    {
+        if (ring_.size() < capacity_)
+            ring_.push_back(std::move(item));
+        else
+            ring_[total_ % capacity_] = std::move(item);
+        ++total_;
+    }
 
-    /** Samples in chronological order (oldest first). */
-    std::vector<EpochSample> samples() const;
+    /** Items in chronological order (oldest retained first). */
+    std::vector<T>
+    items() const
+    {
+        const std::size_t head =
+            ring_.size() < capacity_ ? 0 : total_ % capacity_;
+        std::vector<T> out;
+        out.reserve(ring_.size());
+        std::rotate_copy(ring_.begin(), ring_.begin() + head,
+                         ring_.end(), std::back_inserter(out));
+        return out;
+    }
 
-    /** Samples currently held. */
-    std::size_t size() const;
+    /** Items currently held. */
+    std::size_t size() const { return ring_.size(); }
 
-    /** Epochs recorded since the last clear (ignores eviction). */
+    /** Items pushed since the last clear (ignores eviction). */
     std::uint64_t totalRecorded() const { return total_; }
 
-    /** Drop everything (stats reset). */
-    void clear();
+    void
+    clear()
+    {
+        ring_.clear();
+        total_ = 0;
+    }
 
   private:
     std::size_t capacity_;
-    std::vector<EpochSample> ring_;
-    std::size_t head_ = 0;
-    bool wrapped_ = false;
+    std::vector<T> ring_;
     std::uint64_t total_ = 0;
-    /** End cycle of the last recorded sample (checked builds verify
-     *  samples are contiguous and deltas non-negative). */
+};
+
+/** One run's telemetry: the most recent epoch samples and
+ *  SuperFunction events, each in its own bounded ring. */
+class EpochTrace
+{
+  public:
+    EpochTrace(std::size_t epoch_capacity, std::size_t event_capacity)
+        : samples_(epoch_capacity), events_(event_capacity)
+    {
+    }
+
+    /** Append one epoch sample (checked builds verify it extends
+     *  the previous one). */
+    void record(EpochSample sample);
+
+    /** Append one SuperFunction event (out of line: the event
+     *  call sites in Machine stay small when tracing is off). */
+    void record(const SfEvent &event);
+
+    const BoundedRing<EpochSample> &samples() const { return samples_; }
+    const BoundedRing<SfEvent> &events() const { return events_; }
+
+    /** Drop every sample and event (stats reset). */
+    void
+    clear()
+    {
+        samples_.clear();
+        events_.clear();
+    }
+
+  private:
+    BoundedRing<EpochSample> samples_;
+    BoundedRing<SfEvent> events_;
+    /** End cycle of the last recorded sample. */
     Cycles last_end_ = 0;
 };
 

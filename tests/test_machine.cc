@@ -162,14 +162,14 @@ TEST_F(MachineFixture, PerThreadInstsCoverAllThreads)
 
 TEST_F(MachineFixture, EpochBreakupsRecordedWhenEnabled)
 {
-    params.recordEpochBreakups = true;
+    params.trace = true;
     LinuxScheduler sched;
     Machine m = makeMachine(sched);
     m.run(3 * params.epochCycles);
     const SimMetrics metrics = m.metricsSnapshot();
-    ASSERT_EQ(metrics.epochTypeInsts.size(), 3u);
-    for (const auto &epoch : metrics.epochTypeInsts)
-        EXPECT_FALSE(epoch.empty());
+    ASSERT_EQ(metrics.epochSamples.size(), 3u);
+    for (const EpochSample &epoch : metrics.epochSamples)
+        EXPECT_FALSE(epoch.instsByType.empty());
 }
 
 TEST_F(MachineFixture, IdleFractionBounded)

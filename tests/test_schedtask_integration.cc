@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "common/math_utils.hh"
 #include "core/schedtask_sched.hh"
 #include "harness/experiment.hh"
@@ -184,12 +187,14 @@ TEST(SchedTaskIntegration, EpochSimilarityStabilizes)
     MachineParams mp;
     mp.numCores = 8;
     mp.epochCycles = 60000;
-    mp.recordEpochBreakups = true;
+    mp.trace = true;
     LinuxScheduler sched;
     Machine m(mp, HierarchyParams::paperDefault(), suite, workload,
               sched);
     m.run(8 * mp.epochCycles);
-    const auto &series = m.metricsSnapshot().epochTypeInsts;
+    std::vector<std::unordered_map<std::uint64_t, std::uint64_t>> series;
+    for (const EpochSample &s : m.metricsSnapshot().epochSamples)
+        series.push_back(s.instsByType);
     ASSERT_GE(series.size(), 6u);
 
     auto similarity = [](const auto &a, const auto &b) {

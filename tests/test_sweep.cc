@@ -310,7 +310,6 @@ TEST(SweepFingerprint, EveryMixedFieldChangesIt)
         PERTURB(Cfg, c.machine.epochCycles += 1),
         PERTURB(Cfg, c.machine.coreFrequencyGHz += 0.5),
         PERTURB(Cfg, c.machine.seed += 1),
-        PERTURB(Cfg, c.machine.recordEpochBreakups = true),
         PERTURB(Cfg, c.machine.trackExactPages = true),
         PERTURB(Cfg, c.hierarchy.hasPrivateL2 = false),
         PERTURB(Cfg, c.hierarchy.memLatency += 1),
@@ -420,6 +419,25 @@ TEST(SweepCellKey, SchedTaskFieldsSplitOnlyNonBaselineCells)
     }
 }
 
+TEST(SweepCellKey, TraceSplitsEveryCell)
+{
+    // Tracing changes no simulated number, but a traced request needs
+    // the telemetry an untraced twin's result lacks.
+    ExperimentConfig traced = smallConfig();
+    traced.machine.trace = true;
+    for (const char *technique : {"Linux", "SchedTask"}) {
+        SCOPED_TRACE(technique);
+        RunRequest plain;
+        plain.row = "Find";
+        plain.col = technique;
+        plain.config = smallConfig();
+        plain.spec = TechniqueSpec{technique};
+        RunRequest twin = plain;
+        twin.config = traced;
+        EXPECT_NE(cellKey(plain), cellKey(twin));
+    }
+}
+
 namespace
 {
 
@@ -506,6 +524,33 @@ TEST(SweepUnion, OneTracePairPerDistinctCell)
     EXPECT_EQ(chrome, overlappingCells);
     EXPECT_EQ(jsonl, overlappingCells);
     std::filesystem::remove_all(dir);
+}
+
+TEST(SweepUnion, TracedTwinGetsItsOwnCell)
+{
+    // Two requests that differ only in machine.trace, the untraced
+    // one first: each must get its own run, and the traced label its
+    // telemetry.
+    ExperimentConfig traced = smallConfig();
+    traced.machine.trace = true;
+    Sweep sweep;
+    sweep.add("Find", "plain", smallConfig(), TechniqueSpec{"SchedTask"});
+    sweep.add("Find", "traced", traced, TechniqueSpec{"SchedTask"});
+
+    std::atomic<unsigned> runs{0};
+    SweepOptions opts;
+    opts.jobs = 1;
+    opts.progress = false;
+    opts.onRunDone = [&runs](const RunRequest &, const RunResult &) {
+        ++runs;
+    };
+    const SweepResults results = SweepRunner(opts).run(sweep);
+    EXPECT_EQ(runs.load(), 2u);
+    EXPECT_TRUE(results.at("Find", "plain").metrics.epochSamples.empty());
+    EXPECT_EQ(results.at("Find", "traced").metrics.epochSamples.size(),
+              static_cast<std::size_t>(traced.measureEpochs));
+    expectBitwiseEqual(results.at("Find", "plain"),
+                       results.at("Find", "traced"));
 }
 
 TEST(SweepFailure, SerialStopsDispatchAfterFirstFailure)
