@@ -7,10 +7,11 @@
  * accounting must balance, core allocations must cover the core
  * set, heatmap popcounts must fit the register, event and trace
  * timestamps must be monotone, and every cache level must be
- * structurally sound — validBlocks() never exceeds sets * assoc and
- * no set holds two valid copies of one tag
- * (MemHierarchy::checkCacheInvariants, guarding against the
- * invalidate-then-reinsert duplicate-line regression), and every
+ * structurally sound — validBlocks() never exceeds sets * assoc, no
+ * set holds two valid copies of one tag (guarding against the
+ * invalidate-then-reinsert duplicate-line regression) and every
+ * set's recency word is a permutation of its ways
+ * (MemHierarchy::checkCacheInvariants), and every
  * scheduler's running per-core backlog must equal a scan of its
  * queue (Scheduler::checkInvariants).
  * Checks are written as

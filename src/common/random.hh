@@ -11,6 +11,10 @@
  * The per-draw members (operator(), below, uniform, chance) are
  * inline: the simulator draws on every fetch block and every data
  * access, so the call overhead is measurable in whole-figure runs.
+ * The hot Bernoulli draws go one step further and take an Rng::Odds,
+ * a probability resolved once to an integer threshold, so each draw
+ * is one integer compare instead of a conversion, a multiply and a
+ * floating-point compare.
  */
 
 #ifndef SCHEDTASK_COMMON_RANDOM_HH
@@ -34,6 +38,45 @@ class Rng
 {
   public:
     using result_type = std::uint64_t;
+
+    /**
+     * A Bernoulli probability resolved for chance(Odds): the integer
+     * threshold ceil(p * 2^53) on the 53 bits uniform() keeps.
+     * uniform() is k * 2^-53 for the integer k = draw >> 11, and
+     * scaling by a power of two is exact, so uniform() < p holds
+     * exactly when k < p * 2^53, i.e. when k < ceil(p * 2^53). The
+     * draws chance(double) skips stay skipped: p <= 0 and p >= 1 map
+     * to two sentinels above every threshold, and a NaN p to
+     * threshold 0 (a draw that always fails, as uniform() < NaN).
+     */
+    class Odds
+    {
+      public:
+        constexpr explicit Odds(double p) : threshold_(thresholdOf(p)) {}
+
+      private:
+        friend class Rng;
+
+        /** Sentinels past every real threshold (those are < 2^53). */
+        static constexpr std::uint64_t always = std::uint64_t{1} << 53;
+        static constexpr std::uint64_t never = always + 1;
+
+        static constexpr std::uint64_t
+        thresholdOf(double p)
+        {
+            if (p <= 0.0)
+                return never;
+            if (p >= 1.0)
+                return always;
+            if (p != p)
+                return 0;
+            const double scaled = p * 0x1.0p53; // exact, in (0, 2^53)
+            const auto floor = static_cast<std::uint64_t>(scaled);
+            return static_cast<double>(floor) < scaled ? floor + 1 : floor;
+        }
+
+        std::uint64_t threshold_;
+    };
 
     /** Seed the generator. Identical seeds yield identical streams. */
     explicit Rng(std::uint64_t seed = 0x5eed'5eed'5eed'5eedULL);
@@ -88,6 +131,16 @@ class Rng
         if (p >= 1.0)
             return true;
         return uniform() < p;
+    }
+
+    /** chance(p) for odds = Odds(p): the same outcome from the same
+     *  draw, and no draw where chance(p) makes none. */
+    bool
+    chance(Odds odds)
+    {
+        if (odds.threshold_ >= Odds::always)
+            return odds.threshold_ == Odds::always;
+        return ((*this)() >> 11) < odds.threshold_;
     }
 
     /**

@@ -158,7 +158,11 @@ baselineLabelFor(const std::string &row, const ExperimentConfig &config)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(
                       baselineFingerprint(config)));
-    return row + "/__baseline@" + buf;
+    // Tracing moves no simulated number, so it stays out of the
+    // fingerprint; but a traced comparison needs its baseline's
+    // telemetry too, so it gets a baseline of its own.
+    return row + "/__baseline@" + buf
+        + (config.machine.trace ? "-traced" : "");
 }
 
 std::uint64_t

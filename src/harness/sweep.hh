@@ -84,7 +84,9 @@ std::uint64_t stableHash64(std::string_view text);
  */
 std::uint64_t baselineFingerprint(const ExperimentConfig &config);
 
-/** Result-set key of the deduplicated baseline run for a config. */
+/** Result-set key of the deduplicated baseline run for a config:
+ *  the row, baselineFingerprint() and, for a traced config, a
+ *  "-traced" tag (a traced run's baseline is traced too). */
 std::string baselineLabelFor(const std::string &row,
                              const ExperimentConfig &config);
 

@@ -1,5 +1,6 @@
 #include "mem/cache.hh"
 
+#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -24,10 +25,9 @@ Cache::Cache(const CacheParams &params)
     : params_(params)
 {
     SCHEDTASK_ASSERT(params_.assoc > 0, "associativity must be positive");
-    SCHEDTASK_ASSERT(params_.assoc <= maxAssoc,
+    SCHEDTASK_ASSERT(params_.assoc <= 255,
                      "associativity ", params_.assoc,
-                     " exceeds the packed-way rank field (max ",
-                     maxAssoc, ")");
+                     " exceeds the byte-wide recency positions (max 255)");
     SCHEDTASK_ASSERT(params_.sizeBytes % (params_.blockBytes * params_.assoc)
                          == 0,
                      "cache size must be a multiple of assoc * block size");
@@ -37,7 +37,22 @@ Cache::Cache(const CacheParams &params)
     // the index is then a modulo rather than a mask.
     set_mask_ = (num_sets_ & (num_sets_ - 1)) == 0 ? num_sets_ - 1 : 0;
     block_shift_ = log2Exact(params_.blockBytes);
-    ways_.resize(num_sets_ * params_.assoc);
+    num_ways_ = num_sets_ * params_.assoc;
+
+    // The recency positions follow the ways in the same allocation:
+    // a nibble per way for the 4- and 8-way kernels (byte i holds
+    // positions 2i and 2i + 1, low nibble first), a byte per way for
+    // the runtime one. Every set starts with way p at position p (any
+    // permutation would do: a set fills its invalid ways first).
+    const unsigned assoc = params_.assoc;
+    const bool nibbles = assoc == 4 || assoc == 8;
+    const std::uint64_t order_bytes = nibbles ? num_ways_ / 2 : num_ways_;
+    ways_.resize(num_ways_ + (order_bytes + sizeof(Way) - 1) / sizeof(Way));
+    for (std::uint64_t i = 0; i < order_bytes; ++i) {
+        const unsigned pos = (nibbles ? 2 * i : i) % assoc;
+        order()[i] = static_cast<unsigned char>(
+            nibbles ? pos | (pos + 1) << 4 : pos);
+    }
 }
 
 template <unsigned A>
@@ -45,39 +60,27 @@ std::optional<Addr>
 Cache::insertAbsent(std::uint64_t base_index, Addr tag)
 {
     SCHEDTASK_ASSERT(tag <= tagMask,
-                     "block tag ", tag, " exceeds the packed 58-bit ",
+                     "block tag ", tag, " exceeds the packed 63-bit ",
                      "tag field");
     Way *base = &ways_[base_index];
-    const unsigned ways = waysOf<A>();
 
     // Victim pick: the lowest invalid way (an invalidate() can leave
     // a hole anywhere in the set), else the set's least recently
-    // used valid way — the one of rank 0, since valid ranks are
-    // dense. The caller's hit scan just touched the set, so this pass
-    // stays in the host's L1.
-    constexpr std::uint64_t validRankZero = validBit >> rankShift;
+    // used way — the last recency position, since every way of a
+    // full set is valid. The caller's hit scan just touched the set,
+    // so this pass stays in the host's L1.
     std::uint32_t invalid = 0;
-    std::uint32_t oldest = 0;
-    for (unsigned w = 0; w < ways; ++w) {
+    for (unsigned w = 0; w < waysOf<A>(); ++w)
         invalid |= std::uint32_t{!isValid(base[w])} << w;
-        oldest |= std::uint32_t{(base[w].raw >> rankShift) == validRankZero}
-            << w;
-    }
     const bool full = invalid == 0;
-    const unsigned valid_count = ways - std::popcount(invalid);
-    const unsigned victim = std::countr_zero(full ? oldest : invalid);
+    const unsigned victim =
+        full ? oldestWay<A>(base_index) : std::countr_zero(invalid);
 
-    // Slot the incoming block in at the top of the set's recency
-    // order. Displacing a valid way removes it from the permutation
-    // first (ways above it slide down), so valid ranks stay a dense
-    // 0..valid-1 permutation either way; filling a hole removes
-    // nothing (no rank exceeds maxAssoc).
     std::optional<Addr> evicted;
     if (full)
         evicted = (base[victim].raw & tagMask) << block_shift_;
-    dropRank<A>(base, full ? rankOf(base[victim]) : maxAssoc);
-    const std::uint64_t new_rank = valid_count - (full ? 1 : 0);
-    base[victim].raw = tag | (new_rank << rankShift) | validBit;
+    base[victim].raw = tag | validBit;
+    touch<A>(base_index, victim);
     mru_index_ = base_index + victim;
     return evicted;
 }
@@ -89,38 +92,37 @@ template std::optional<Addr> Cache::insertAbsent<8>(std::uint64_t, Addr);
 void
 Cache::flush()
 {
-    for (auto &w : ways_)
-        w.raw &= tagMask; // clears valid and rank, keeps stale tags
+    // Valid bits only: stale tags and recency positions stay.
+    for (std::uint64_t w = 0; w < num_ways_; ++w)
+        ways_[w].raw &= tagMask;
 }
 
 std::uint64_t
 Cache::validBlocks() const
 {
     std::uint64_t n = 0;
-    for (const auto &w : ways_)
-        n += isValid(w) ? 1 : 0;
+    for (std::uint64_t w = 0; w < num_ways_; ++w)
+        n += isValid(ways_[w]) ? 1 : 0;
     return n;
 }
 
 bool
-Cache::ranksDense() const
+Cache::recencyIsPermutation() const
 {
+    const unsigned assoc = params_.assoc;
+    const bool nibbles = assoc == 4 || assoc == 8;
+    std::vector<bool> seen(assoc);
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        const Way *base = &ways_[set * params_.assoc];
-        std::uint64_t valid = 0;
-        std::uint64_t ranks_seen = 0;
-        for (unsigned w = 0; w < params_.assoc; ++w) {
-            if (!isValid(base[w])) {
-                if (rankOf(base[w]) != 0)
-                    return false;
-                continue;
-            }
-            ++valid;
-            ranks_seen |= std::uint64_t{1} << rankOf(base[w]);
+        std::fill(seen.begin(), seen.end(), false);
+        for (unsigned pos = 0; pos < assoc; ++pos) {
+            const std::uint64_t i = set * assoc + pos;
+            const unsigned way = nibbles
+                ? (order()[i / 2] >> (4 * (i % 2))) & 0xf
+                : order()[i];
+            if (way >= assoc || seen[way])
+                return false;
+            seen[way] = true;
         }
-        // Distinct ranks, all below valid: exactly bits 0..valid-1.
-        if (ranks_seen != (std::uint64_t{1} << valid) - 1)
-            return false;
     }
     return true;
 }

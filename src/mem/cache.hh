@@ -18,41 +18,49 @@
  *    single compare suffices) — and it is a pure read: the cache's
  *    most recently touched way is by definition already the most
  *    recent in its set, so no recency update is needed at all;
- *  - a way is one 8-byte word — the block tag in the low 58 bits,
- *    the way's recency *rank* within its set in the next 5, and a
- *    valid bit on top — so a 4-way set is 32 bytes and the whole tag
- *    store of a simulated machine stays close to the host's private
- *    caches (the tag arrays are probed at random addresses, so their
- *    footprint is what the simulator's own miss paths pay for).
+ *  - a way is one 8-byte word — the block tag in the low 63 bits and
+ *    a valid bit on top — so a hit test is one plain compare against
+ *    tag | valid and a 4-way set is 32 bytes;
+ *  - recency lives apart from the ways, as one *recency word* per
+ *    set: the set's way indices, most recent first, one 4-bit nibble
+ *    each (a uint16_t for 4 ways, a uint32_t for 8). Other
+ *    associativities keep one byte per position. The words sit at
+ *    the tail of the ways' own allocation, so the recency state of
+ *    a whole cache is half a byte per way and stays hot in the
+ *    host's caches next to the tag arrays (which are probed at
+ *    random addresses, so their footprint is what the simulator's
+ *    own miss paths pay for).
  *
  * Set kernels. Every operation on one set (the hit scan, the recency
- * touch, the victim pick and the removal of a way from the recency
- * order) is one function template over the way count A. Each public
- * operation switches once on the associativity to A = 4 or 8 — every
- * Table 2 geometry — or to A = 0, which scans the runtime way count.
- * A fixed A gives the compiler a constant trip count, so it fully
- * unrolls the plain loops (and may vectorize them for the target
- * ISA). The bodies are branch-free over the ways: the hit scan
- * builds a bit mask of the matching ways and takes std::countr_zero;
- * the victim is the lowest set bit of the invalid-way mask or, when
- * the set is full, of the "valid and rank 0" mask. Which way hits or
- * is the victim is data-random, so per-way branches would mispredict
- * constantly; so would an early exit from the recency touch, which
- * measured slower than the full branch-free pass.
+ * touch, the victim pick) is one function template over the way
+ * count A. Each public operation switches once on the associativity
+ * to A = 4 or 8 — every Table 2 geometry — or to A = 0, which scans
+ * the runtime way count. A fixed A gives the compiler a constant
+ * trip count, so it fully unrolls the plain loops (and may vectorize
+ * them for the target ISA). The hit scan builds a bit mask of the
+ * matching ways and takes std::countr_zero; the victim is the lowest
+ * set bit of the invalid-way mask or, when the set is full, the last
+ * nibble of the recency word. A touch is a branch-free SWAR
+ * move-to-front on the word: the zero-nibble test finds the way's
+ * position, and the nibbles in front of it shift back one. Which way
+ * hits or is the victim is data-random, so per-way branches would
+ * mispredict constantly.
  *
- * Recency is kept as a per-set permutation: the valid ways of a set
- * always carry distinct ranks 0..valid-1, oldest first, and invalid
- * ways carry rank 0 (ranksDense() checks this). Touching a way moves
- * it to the top rank and shifts the ways above it down by one — the
- * relative order of all other ways is untouched, which is exactly
- * what stamping with a fresh monotonic counter does. Every
- * replacement decision depends only on that relative order (the LRU
- * victim is the set's rank-0 way), so the packed layout, the fast
- * paths and the mask kernels are exact: a set holds each valid tag at
- * most once, so "the first matching way" and "the lowest mask bit"
- * name the same way, and "the minimum-rank valid way" and "the valid
- * way of rank 0" do too. The kernels therefore leave bit-identical
- * replacement state to a plain stamped scan.
+ * Why the replacement state is exact. invalidate() and flush() clear
+ * only valid bits; an invalid way keeps its stale position in the
+ * recency word, and whichever fill reuses it moves it to the front.
+ * Every operation therefore keeps the relative order of the valid
+ * ways in the word equal to their order of last touch — a touch or
+ * fill moves one way to the front and leaves the others' order
+ * alone, which is exactly what stamping with a fresh monotonic
+ * counter does. Every replacement decision depends only on that
+ * order: the victim of a full set is its least recently touched way,
+ * which is the last position of the word since all ways are valid,
+ * and a set with a hole fills its lowest invalid way whatever the
+ * order. A set holds each valid tag at most once, so "the first
+ * matching way" and "the lowest mask bit" name the same way. The
+ * kernels therefore make bit-identical replacement decisions to a
+ * plain stamped scan (tests/test_cache.cc checks them against one).
  */
 
 #ifndef SCHEDTASK_MEM_CACHE_HH
@@ -60,6 +68,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <type_traits>
 #include <vector>
@@ -191,13 +200,12 @@ class Cache
     {
         const Addr tag = tagOf(addr);
         withWays([&](auto ways) {
+            // The way keeps its stale recency position (see the file
+            // comment): the fill that reuses it moves it to the front.
             Way *base = &ways_[baseIndex<ways()>(tag)];
             const std::uint32_t hits = hitMask<ways()>(base, tag);
-            if (hits == 0)
-                return;
-            const unsigned w = std::countr_zero(hits);
-            dropRank<ways()>(base, rankOf(base[w]));
-            base[w].raw &= tagMask; // clears valid and rank
+            if (hits != 0)
+                base[std::countr_zero(hits)].raw &= tagMask;
         });
     }
 
@@ -222,12 +230,12 @@ class Cache
     bool tagsUnique() const;
 
     /**
-     * True when in every set the valid ways carry distinct ranks
-     * 0..valid-1 and the invalid ways carry rank 0 — the recency
-     * invariant the victim pick and the branch-free rank updates
-     * rely on. Checked alongside tagsUnique().
+     * True when every set's recency word is a permutation of its way
+     * indices — the invariant the SWAR touch (which must find the
+     * way's position) and the full-set victim pick rely on. Checked
+     * alongside tagsUnique().
      */
-    bool ranksDense() const;
+    bool recencyIsPermutation() const;
 
     /** Configured parameters. */
     const CacheParams &params() const { return params_; }
@@ -254,47 +262,36 @@ class Cache
     }
 
   private:
-    /** Field layout of a packed way: tag [0,58), rank [58,63),
-     *  valid bit 63. 58 tag bits cover every byte address at line
-     *  grain (2^64 / 64); 5 rank bits support assoc up to 32. */
-    static constexpr unsigned rankShift = 58;
-    static constexpr unsigned validShift = 63;
-    static constexpr std::uint64_t tagMask =
-        (std::uint64_t{1} << rankShift) - 1;
-    static constexpr std::uint64_t rankOne =
-        std::uint64_t{1} << rankShift;
-    static constexpr std::uint64_t validBit =
-        std::uint64_t{1} << validShift;
-    static constexpr std::uint64_t rankField = validBit - rankOne;
-    static constexpr unsigned maxAssoc = 32;
+    /** Field layout of a packed way: tag [0,63), valid bit 63. */
+    static constexpr std::uint64_t validBit = std::uint64_t{1} << 63;
+    static constexpr std::uint64_t tagMask = validBit - 1;
 
-    /**
-     * One way in 8 bytes. An invalid way keeps its stale tag (it can
-     * never match a valid check) and rank 0.
-     */
+    /** One way in 8 bytes. An invalid way keeps its stale tag (it can
+     *  never match a valid check). */
     struct Way
     {
-        std::uint64_t raw = 0; // [valid:1][rank:5][tag:58]
+        std::uint64_t raw = 0; // [valid:1][tag:63]
     };
 
     static bool isValid(const Way &w) { return (w.raw & validBit) != 0; }
 
-    /** Recency rank within the set: 0 = oldest valid way. */
-    static std::uint64_t
-    rankOf(const Way &w)
-    {
-        return (w.raw >> rankShift) & (maxAssoc - 1);
-    }
-
-    /** Valid-hit test: tag bits equal and valid bit set. */
+    /** Valid-hit test: the way holds tag and its valid bit is set. */
     static bool
     wayHits(const Way &w, Addr tag)
     {
-        // Masking out the rank field leaves [valid][tag], which
-        // equals tag | validBit iff the way holds the tag valid (tags
-        // fit the 58-bit field: insertAbsent asserts it).
-        return (w.raw & ~rankField) == (tag | validBit);
+        return w.raw == (tag | validBit);
     }
+
+    /** The recency word of kernel A: 4-bit way indices, most recent
+     *  in the low nibble. */
+    template <unsigned A>
+    using OrderWord =
+        std::conditional_t<A == 8, std::uint32_t, std::uint16_t>;
+
+    /** One bit at the bottom of every nibble of an A-way word. */
+    template <unsigned A>
+    static constexpr std::uint64_t nibbleOnes =
+        A == 8 ? 0x1111'1111 : 0x1111;
 
     /**
      * Call f with the set kernels' way count as a compile-time
@@ -347,48 +344,91 @@ class Cache
         const std::uint64_t key = tag | validBit;
         std::uint32_t mask = 0;
         for (unsigned w = 0; w < waysOf<A>(); ++w)
-            mask |= std::uint32_t{(base[w].raw & ~rankField) == key}
-                << w;
+            mask |= std::uint32_t{base[w].raw == key} << w;
         return mask;
     }
 
-    /**
-     * Remove rank `rank` from the set's recency order: every way
-     * ranked above it slides down one. Invalid ways are rank 0 and
-     * never test as above, nor does the removed way itself; a rank
-     * of maxAssoc or more removes nothing.
-     */
-    template <unsigned A>
-    void
-    dropRank(Way *base, std::uint64_t rank)
+    /** Start of the recency positions, right after the last way. */
+    unsigned char *
+    order()
     {
-        for (unsigned v = 0; v < waysOf<A>(); ++v)
-            base[v].raw -= std::uint64_t{rankOf(base[v]) > rank}
-                << rankShift;
+        return reinterpret_cast<unsigned char *>(ways_.data() + num_ways_);
+    }
+    const unsigned char *
+    order() const
+    {
+        return reinterpret_cast<const unsigned char *>(ways_.data()
+                                                       + num_ways_);
+    }
+
+    /** The recency positions of the set whose first way is
+     *  ways_[base_index]: half a byte per way for A = 4 and 8, one
+     *  byte per way otherwise, after the last way of the cache. */
+    template <unsigned A>
+    unsigned char *
+    orderOf(std::uint64_t base_index)
+    {
+        // A recency word is read as a little-endian integer whose
+        // low nibble is position 0.
+        static_assert(std::endian::native == std::endian::little);
+        return order() + (A != 0 ? base_index / 2 : base_index);
     }
 
     /**
-     * Make way w the most recent of its set: ways ranked above it
-     * slide down one, w takes the top rank. The relative order of
-     * all other ways is untouched — exactly a fresh-stamp touch.
-     * Branch-free over the ways: which ways sit above w is
-     * data-random, so a conditional store would mispredict on the
-     * hottest path in the simulator. Invalid ways always carry rank
-     * 0, so they never test as "above" and need no validity check;
-     * neither does w itself.
+     * Move way w to the front of an A-way recency word. The zero-
+     * nibble test on word ^ (w in every nibble) marks w's position
+     * exactly at its lowest set bit (a borrow only runs upward from
+     * the zero nibble); the nibbles in front of it shift back one,
+     * those behind it stay. Branch-free: where w sits is
+     * data-random.
      */
     template <unsigned A>
-    void
-    touchWay(Way *base, unsigned w)
+    static std::uint64_t
+    moveToFront(std::uint64_t order, unsigned w)
     {
-        const std::uint64_t rank = rankOf(base[w]);
-        std::uint64_t above = 0;
-        for (unsigned v = 0; v < waysOf<A>(); ++v) {
-            const std::uint64_t is_above = rankOf(base[v]) > rank;
-            base[v].raw -= is_above << rankShift;
-            above += is_above;
+        constexpr std::uint64_t ones = nibbleOnes<A>;
+        const std::uint64_t x = order ^ (ones * w);
+        const std::uint64_t zero = (x - ones) & ~x & (ones << 3);
+        const unsigned pos = std::countr_zero(zero) - 3; // 4 * index
+        const std::uint64_t front = (std::uint64_t{1} << pos) - 1;
+        const std::uint64_t through = (front << 4) | 0xf;
+        return (order & ~through) | ((order & front) << 4) | w;
+    }
+
+    /** Make way w the most recent of the set at base_index. */
+    template <unsigned A>
+    void
+    touch(std::uint64_t base_index, unsigned w)
+    {
+        unsigned char *order = orderOf<A>(base_index);
+        if constexpr (A != 0) {
+            OrderWord<A> word;
+            std::memcpy(&word, order, sizeof(word));
+            word = static_cast<OrderWord<A>>(moveToFront<A>(word, w));
+            std::memcpy(order, &word, sizeof(word));
+        } else {
+            unsigned pos = 0;
+            while (order[pos] != w)
+                ++pos;
+            std::memmove(order + 1, order, pos);
+            order[0] = static_cast<unsigned char>(w);
         }
-        base[w].raw += above << rankShift;
+    }
+
+    /** The least recently touched way of the set at base_index (the
+     *  last recency position). */
+    template <unsigned A>
+    unsigned
+    oldestWay(std::uint64_t base_index)
+    {
+        const unsigned char *order = orderOf<A>(base_index);
+        if constexpr (A != 0) {
+            OrderWord<A> word;
+            std::memcpy(&word, order, sizeof(word));
+            return word >> (4 * (A - 1));
+        } else {
+            return order[params_.assoc - 1];
+        }
     }
 
     /**
@@ -399,20 +439,19 @@ class Cache
     bool
     hitAndTouch(std::uint64_t base_index, Addr tag)
     {
-        Way *base = &ways_[base_index];
-        const std::uint32_t hits = hitMask<A>(base, tag);
+        const std::uint32_t hits = hitMask<A>(&ways_[base_index], tag);
         if (hits == 0)
             return false;
         const unsigned w = std::countr_zero(hits);
-        touchWay<A>(base, w);
+        touch<A>(base_index, w);
         mru_index_ = base_index + w;
         return true;
     }
 
     /** Miss half of accessOrInsertTag(): victim selection and the
-     *  recency-order insertion, for a tag known absent from the set
-     *  at `base_index`. Out of line — the fill path is rare next to
-     *  the inline hit scan in front of it. */
+     *  move to the front of the recency order, for a tag known absent
+     *  from the set at `base_index`. Out of line — the fill path is
+     *  rare next to the inline hit scan in front of it. */
     template <unsigned A>
     std::optional<Addr> insertAbsent(std::uint64_t base_index, Addr tag);
 
@@ -420,8 +459,11 @@ class Cache
     std::uint64_t num_sets_;
     std::uint64_t set_mask_; // num_sets_ - 1 when a power of two, else 0
     unsigned block_shift_;
+    std::uint64_t num_ways_; // num_sets_ * assoc
     std::uint64_t mru_index_ = 0; // way of the last hit or insert
-    std::vector<Way> ways_; // num_sets_ * assoc, row-major
+    /** num_ways_ ways, row-major by set, then the recency positions
+     *  of every set (see orderOf), padded to whole words. */
+    std::vector<Way> ways_;
 };
 
 } // namespace schedtask

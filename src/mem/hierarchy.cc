@@ -332,9 +332,9 @@ MemHierarchy::checkCacheInvariants() const
                          c.capacityBlocks());
         SCHEDTASK_ASSERT(c.tagsUnique(),
                          what, " holds duplicate valid tags in a set");
-        SCHEDTASK_ASSERT(c.ranksDense(),
-                         what, " has a set whose recency ranks are not "
-                         "a dense 0..valid-1 permutation");
+        SCHEDTASK_ASSERT(c.recencyIsPermutation(),
+                         what, " has a set whose recency word is not a "
+                         "permutation of its ways");
     };
     for (unsigned c = 0; c < params_.numCores; ++c) {
         check(*l1i_[c], "L1I");

@@ -30,6 +30,10 @@ blocksUntil(std::uint64_t done, std::uint64_t bound)
     return (bound - done + instsPerFetchBlock - 1) / instsPerFetchBlock;
 }
 
+/** pickDataAddr's fixed draws, resolved once. */
+constexpr Rng::Odds recentReuseOdds(Core::recentReuseProb);
+constexpr Rng::Odds hotSubsetOdds(Core::hotSubsetProb);
+
 /** Segment cap when no mid-SF check bounds it (interrupt handlers):
  *  boundaries still bound every segment, this only keeps the
  *  arithmetic overflow-free. */
@@ -162,7 +166,8 @@ Core::beginSlice(SuperFunction *sf)
     };
     hot_.regions[0] = makeRegion(shared_base, shared_bytes);
     hot_.regions[1] = makeRegion(priv_base, priv_bytes);
-    hot_.sharedProb = shared_prob;
+    hot_.sharedOdds = Rng::Odds(shared_prob);
+    hot_.writeOdds = Rng::Odds(info.writeFraction);
     hot_.drawRegion = shared_bytes != 0 && priv_bytes != 0;
     hot_.primary = shared_bytes != 0 ? 0 : 1;
 }
@@ -201,11 +206,11 @@ Core::pickDataAddr()
     HotState &h = hot_;
     // Temporal burst: re-touch a recently accessed line (stack and
     // working-struct accesses dominate real data streams).
-    if (h.recentCount > 0 && h.rng.chance(recentReuseProb))
+    if (h.recentCount > 0 && h.rng.chance(recentReuseOdds))
         return h.recentData[h.rng.below(h.recentCount)];
 
     const DataRegion &r = h.regions[
-        h.drawRegion ? (h.rng.chance(h.sharedProb) ? 0u : 1u)
+        h.drawRegion ? (h.rng.chance(h.sharedOdds) ? 0u : 1u)
                      : h.primary];
     if (r.fullLines == 0)
         return 0; // no data region at all: skip the access
@@ -216,7 +221,7 @@ Core::pickDataAddr()
     // cold. OOO execution hides most of the cold-miss latency (the
     // hierarchy's dataHideFactor).
     std::uint64_t lines = r.fullLines;
-    if (r.hotLines != 0 && h.rng.chance(hotSubsetProb))
+    if (r.hotLines != 0 && h.rng.chance(hotSubsetOdds))
         lines = r.hotLines;
     const Addr addr = r.base + h.rng.below(lines) * lineBytes;
 
@@ -242,7 +247,7 @@ Core::executeCurrent(Cycles limit)
         static_cast<unsigned>(dataAccessesPerBlock);
     constexpr double frac_access =
         dataAccessesPerBlock - static_cast<double>(base_accesses);
-    const double write_fraction = info.writeFraction;
+    constexpr Rng::Odds frac_access_odds(frac_access);
     const bool heatmap_on = m_.heatmapsEnabled();
     const bool exact_pages = m_.exactPagesEnabled();
     MemHierarchy &mem = m_.hierarchy();
@@ -298,13 +303,13 @@ Core::executeCurrent(Cycles limit)
             Cycles cost = blockBaseCycles + mem.fetch(id_, line, cls);
 
             unsigned accesses = base_accesses;
-            if (frac_access > 0.0 && h.rng.chance(frac_access))
+            if (h.rng.chance(frac_access_odds))
                 ++accesses;
             for (unsigned a = 0; a < accesses; ++a) {
                 const Addr daddr = pickDataAddr();
                 if (daddr == 0)
                     continue;
-                const bool write = h.rng.chance(write_fraction);
+                const bool write = h.rng.chance(h.writeOdds);
                 cost += mem.data(id_, daddr, write, cls);
             }
 

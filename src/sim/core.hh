@@ -75,10 +75,10 @@ class Core
      * working set is one compact block. The Machine owns one
      * contiguous array of these for all cores (SoA packing).
      *
-     * The data-region spec (regions/sharedProb/drawRegion/primary)
-     * is recomputed by beginSlice: it depends only on the running
-     * SuperFunction's type info and thread, both fixed for the
-     * lifetime of a dispatch.
+     * The data-region spec (regions/sharedOdds/drawRegion/primary)
+     * and writeOdds are recomputed by beginSlice: they depend only on
+     * the running SuperFunction's type info and thread, both fixed
+     * for the lifetime of a dispatch.
      */
     struct HotState
     {
@@ -92,9 +92,11 @@ class Core
         unsigned recentPos = 0;
         /** regions[0] = shared, regions[1] = private. */
         DataRegion regions[2];
-        double sharedProb = 0.0;
-        /** Both regions present: draw chance(sharedProb) per access. */
+        Rng::Odds sharedOdds{0.0};
+        /** Both regions present: draw chance(sharedOdds) per access. */
         bool drawRegion = false;
+        /** Per data access: is it a write (SfTypeInfo::writeFraction). */
+        Rng::Odds writeOdds{0.0};
         /** Region index used when no draw is needed. */
         unsigned primary = 1;
         Addr recentData[recentDataSize] = {};

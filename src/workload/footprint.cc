@@ -79,8 +79,8 @@ FootprintWalker::reset(const Footprint *footprint, double jump_prob,
     footprint_ = footprint;
     lines_ = footprint->lines().data();
     size_ = footprint->size();
-    jump_prob_ = jump_prob;
-    far_jump_prob_ = far_jump_prob;
+    jump_odds_ = Rng::Odds(jump_prob);
+    far_jump_odds_ = Rng::Odds(far_jump_prob);
     cursor_ = start_index % footprint->size();
     prev_cursor_ = cursor_;
     return_cursor_ = 0;

@@ -139,7 +139,7 @@ class FootprintWalker
         const std::uint64_t size = size_;
 
         // Tight loop: re-fetch the previous line without advancing.
-        if (excursion_left_ == 0 && rng.chance(repeatProb))
+        if (excursion_left_ == 0 && rng.chance(repeatOdds))
             return lines_[prev_cursor_];
 
         const Addr line = lines_[cursor_];
@@ -156,17 +156,17 @@ class FootprintWalker
             return line;
         }
 
-        if (far_jump_prob_ > 0.0 && rng.chance(far_jump_prob_)) {
+        if (rng.chance(far_jump_odds_)) {
             return_cursor_ = cursor_;
             cursor_ = rng.below(size);
             excursion_left_ = static_cast<std::uint32_t>(
                 rng.geometric(excursionMeanBlocks));
-        } else if (jump_prob_ > 0.0 && rng.chance(jump_prob_)) {
+        } else if (rng.chance(jump_odds_)) {
             // Local branch: short hop, backward-biased (loops
             // re-enter recently executed code more often than they
             // skip ahead).
             const std::uint64_t dist = rng.geometric(localJumpMeanLines);
-            if (rng.chance(0.4)) {
+            if (rng.chance(forwardJumpOdds)) {
                 cursor_ = (cursor_ + dist) % size;
             } else {
                 cursor_ = (cursor_ + size - dist % size) % size;
@@ -206,6 +206,9 @@ class FootprintWalker
      */
     static constexpr double repeatProb = 0.35;
 
+    /** Probability that a local branch hops forward, not back. */
+    static constexpr double forwardJumpProb = 0.4;
+
   private:
     const Footprint *footprint_ = nullptr;
     /** Flat view of footprint_->lines(), resolved once in reset():
@@ -215,8 +218,12 @@ class FootprintWalker
      *  construction, so the view cannot dangle. */
     const Addr *lines_ = nullptr;
     std::uint64_t size_ = 0;
-    double jump_prob_ = 0.0;
-    double far_jump_prob_ = defaultFarJumpProb;
+    /** The per-block draws, resolved once (in reset() for the
+     *  footprint's own probabilities). Odds of 0 draw nothing. */
+    static constexpr Rng::Odds repeatOdds{repeatProb};
+    static constexpr Rng::Odds forwardJumpOdds{forwardJumpProb};
+    Rng::Odds jump_odds_{0.0};
+    Rng::Odds far_jump_odds_{defaultFarJumpProb};
     std::uint64_t cursor_ = 0;
     std::uint64_t prev_cursor_ = 0;
     std::uint64_t return_cursor_ = 0;

@@ -392,7 +392,7 @@ checkAgainstReference()
                     ASSERT_EQ(c.contains(addr), ref.contains(addr))
                         << where();
                     if (i % 64 == 0 || i + 1 == ops) {
-                        ASSERT_TRUE(c.ranksDense()) << where();
+                        ASSERT_TRUE(c.recencyIsPermutation()) << where();
                         ASSERT_TRUE(c.tagsUnique()) << where();
                     }
                 }
@@ -408,17 +408,29 @@ TEST(CacheReference, Lru)
     checkAgainstReference();
 }
 
-TEST(Cache, RanksDenseThroughInvalidateAndFlush)
+TEST(Cache, RecencyPermutationThroughInvalidateAndFlush)
 {
-    Cache c(smallCache());
-    EXPECT_TRUE(c.ranksDense());
-    c.insert(0x0);
-    c.insert(0x100);
-    c.invalidate(0x0);
-    EXPECT_TRUE(c.ranksDense());
-    c.insert(0x200);
-    c.access(0x100);
-    EXPECT_TRUE(c.ranksDense());
-    c.flush();
-    EXPECT_TRUE(c.ranksDense());
+    // 2 ways take the byte-per-position layout, 4 and 8 the nibble-
+    // packed recency words.
+    for (const unsigned assoc : {2u, 4u, 8u}) {
+        SCOPED_TRACE(assoc);
+        // 4 sets; addresses 0x100 apart share set 0.
+        Cache c(CacheParams{4 * assoc * 64, assoc, 64, 1});
+        EXPECT_TRUE(c.recencyIsPermutation());
+        c.insert(0x0);
+        c.insert(0x100);
+        c.invalidate(0x0);
+        EXPECT_TRUE(c.recencyIsPermutation());
+        c.insert(0x200);
+        c.access(0x100);
+        EXPECT_TRUE(c.recencyIsPermutation());
+        for (Addr a = 0; a < 3 * assoc; ++a)
+            c.insert(a * 0x100);
+        c.invalidate(0x100);
+        c.access(0x200);
+        EXPECT_TRUE(c.recencyIsPermutation());
+        c.flush();
+        EXPECT_TRUE(c.recencyIsPermutation());
+        EXPECT_EQ(c.validBlocks(), 0u);
+    }
 }

@@ -91,6 +91,51 @@ TEST(Rng, ChanceExtremes)
     }
 }
 
+TEST(RngOdds, MatchesChanceBitForBit)
+{
+    // Twin generators: chance(Odds(p)) must give chance(p)'s outcome
+    // on every draw and consume exactly the same draws (none for
+    // p <= 0 and p >= 1), so the streams end in the same state.
+    const double probs[] = {-0.1, 0.0, 1e-300, 0x1.0p-53, 0.003, 0.2,
+                            0.3, 0.35, 0.4, 0.5, 0.6, 0.9,
+                            1.0 - 0x1.0p-53, 1.0, 1.5,
+                            std::nan("")};
+    for (const double p : probs) {
+        SCOPED_TRACE(p);
+        Rng plain(77);
+        Rng resolved(77);
+        const Rng::Odds odds(p);
+        unsigned hits = 0;
+        for (int i = 0; i < 100000; ++i) {
+            const bool expected = plain.chance(p);
+            ASSERT_EQ(resolved.chance(odds), expected) << i;
+            hits += expected ? 1 : 0;
+        }
+        EXPECT_EQ(resolved(), plain());
+        if (p > 0.01 && p < 0.99) {
+            EXPECT_NEAR(hits / 100000.0, p, 0.01);
+        }
+    }
+
+    // Thresholds exactly at and one step past the next draw, where a
+    // floor instead of a ceil (or <= instead of <) would show.
+    Rng rng(78);
+    for (int i = 0; i < 10000; ++i) {
+        Rng peek = rng;
+        const double u = peek.uniform();
+        const double above = std::nextafter(u, 1.0);
+        for (const double p : {u, above}) {
+            Rng plain = rng;
+            Rng resolved = rng;
+            ASSERT_EQ(resolved.chance(Rng::Odds(p)), plain.chance(p))
+                << i << " p " << p;
+        }
+        ASSERT_FALSE(Rng(rng).chance(Rng::Odds(u))) << i;
+        ASSERT_TRUE(Rng(rng).chance(Rng::Odds(above))) << i;
+        rng();
+    }
+}
+
 TEST(Rng, GeometricMeanApproximatesRequest)
 {
     Rng rng(17);

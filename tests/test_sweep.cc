@@ -553,6 +553,39 @@ TEST(SweepUnion, TracedTwinGetsItsOwnCell)
                        results.at("Find", "traced"));
 }
 
+TEST(SweepUnion, TracedComparisonGetsTracedBaseline)
+{
+    // The same comparison untraced, then traced: the traced run must
+    // be compared against a traced baseline, not share the untraced
+    // one (which carries no epoch samples).
+    ExperimentConfig traced = smallConfig();
+    traced.machine.trace = true;
+    Sweep sweep;
+    sweep.addComparison("Find", "plain", smallConfig(),
+                        TechniqueSpec{"SchedTask"});
+    sweep.addComparison("Find", "traced", traced,
+                        TechniqueSpec{"SchedTask"});
+    ASSERT_EQ(sweep.requests().size(), 4u);
+
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.progress = false;
+    const SweepResults results = SweepRunner(opts).run(sweep);
+    for (const RunRequest &req : sweep.requests()) {
+        if (req.isBaseline)
+            continue;
+        SCOPED_TRACE(req.label());
+        const RunResult &base = results.at(req.baselineLabel);
+        EXPECT_EQ(base.metrics.epochSamples.empty(),
+                  !req.config.machine.trace);
+    }
+    const SweepReport report(sweep, results);
+    EXPECT_TRUE(report.baselineOf("Find").metrics.epochSamples.empty());
+    expectBitwiseEqual(
+        results.at(sweep.requests()[0].label()),
+        results.at(sweep.requests()[2].label()));
+}
+
 TEST(SweepFailure, SerialStopsDispatchAfterFirstFailure)
 {
     // Four runs, the second one fails: the first completes, and the
