@@ -88,6 +88,8 @@ ExperimentConfig::validate(const TechniqueSpec &spec) const
                 + joinNames(known) + ")";
         }
     }
+    if (std::optional<std::string> geometry = hierarchy.geometryError())
+        return geometry;
 
     MachineParams mp = machine;
     try {

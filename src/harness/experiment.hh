@@ -80,13 +80,15 @@ struct ExperimentConfig
     /**
      * Why `spec` cannot run on this configuration, or nullopt when
      * it can. This is the one place a run is checked before it
-     * starts: an unknown benchmark, an unregistered technique or a
-     * malformed option value, a core count (after coresRequired()
-     * and configureMachine()) the full-map coherence directory
-     * cannot track, a heatmap width PageHeatmap does not accept, and
-     * a scale at which a part has no threads or more than
-     * Workload::maxPartThreads. Messages name the schedtask-sim
-     * flag that sets the offending field.
+     * starts: an unknown benchmark, a cache level the model cannot
+     * build (HierarchyParams::geometryError()), an unregistered
+     * technique or a malformed option value, a core count (after
+     * coresRequired() and configureMachine()) the full-map
+     * coherence directory cannot track, a heatmap width PageHeatmap
+     * does not accept, and a scale at which a part has no threads
+     * or more than Workload::maxPartThreads. Messages name the
+     * schedtask-sim flag that sets the offending field, or the
+     * `hierarchy.<level>` field no flag sets.
      */
     std::optional<std::string> validate(const TechniqueSpec &spec) const;
 

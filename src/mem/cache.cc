@@ -1,6 +1,5 @@
 #include "mem/cache.hh"
 
-#include <algorithm>
 #include <bit>
 
 #include "common/logging.hh"
@@ -8,50 +7,40 @@
 namespace schedtask
 {
 
-namespace
+bool
+Cache::supports(const CacheParams &params)
 {
-
-unsigned
-log2Exact(std::uint64_t v)
-{
-    SCHEDTASK_ASSERT(v != 0 && (v & (v - 1)) == 0,
-                     "value must be a power of two, got ", v);
-    return static_cast<unsigned>(std::countr_zero(v));
+    if ((params.assoc != 4 && params.assoc != 8)
+        || !std::has_single_bit(params.blockBytes)
+        || params.blockBytes > params.sizeBytes / params.assoc)
+        return false;
+    const std::uint64_t set_bytes = params.blockBytes * params.assoc;
+    return params.sizeBytes % set_bytes == 0
+        && std::has_single_bit(params.sizeBytes / set_bytes);
 }
-
-} // namespace
 
 Cache::Cache(const CacheParams &params)
     : params_(params)
 {
-    SCHEDTASK_ASSERT(params_.assoc > 0, "associativity must be positive");
-    SCHEDTASK_ASSERT(params_.assoc <= 255,
-                     "associativity ", params_.assoc,
-                     " exceeds the byte-wide recency positions (max 255)");
-    SCHEDTASK_ASSERT(params_.sizeBytes % (params_.blockBytes * params_.assoc)
-                         == 0,
-                     "cache size must be a multiple of assoc * block size");
+    SCHEDTASK_ASSERT(supports(params_),
+                     "unsupported cache geometry: ", params_.sizeBytes,
+                     " B, ", params_.assoc, "-way, ", params_.blockBytes,
+                     " B blocks (need 4 or 8 ways and a power-of-two "
+                     "number of sets)");
     num_sets_ = params_.sizeBytes / (params_.blockBytes * params_.assoc);
-    SCHEDTASK_ASSERT(num_sets_ > 0, "cache must have at least one set");
-    // Non-power-of-two set counts are allowed (e.g. a 24-entry TLB);
-    // the index is then a modulo rather than a mask.
-    set_mask_ = (num_sets_ & (num_sets_ - 1)) == 0 ? num_sets_ - 1 : 0;
-    block_shift_ = log2Exact(params_.blockBytes);
+    set_mask_ = num_sets_ - 1;
+    block_shift_ = static_cast<unsigned>(std::countr_zero(params_.blockBytes));
     num_ways_ = num_sets_ * params_.assoc;
 
-    // The recency positions follow the ways in the same allocation:
-    // a nibble per way for the 4- and 8-way kernels (byte i holds
-    // positions 2i and 2i + 1, low nibble first), a byte per way for
-    // the runtime one. Every set starts with way p at position p (any
+    // The recency words follow the ways in the same allocation, a
+    // nibble per way (byte i holds positions 2i and 2i + 1, low
+    // nibble first). Every set starts with way p at position p (any
     // permutation would do: a set fills its invalid ways first).
-    const unsigned assoc = params_.assoc;
-    const bool nibbles = assoc == 4 || assoc == 8;
-    const std::uint64_t order_bytes = nibbles ? num_ways_ / 2 : num_ways_;
+    const std::uint64_t order_bytes = num_ways_ / 2;
     ways_.resize(num_ways_ + (order_bytes + sizeof(Way) - 1) / sizeof(Way));
     for (std::uint64_t i = 0; i < order_bytes; ++i) {
-        const unsigned pos = (nibbles ? 2 * i : i) % assoc;
-        order()[i] = static_cast<unsigned char>(
-            nibbles ? pos | (pos + 1) << 4 : pos);
+        const unsigned pos = 2 * i % params_.assoc;
+        order()[i] = static_cast<unsigned char>(pos | (pos + 1) << 4);
     }
 }
 
@@ -70,7 +59,7 @@ Cache::insertAbsent(std::uint64_t base_index, Addr tag)
     // full set is valid. The caller's hit scan just touched the set,
     // so this pass stays in the host's L1.
     std::uint32_t invalid = 0;
-    for (unsigned w = 0; w < waysOf<A>(); ++w)
+    for (unsigned w = 0; w < A; ++w)
         invalid |= std::uint32_t{!isValid(base[w])} << w;
     const bool full = invalid == 0;
     const unsigned victim =
@@ -85,17 +74,8 @@ Cache::insertAbsent(std::uint64_t base_index, Addr tag)
     return evicted;
 }
 
-template std::optional<Addr> Cache::insertAbsent<0>(std::uint64_t, Addr);
 template std::optional<Addr> Cache::insertAbsent<4>(std::uint64_t, Addr);
 template std::optional<Addr> Cache::insertAbsent<8>(std::uint64_t, Addr);
-
-void
-Cache::flush()
-{
-    // Valid bits only: stale tags and recency positions stay.
-    for (std::uint64_t w = 0; w < num_ways_; ++w)
-        ways_[w].raw &= tagMask;
-}
 
 std::uint64_t
 Cache::validBlocks() const
@@ -110,18 +90,14 @@ bool
 Cache::recencyIsPermutation() const
 {
     const unsigned assoc = params_.assoc;
-    const bool nibbles = assoc == 4 || assoc == 8;
-    std::vector<bool> seen(assoc);
     for (std::uint64_t set = 0; set < num_sets_; ++set) {
-        std::fill(seen.begin(), seen.end(), false);
+        unsigned seen = 0; // bit w: way w already listed
         for (unsigned pos = 0; pos < assoc; ++pos) {
             const std::uint64_t i = set * assoc + pos;
-            const unsigned way = nibbles
-                ? (order()[i / 2] >> (4 * (i % 2))) & 0xf
-                : order()[i];
-            if (way >= assoc || seen[way])
+            const unsigned way = (order()[i / 2] >> (4 * (i % 2))) & 0xf;
+            if (way >= assoc || (seen >> way & 1) != 0)
                 return false;
-            seen[way] = true;
+            seen |= 1u << way;
         }
     }
     return true;

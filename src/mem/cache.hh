@@ -7,12 +7,15 @@
  * are modelled — this is a trace-driven timing simulator, data
  * values never matter.
  *
+ * Every cache the model builds has 4 ways (Table 2's L1s, L2 and
+ * TLBs, the trace cache) or 8 (the LLC) and a power-of-two set
+ * count, so that is all Cache supports (see supports()), and the
+ * set index is a mask.
+ *
  * This sits on the simulator's per-instruction hot path (every fetch
  * block probes the iTLB and L1I, every data access the dTLB and
  * L1D), so the lookup paths are engineered accordingly:
  *
- *  - the set index is a mask when the set count is a power of two
- *    (every real configuration) instead of an integer division;
  *  - an MRU fast path short-circuits the way scan when the probed
  *    block is the one touched last (tags embed the set bits, so a
  *    single compare suffices) — and it is a pure read: the cache's
@@ -23,8 +26,7 @@
  *    tag | valid and a 4-way set is 32 bytes;
  *  - recency lives apart from the ways, as one *recency word* per
  *    set: the set's way indices, most recent first, one 4-bit nibble
- *    each (a uint16_t for 4 ways, a uint32_t for 8). Other
- *    associativities keep one byte per position. The words sit at
+ *    each (a uint16_t for 4 ways, a uint32_t for 8). The words sit at
  *    the tail of the ways' own allocation, so the recency state of
  *    a whole cache is half a byte per way and stays hot in the
  *    host's caches next to the tag arrays (which are probed at
@@ -34,33 +36,32 @@
  * Set kernels. Every operation on one set (the hit scan, the recency
  * touch, the victim pick) is one function template over the way
  * count A. Each public operation switches once on the associativity
- * to A = 4 or 8 — every Table 2 geometry — or to A = 0, which scans
- * the runtime way count. A fixed A gives the compiler a constant
- * trip count, so it fully unrolls the plain loops (and may vectorize
- * them for the target ISA). The hit scan builds a bit mask of the
- * matching ways and takes std::countr_zero; the victim is the lowest
- * set bit of the invalid-way mask or, when the set is full, the last
- * nibble of the recency word. A touch is a branch-free SWAR
- * move-to-front on the word: the zero-nibble test finds the way's
- * position, and the nibbles in front of it shift back one. Which way
- * hits or is the victim is data-random, so per-way branches would
- * mispredict constantly.
+ * to A = 4 or 8. A fixed A gives the compiler a constant trip count,
+ * so it fully unrolls the plain loops (and may vectorize them for
+ * the target ISA). The hit scan builds a bit mask of the matching
+ * ways and takes std::countr_zero; the victim is the lowest set bit
+ * of the invalid-way mask or, when the set is full, the last nibble
+ * of the recency word. A touch is a branch-free SWAR move-to-front
+ * on the word: the zero-nibble test finds the way's position, and
+ * the nibbles in front of it shift back one. Which way hits or is
+ * the victim is data-random, so per-way branches would mispredict
+ * constantly.
  *
- * Why the replacement state is exact. invalidate() and flush() clear
- * only valid bits; an invalid way keeps its stale position in the
- * recency word, and whichever fill reuses it moves it to the front.
- * Every operation therefore keeps the relative order of the valid
- * ways in the word equal to their order of last touch — a touch or
- * fill moves one way to the front and leaves the others' order
- * alone, which is exactly what stamping with a fresh monotonic
- * counter does. Every replacement decision depends only on that
- * order: the victim of a full set is its least recently touched way,
- * which is the last position of the word since all ways are valid,
- * and a set with a hole fills its lowest invalid way whatever the
- * order. A set holds each valid tag at most once, so "the first
- * matching way" and "the lowest mask bit" name the same way. The
- * kernels therefore make bit-identical replacement decisions to a
- * plain stamped scan (tests/test_cache.cc checks them against one).
+ * Why the replacement state is exact. invalidate() clears only the
+ * valid bit; an invalid way keeps its stale position in the recency
+ * word, and whichever fill reuses it moves it to the front. Every
+ * operation therefore keeps the relative order of the valid ways in
+ * the word equal to their order of last touch — a touch or fill
+ * moves one way to the front and leaves the others' order alone,
+ * which is exactly what stamping with a fresh monotonic counter
+ * does. Every replacement decision depends only on that order: the
+ * victim of a full set is its least recently touched way, which is
+ * the last position of the word since all ways are valid, and a set
+ * with a hole fills its lowest invalid way whatever the order. A set
+ * holds each valid tag at most once, so "the first matching way" and
+ * "the lowest mask bit" name the same way. The kernels therefore
+ * make bit-identical replacement decisions to a plain stamped scan
+ * (tests/test_cache.cc checks them against one).
  */
 
 #ifndef SCHEDTASK_MEM_CACHE_HH
@@ -83,7 +84,7 @@ struct CacheParams
 {
     /** Total capacity in bytes. */
     std::uint64_t sizeBytes = 32 * 1024;
-    /** Associativity (ways per set). */
+    /** Associativity (ways per set): 4 or 8. */
     unsigned assoc = 4;
     /** Bytes per block (64 for caches, 4096 for TLBs-as-caches). */
     std::uint64_t blockBytes = lineBytes;
@@ -103,7 +104,12 @@ struct CacheParams
 class Cache
 {
   public:
+    /** Build a cache; params must satisfy supports(). */
     explicit Cache(const CacheParams &params);
+
+    /** True for the geometries the set kernels implement: 4 or 8
+     *  ways, power-of-two blocks and a power-of-two set count. */
+    static bool supports(const CacheParams &params);
 
     /**
      * Look up an address and update LRU on hit.
@@ -209,9 +215,6 @@ class Cache
         });
     }
 
-    /** Invalidate every block. */
-    void flush();
-
     /** Number of currently valid blocks. */
     std::uint64_t validBlocks() const;
 
@@ -237,14 +240,8 @@ class Cache
      */
     bool recencyIsPermutation() const;
 
-    /** Configured parameters. */
-    const CacheParams &params() const { return params_; }
-
     /** Number of sets. */
     std::uint64_t numSets() const { return num_sets_; }
-
-    /** log2(blockBytes): callers precomputing tags share this. */
-    unsigned blockShift() const { return block_shift_; }
 
     /** The block tag (full block address) of a byte address. */
     Addr tagOf(Addr addr) const { return addr >> block_shift_; }
@@ -294,33 +291,19 @@ class Cache
         A == 8 ? 0x1111'1111 : 0x1111;
 
     /**
-     * Call f with the set kernels' way count as a compile-time
-     * constant: 4 and 8 (the Table 2 geometries) get a fixed trip
-     * count the compiler unrolls, anything else the runtime one
-     * (0). This switch is the only associativity dispatch; every
-     * public set operation takes it exactly once.
+     * Call f with the set kernels' way count (4 or 8, see supports())
+     * as a compile-time constant, so the kernels get a fixed trip
+     * count the compiler unrolls. This is the only associativity
+     * dispatch; every public set operation takes it exactly once.
      */
     template <typename F>
     auto
     withWays(F &&f) const
-        -> decltype(f(std::integral_constant<unsigned, 0>{}))
+        -> decltype(f(std::integral_constant<unsigned, 4>{}))
     {
-        switch (params_.assoc) {
-          case 4:
+        if (params_.assoc == 4)
             return f(std::integral_constant<unsigned, 4>{});
-          case 8:
-            return f(std::integral_constant<unsigned, 8>{});
-          default:
-            return f(std::integral_constant<unsigned, 0>{});
-        }
-    }
-
-    /** The number of ways kernel A scans. */
-    template <unsigned A>
-    unsigned
-    waysOf() const
-    {
-        return A != 0 ? A : params_.assoc;
+        return f(std::integral_constant<unsigned, 8>{});
     }
 
     /** Index in ways_ of the first way of tag's set. */
@@ -328,11 +311,7 @@ class Cache
     std::uint64_t
     baseIndex(Addr tag) const
     {
-        // Power-of-two set counts (every real geometry) use the
-        // mask; the division survives only for odd TLB sizes.
-        const std::uint64_t set =
-            set_mask_ != 0 ? (tag & set_mask_) : (tag % num_sets_);
-        return set * waysOf<A>();
+        return (tag & set_mask_) * A;
     }
 
     /** Bit w set iff way w of the set holds tag valid (at most one
@@ -343,7 +322,7 @@ class Cache
     {
         const std::uint64_t key = tag | validBit;
         std::uint32_t mask = 0;
-        for (unsigned w = 0; w < waysOf<A>(); ++w)
+        for (unsigned w = 0; w < A; ++w)
             mask |= std::uint32_t{base[w].raw == key} << w;
         return mask;
     }
@@ -361,17 +340,16 @@ class Cache
                                                        + num_ways_);
     }
 
-    /** The recency positions of the set whose first way is
-     *  ways_[base_index]: half a byte per way for A = 4 and 8, one
-     *  byte per way otherwise, after the last way of the cache. */
-    template <unsigned A>
+    /** The recency word of the set whose first way is
+     *  ways_[base_index]: half a byte per way, after the last way of
+     *  the cache. */
     unsigned char *
     orderOf(std::uint64_t base_index)
     {
         // A recency word is read as a little-endian integer whose
         // low nibble is position 0.
         static_assert(std::endian::native == std::endian::little);
-        return order() + (A != 0 ? base_index / 2 : base_index);
+        return order() + base_index / 2;
     }
 
     /**
@@ -400,19 +378,11 @@ class Cache
     void
     touch(std::uint64_t base_index, unsigned w)
     {
-        unsigned char *order = orderOf<A>(base_index);
-        if constexpr (A != 0) {
-            OrderWord<A> word;
-            std::memcpy(&word, order, sizeof(word));
-            word = static_cast<OrderWord<A>>(moveToFront<A>(word, w));
-            std::memcpy(order, &word, sizeof(word));
-        } else {
-            unsigned pos = 0;
-            while (order[pos] != w)
-                ++pos;
-            std::memmove(order + 1, order, pos);
-            order[0] = static_cast<unsigned char>(w);
-        }
+        unsigned char *order = orderOf(base_index);
+        OrderWord<A> word;
+        std::memcpy(&word, order, sizeof(word));
+        word = static_cast<OrderWord<A>>(moveToFront<A>(word, w));
+        std::memcpy(order, &word, sizeof(word));
     }
 
     /** The least recently touched way of the set at base_index (the
@@ -421,19 +391,15 @@ class Cache
     unsigned
     oldestWay(std::uint64_t base_index)
     {
-        const unsigned char *order = orderOf<A>(base_index);
-        if constexpr (A != 0) {
-            OrderWord<A> word;
-            std::memcpy(&word, order, sizeof(word));
-            return word >> (4 * (A - 1));
-        } else {
-            return order[params_.assoc - 1];
-        }
+        OrderWord<A> word;
+        std::memcpy(&word, orderOf(base_index), sizeof(word));
+        return word >> (4 * (A - 1));
     }
 
     /**
      * The hit half of every probe: on a hit in the set at
-     * base_index, refresh the way's recency and make it the MRU way.
+     * base_index, move the way to the front of the recency word
+     * and make it the MRU way.
      */
     template <unsigned A>
     bool
@@ -457,12 +423,12 @@ class Cache
 
     CacheParams params_;
     std::uint64_t num_sets_;
-    std::uint64_t set_mask_; // num_sets_ - 1 when a power of two, else 0
+    std::uint64_t set_mask_; // num_sets_ - 1
     unsigned block_shift_;
     std::uint64_t num_ways_; // num_sets_ * assoc
     std::uint64_t mru_index_ = 0; // way of the last hit or insert
-    /** num_ways_ ways, row-major by set, then the recency positions
-     *  of every set (see orderOf), padded to whole words. */
+    /** num_ways_ ways, row-major by set, then the recency word of
+     *  every set (see orderOf), padded to whole ways. */
     std::vector<Way> ways_;
 };
 

@@ -34,19 +34,44 @@ HierarchyParams::config2(unsigned num_cores)
     return p;
 }
 
+std::optional<std::string>
+HierarchyParams::geometryError() const
+{
+    // The fetch/data hot paths share one line tag per access across
+    // the L1/L2/LLC probes, so those levels must use line blocks.
+    const auto check = [](const char *level, const CacheParams &p,
+                          bool line_grain) -> std::optional<std::string> {
+        const std::string name = std::string("hierarchy.") + level + ": ";
+        if (!Cache::supports(p)) {
+            return name + std::to_string(p.sizeBytes) + " B, "
+                + std::to_string(p.assoc) + "-way, "
+                + std::to_string(p.blockBytes)
+                + " B blocks is not a supported cache geometry (the model "
+                  "supports 4 or 8 ways and a power-of-two number of sets)";
+        }
+        if (line_grain && p.blockBytes != lineBytes) {
+            return name + std::to_string(p.blockBytes)
+                + " B blocks; the L1, L2 and LLC levels must use "
+                + std::to_string(lineBytes) + " B blocks";
+        }
+        return std::nullopt;
+    };
+    std::optional<std::string> error;
+    if ((error = check("l1i", l1i, true)) || (error = check("l1d", l1d, true))
+        || (hasPrivateL2 && (error = check("l2", l2, true)))
+        || (error = check("llc", llc, true))
+        || (error = check("itlb", itlb.cacheParams(), false))
+        || (error = check("dtlb", dtlb.cacheParams(), false)))
+        return error;
+    return std::nullopt;
+}
+
 MemHierarchy::MemHierarchy(const HierarchyParams &params)
     : params_(params), llc_(params.llc), directory_(params.numCores)
 {
     SCHEDTASK_ASSERT(params_.numCores >= 1, "need at least one core");
-    // The fetch/data hot paths precompute one line tag per access
-    // and share it across the L1/L2/LLC probes; that requires every
-    // line-grain level to split tags at the line boundary.
-    SCHEDTASK_ASSERT(params_.l1i.blockBytes == lineBytes
-                         && params_.l1d.blockBytes == lineBytes
-                         && params_.llc.blockBytes == lineBytes
-                         && (!params_.hasPrivateL2
-                             || params_.l2.blockBytes == lineBytes),
-                     "cache levels must use ", lineBytes, " B blocks");
+    const std::optional<std::string> geometry = params_.geometryError();
+    SCHEDTASK_ASSERT(!geometry, *geometry);
     l1i_.reserve(params_.numCores);
     l1d_.reserve(params_.numCores);
     itlbs_.reserve(params_.numCores);

@@ -23,6 +23,8 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "common/logging.hh"
@@ -107,6 +109,11 @@ struct HierarchyParams
 
     /** Appendix Config2: 2-level, shared 8 MB L2 at 8 cycles. */
     static HierarchyParams config2(unsigned num_cores = 32);
+
+    /** Why a level (`hierarchy.l1i`, ..., `hierarchy.dtlb`) cannot
+     *  be built — Cache::supports() rejects it, or an L1, L2 or LLC
+     *  has no lineBytes blocks — or nullopt. */
+    std::optional<std::string> geometryError() const;
 };
 
 /**

@@ -3,24 +3,19 @@
 namespace schedtask
 {
 
-namespace
-{
-
 CacheParams
-tlbCacheParams(const TlbParams &p)
+TlbParams::cacheParams() const
 {
     CacheParams cp;
     cp.blockBytes = pageBytes;
-    cp.assoc = p.assoc;
-    cp.sizeBytes = static_cast<std::uint64_t>(p.entries) * pageBytes;
+    cp.assoc = assoc;
+    cp.sizeBytes = static_cast<std::uint64_t>(entries) * pageBytes;
     cp.latency = 0;
     return cp;
 }
 
-} // namespace
-
 Tlb::Tlb(const TlbParams &params)
-    : params_(params), cache_(tlbCacheParams(params))
+    : params_(params), cache_(params.cacheParams())
 {
 }
 

@@ -5,8 +5,9 @@
  * The paper's baseline has 128-entry iTLB and dTLB (Table 2) and
  * reports TLB hit-rate improvements as a secondary result of the
  * reduced per-core footprints (Section 6.1, "Other statistics").
- * A TLB is modelled as a fully-parameterized set-associative cache
- * over page frames, with a fixed page-walk penalty on miss.
+ * A TLB is modelled as a set-associative Cache over page frames
+ * (so it takes the Cache geometries: 4 or 8 ways and a power-of-two
+ * number of sets), with a fixed page-walk penalty on miss.
  */
 
 #ifndef SCHEDTASK_MEM_TLB_HH
@@ -27,6 +28,9 @@ struct TlbParams
     unsigned assoc = 4;
     /** Cycles added to the access on a TLB miss (page walk). */
     Cycles missPenalty = 40;
+
+    /** The page-grain cache geometry this TLB is built on. */
+    CacheParams cacheParams() const;
 };
 
 /**
@@ -76,9 +80,6 @@ class Tlb
 
     /** Hit ratio in [0,1]; 1 when never accessed. */
     double hitRate() const;
-
-    /** Drop all translations (e.g. on address-space change). */
-    void flush() { cache_.flush(); }
 
     /** Reset the statistics, keeping contents. */
     void

@@ -22,10 +22,11 @@ namespace
 CacheParams
 smallCache()
 {
-    // 4 sets x 2 ways x 64 B = 512 B.
+    // 4 sets x 4 ways x 64 B = 1 KB; addresses 0x100 apart share a
+    // set.
     CacheParams p;
-    p.sizeBytes = 512;
-    p.assoc = 2;
+    p.sizeBytes = 1024;
+    p.assoc = 4;
     p.blockBytes = 64;
     return p;
 }
@@ -46,27 +47,48 @@ TEST(Cache, GeometryDerivation)
     EXPECT_EQ(c.numSets(), 32u * 1024 / (4 * 64));
 }
 
+TEST(Cache, SupportsOnlyFourOrEightWaysAndPowerOfTwoSets)
+{
+    EXPECT_TRUE(Cache::supports(CacheParams{32 * 1024, 4, 64, 3}));
+    EXPECT_TRUE(Cache::supports(CacheParams{8 << 20, 8, 64, 18}));
+    EXPECT_TRUE(Cache::supports(CacheParams{256, 4, 64, 1})); // 1 set
+    EXPECT_TRUE(Cache::supports(CacheParams{32 * 256, 4, 256, 1}));
+    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 2, 64, 3}));
+    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 16, 64, 3}));
+    EXPECT_FALSE(Cache::supports(CacheParams{48 * 1024, 4, 64, 3}));
+    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 4, 48, 3}));
+    EXPECT_FALSE(Cache::supports(CacheParams{1000, 4, 64, 3}));
+    EXPECT_FALSE(Cache::supports(CacheParams{0, 4, 64, 3}));
+    EXPECT_FALSE(Cache::supports(CacheParams{128, 4, 64, 3})); // < 1 set
+    EXPECT_FALSE(Cache::supports(
+        CacheParams{1024, 4, std::uint64_t{1} << 62, 3})); // no overflow
+    EXPECT_DEATH(Cache(CacheParams{32 * 1024, 2, 64, 3}),
+                 "unsupported cache geometry");
+}
+
 TEST(Cache, SameSetDifferentTagsCoexistUpToAssoc)
 {
-    Cache c(smallCache()); // 4 sets, 2 ways
-    // Two addresses in the same set (stride = sets * block = 256).
-    c.insert(0x0);
-    c.insert(0x100);
-    EXPECT_TRUE(c.access(0x0));
-    EXPECT_TRUE(c.access(0x100));
+    Cache c(smallCache()); // 4 sets, 4 ways
+    // Four addresses in the same set (stride = sets * block = 256).
+    for (Addr a = 0; a < 0x400; a += 0x100)
+        c.insert(a);
+    for (Addr a = 0; a < 0x400; a += 0x100)
+        EXPECT_TRUE(c.access(a)) << a;
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed)
 {
     Cache c(smallCache());
-    c.insert(0x0);   // set 0
-    c.insert(0x100); // set 0, second way
-    EXPECT_TRUE(c.access(0x0)); // 0x0 now MRU
-    const std::optional<Addr> evicted = c.insert(0x200); // evicts 0x100
+    for (Addr a = 0; a < 0x400; a += 0x100)
+        c.insert(a); // set 0, ways 0..3; 0x0 is LRU
+    EXPECT_TRUE(c.access(0x0)); // 0x0 now MRU, 0x100 LRU
+    const std::optional<Addr> evicted = c.insert(0x400); // evicts 0x100
     EXPECT_EQ(evicted, 0x100u);
     EXPECT_TRUE(c.access(0x0));
     EXPECT_FALSE(c.access(0x100));
     EXPECT_TRUE(c.access(0x200));
+    EXPECT_TRUE(c.access(0x300));
+    EXPECT_TRUE(c.access(0x400));
 }
 
 TEST(Cache, InsertIntoInvalidWayEvictsNothing)
@@ -80,10 +102,11 @@ TEST(Cache, EvictionOfAddressZeroIsReported)
     // Address 0 is a valid block address; eviction reporting must
     // distinguish "evicted block 0" from "evicted nothing".
     Cache c(smallCache());
-    c.insert(0x0);
-    c.insert(0x100);
-    c.access(0x100); // 0x0 is LRU
-    const std::optional<Addr> evicted = c.insert(0x200);
+    for (Addr a = 0; a < 0x400; a += 0x100)
+        c.insert(a);
+    c.access(0x100);
+    c.access(0x300); // 0x0 is LRU
+    const std::optional<Addr> evicted = c.insert(0x400);
     ASSERT_TRUE(evicted.has_value());
     EXPECT_EQ(*evicted, 0x0u);
 }
@@ -91,11 +114,11 @@ TEST(Cache, EvictionOfAddressZeroIsReported)
 TEST(Cache, ContainsDoesNotDisturbLru)
 {
     Cache c(smallCache());
-    c.insert(0x0);
-    c.insert(0x100);
+    for (Addr a = 0; a < 0x400; a += 0x100)
+        c.insert(a);
     // Probing 0x0 must not promote it.
     EXPECT_TRUE(c.contains(0x0));
-    c.insert(0x200); // LRU is still 0x0
+    c.insert(0x400); // LRU is still 0x0
     EXPECT_FALSE(c.access(0x0));
     EXPECT_TRUE(c.access(0x100));
 }
@@ -112,17 +135,6 @@ TEST(Cache, InvalidateMissingIsNoop)
 {
     Cache c(smallCache());
     c.invalidate(0xdead000); // must not crash
-    EXPECT_EQ(c.validBlocks(), 0u);
-}
-
-TEST(Cache, FlushEmptiesEverything)
-{
-    Cache c(smallCache());
-    c.insert(0x0);
-    c.insert(0x40);
-    c.insert(0x80);
-    EXPECT_EQ(c.validBlocks(), 3u);
-    c.flush();
     EXPECT_EQ(c.validBlocks(), 0u);
 }
 
@@ -180,10 +192,10 @@ TEST(Cache, CyclicSweepLargerThanCacheAlwaysMisses)
 {
     // Classic LRU adversary: sweeping N+1 blocks through an
     // N-block fully-conflicting set never hits.
-    Cache c(smallCache()); // 8 blocks total, set-conflicting stride
+    Cache c(smallCache()); // 16 blocks total, set-conflicting stride
     const Addr stride = 256; // same set
     for (int round = 0; round < 3; ++round) {
-        for (Addr i = 0; i < 3; ++i) { // 3 > 2 ways
+        for (Addr i = 0; i < 5; ++i) { // 5 > 4 ways
             const Addr a = i * stride;
             EXPECT_FALSE(c.access(a));
             c.insert(a);
@@ -222,10 +234,10 @@ TEST(CacheReplacement, LruDoubleInsertRefreshesStamp)
 {
     // Re-inserting a resident block is a touch: it refreshes recency.
     Cache c(smallCache());
-    c.insert(0x0);
-    c.insert(0x100);
+    for (Addr a = 0; a < 0x400; a += 0x100)
+        c.insert(a);
     c.insert(0x0); // touch promotes 0x0
-    EXPECT_EQ(c.insert(0x200), 0x100u);
+    EXPECT_EQ(c.insert(0x400), 0x100u);
     EXPECT_TRUE(c.access(0x0));
     EXPECT_FALSE(c.access(0x100));
 }
@@ -295,13 +307,6 @@ class ReferenceCache
             w->valid = false;
     }
 
-    void
-    flush()
-    {
-        for (RefWay &w : ways_)
-            w.valid = false;
-    }
-
   private:
     struct RefWay
     {
@@ -331,15 +336,16 @@ class ReferenceCache
  * Drive Cache and ReferenceCache through one seeded random sequence
  * of every public set operation and compare them after each op: the
  * hit result, the evicted address (address 0 included) and
- * contains(). Associativities 4 and 8 run the fixed-way kernels, the
- * rest the runtime one; 24 sets exercises the modulo set index.
+ * contains(). It runs both supported associativities (4 and 8 ways)
+ * at one set (a fully associative cache), a few sets and many, with
+ * line (64 B), trace (256 B) and page (4 KB) blocks.
  */
 void
 checkAgainstReference()
 {
-    const unsigned assocs[] = {1, 2, 3, 4, 8, 16, 32};
-    const std::uint64_t set_counts[] = {1, 4, 24, 64};
-    const unsigned block_shifts[] = {6, 12};
+    const unsigned assocs[] = {4, 8};
+    const std::uint64_t set_counts[] = {1, 4, 64};
+    const unsigned block_shifts[] = {6, 8, 12};
     Rng rng(0xcac4e);
     for (unsigned assoc : assocs) {
         for (std::uint64_t sets : set_counts) {
@@ -382,12 +388,9 @@ checkAgainstReference()
                             << where();
                     } else if (op < 900) {
                         // a pure contains(): only the check below
-                    } else if (op < 999) {
+                    } else {
                         c.invalidate(addr);
                         ref.invalidate(addr);
-                    } else {
-                        c.flush();
-                        ref.flush();
                     }
                     ASSERT_EQ(c.contains(addr), ref.contains(addr))
                         << where();
@@ -408,11 +411,9 @@ TEST(CacheReference, Lru)
     checkAgainstReference();
 }
 
-TEST(Cache, RecencyPermutationThroughInvalidateAndFlush)
+TEST(Cache, RecencyPermutationThroughInvalidate)
 {
-    // 2 ways take the byte-per-position layout, 4 and 8 the nibble-
-    // packed recency words.
-    for (const unsigned assoc : {2u, 4u, 8u}) {
+    for (const unsigned assoc : {4u, 8u}) {
         SCOPED_TRACE(assoc);
         // 4 sets; addresses 0x100 apart share set 0.
         Cache c(CacheParams{4 * assoc * 64, assoc, 64, 1});
@@ -429,7 +430,8 @@ TEST(Cache, RecencyPermutationThroughInvalidateAndFlush)
         c.invalidate(0x100);
         c.access(0x200);
         EXPECT_TRUE(c.recencyIsPermutation());
-        c.flush();
+        for (Addr a = 0; a < 3 * assoc; ++a)
+            c.invalidate(a * 0x100);
         EXPECT_TRUE(c.recencyIsPermutation());
         EXPECT_EQ(c.validBlocks(), 0u);
     }

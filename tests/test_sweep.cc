@@ -263,6 +263,9 @@ TEST(SweepDeath, InvalidConfigRejectedAtAdd)
     EXPECT_DEATH(sweep.add("row", "typo", smallConfig("Fnid"),
                            TechniqueSpec{"Linux"}),
                  "row/typo: unknown benchmark 'Fnid' \\(known: Find");
+    EXPECT_DEATH(sweep.add("row", "l1i", smallConfig().withL1ISize(48 * 1024),
+                           TechniqueSpec{"Linux"}),
+                 "row/l1i: hierarchy.l1i: 49152 B, 4-way");
 }
 
 TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
@@ -284,6 +287,45 @@ TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
                   .find("'epoch_ms' must be in [1, 10000]"), npos);
     EXPECT_NE(problem(ExperimentConfig::standard("Apache", 1e-6), "Linux")
                   .find("Apache would run 0 threads"), npos);
+}
+
+TEST(ExperimentConfigValidate, RejectsUnsupportedCacheGeometry)
+{
+    // Each bad level is rejected at declaration, by a message that
+    // names it; the same config with the level restored is runnable.
+    const auto npos = std::string::npos;
+    auto problem = [](const std::function<void(HierarchyParams &)> &bad) {
+        ExperimentConfig cfg = smallConfig();
+        bad(cfg.hierarchy);
+        return cfg.validate(parseTechniqueSpec("Linux")).value_or("");
+    };
+    EXPECT_EQ(problem([](HierarchyParams &) {}), "");
+    const std::string two_way =
+        problem([](HierarchyParams &h) { h.l1i.assoc = 2; });
+    EXPECT_NE(two_way.find("hierarchy.l1i: 32768 B, 2-way, 64 B blocks"),
+              npos) << two_way;
+    EXPECT_NE(two_way.find("4 or 8 ways and a power-of-two number of sets"),
+              npos) << two_way;
+    const std::string sets_192 =
+        problem([](HierarchyParams &h) { h.l1i.sizeBytes = 48 * 1024; });
+    EXPECT_NE(sets_192.find("hierarchy.l1i: 49152 B, 4-way"), npos)
+        << sets_192;
+    const std::string tlb_3_way =
+        problem([](HierarchyParams &h) { h.dtlb.assoc = 3; });
+    EXPECT_NE(tlb_3_way.find("hierarchy.dtlb: "), npos) << tlb_3_way;
+    EXPECT_NE(tlb_3_way.find("3-way"), npos) << tlb_3_way;
+    const std::string l1d_128 =
+        problem([](HierarchyParams &h) { h.l1d.blockBytes = 128; });
+    EXPECT_NE(l1d_128.find("hierarchy.l1d: 128 B blocks; the L1, L2 and "
+                           "LLC levels must use 64 B blocks"),
+              npos) << l1d_128;
+    // Config1/Config2 build no private L2, so its params are not
+    // checked there.
+    EXPECT_EQ(problem([](HierarchyParams &h) {
+                  h = HierarchyParams::config1();
+                  h.l2.assoc = 2;
+              }),
+              "");
 }
 
 /** A named one-field perturbation of a T, for the tripwire below. */

@@ -47,14 +47,6 @@ TEST(Tlb, CapacityEviction)
     EXPECT_EQ(tlb.translate(0), 40u);
 }
 
-TEST(Tlb, FlushDropsTranslations)
-{
-    Tlb tlb(TlbParams{16, 4, 40});
-    tlb.translate(0x1000);
-    tlb.flush();
-    EXPECT_EQ(tlb.translate(0x1000), 40u);
-}
-
 TEST(Tlb, ResetStatsKeepsContents)
 {
     Tlb tlb(TlbParams{16, 4, 40});

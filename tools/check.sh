@@ -10,14 +10,16 @@
 #     trace-file writes as race-free.
 #   * default, checked and portable (any two or more of them):
 #     SCHEDTASK_FAST=1 schedtask-figures fig07_fast
-#     sec44_epoch_similarity fig11_heatmap_size under each build, in
-#     one --trace-dir call; the reports and every trace file (the
-#     fig07_fast cross, the 10-epoch sec44 Linux cells, the Fig. 11
-#     cells incl. the fixed-size traced tau cells) must be bitwise
-#     identical, proving the invariant checker is pure observation
-#     and the simulated results do not depend on the target ISA
-#     (-march=x86-64-v3 vectorizes the cache set kernels, the
-#     portable build does not).
+#     sec44_epoch_similarity fig11_heatmap_size app_fig2_prefetcher
+#     app_fig3_trace_cache under each build, in one --trace-dir call;
+#     the reports and every trace file (the fig07_fast cross, the
+#     10-epoch sec44 Linux cells, the Fig. 11 cells incl. the
+#     fixed-size traced tau cells) must be bitwise identical, proving
+#     the invariant checker is pure observation and the simulated
+#     results do not depend on the target ISA (-march=x86-64-v3
+#     vectorizes the cache set kernels, the portable build does not).
+#     The two appendix figures drive the fetch path with the CGP
+#     prefetcher (fetchAux, installInstLine) and the trace caches.
 #
 # Host-cost measurement lives in perfbench/ (see perfbench/README.md).
 #
@@ -65,13 +67,14 @@ for preset in default checked portable; do
     has_preset "$preset" && IDENTITY+=("$preset")
 done
 if [ ${#IDENTITY[@]} -ge 2 ]; then
-    step "${IDENTITY[*]}: fig07_fast + sec44 + fig11 bitwise identity"
+    step "${IDENTITY[*]}: fig07_fast + sec44 + fig11 + app figs 2-3 bitwise identity"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
     for preset in "${IDENTITY[@]}"; do
         SCHEDTASK_FAST=1 ./build-$preset/bench/schedtask-figures \
             --trace-dir "$tmp/$preset" fig07_fast sec44_epoch_similarity \
-            fig11_heatmap_size >"$tmp/$preset.out"
+            fig11_heatmap_size app_fig2_prefetcher app_fig3_trace_cache \
+            >"$tmp/$preset.out"
     done
     ref="${IDENTITY[0]}"
     for preset in "${IDENTITY[@]:1}"; do
