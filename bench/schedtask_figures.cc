@@ -2,7 +2,7 @@
  * @file
  * schedtask-figures: regenerate the paper's figures and tables.
  *
- *   schedtask-figures [--out DIR] [--trace-dir DIR] [name...]
+ *   schedtask-figures [--fast] [--out DIR] [--trace-dir DIR] [name...]
  *
  * Each figure is a FigureSpec: the sweeps its numbers come from and
  * a renderer for their results. No names means every paper figure
@@ -10,7 +10,9 @@
  * The selected figures' sweeps go to one SweepRunner::runAll() call,
  * so a simulation several figures read (the 32-core 2X Table 2 cell
  * above all) runs once. Figures print to stdout, or to
- * DIR/<name>.txt with --out. stderr gets the progress and, last, the
+ * DIR/<name>.txt with --out. --fast shrinks every run to one warm-up
+ * and two measured epochs (smoke runs; a figure that sets its own
+ * window keeps it). stderr gets the progress and, last, the
  * time to paper (wall and CPU seconds, getrusage over all threads).
  * Unknown names and options exit 2 before anything runs.
  */
@@ -54,13 +56,38 @@ struct FigureRun
     }
 };
 
+/**
+ * The warm-up and measured epochs of a figure's runs: the
+ * ExperimentConfig defaults, or 1 + 2 under --fast. A builder's own
+ * withEpochs() call still sets its window.
+ */
+struct Window
+{
+    unsigned warmup;
+    unsigned measure;
+
+    ExperimentConfig
+    standard(const std::string &bench, double scale = 2.0) const
+    {
+        return ExperimentConfig::standard(bench, scale)
+            .withEpochs(warmup, measure);
+    }
+
+    ExperimentConfig
+    standardBag(const std::string &bag) const
+    {
+        return ExperimentConfig::standardBag(bag).withEpochs(warmup,
+                                                             measure);
+    }
+};
+
 /** One reproduced figure or table. */
 struct FigureSpec
 {
     /** Command-line selector and stem of `<name>.txt`. */
     const char *name;
-    /** The sweeps the figure reads. */
-    std::vector<Sweep> (*sweeps)();
+    /** The sweeps the figure reads, over runs of the given window. */
+    std::vector<Sweep> (*sweeps)(const Window &w);
     void (*render)(const FigureRun &run, std::FILE *out);
     /** False for smoke entries a full paper run leaves out. */
     bool inPaper = true;
@@ -137,11 +164,11 @@ perfTables(const FigureRun &run, const std::vector<std::string> &labels,
  */
 
 std::vector<Sweep>
-fig04Sweeps()
+fig04Sweeps(const Window &w)
 {
     Sweep sweep;
     for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
-        sweep.add(bench, "Linux", ExperimentConfig::standard(bench),
+        sweep.add(bench, "Linux", w.standard(bench),
                   TechniqueSpec{"Linux"});
     }
     return {sweep};
@@ -179,17 +206,17 @@ fig04Render(const FigureRun &run, std::FILE *out)
 /** The first 10 epochs from a cold start (no warm-up) of each
  *  benchmark under Linux, traced for the per-epoch breakups
  *  (EpochSample::instsByType); the window stays fixed under
- *  SCHEDTASK_FAST. */
+ *  --fast. */
 constexpr unsigned sec44Epochs = 10;
 
 std::vector<Sweep>
-sec44Sweeps()
+sec44Sweeps(const Window &w)
 {
     Sweep sweep;
     sweep.deriveSeeds(false);
     for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
         ExperimentConfig cfg =
-            ExperimentConfig::standard(bench).withEpochs(0, sec44Epochs);
+            w.standard(bench).withEpochs(0, sec44Epochs);
         cfg.machine.trace = true;
         sweep.add(bench, "Linux", cfg, TechniqueSpec{"Linux"});
     }
@@ -268,10 +295,10 @@ sec44Render(const FigureRun &run, std::FILE *out)
  */
 
 std::vector<Sweep>
-standardCross()
+standardCross(const Window &w)
 {
-    return {benchmarkCross([](const std::string &bench) {
-        return ExperimentConfig::standard(bench);
+    return {benchmarkCross([&w](const std::string &bench) {
+        return w.standard(bench);
     })};
 }
 
@@ -298,7 +325,7 @@ fig07Render(const FigureRun &run, std::FILE *out)
  * checked preset against the default build bit for bit.
  */
 std::vector<Sweep>
-fig07FastSweeps()
+fig07FastSweeps(const Window &)
 {
     return {benchmarkCross([](const std::string &bench) {
         return ExperimentConfig::standard(bench, 1.0)
@@ -385,7 +412,7 @@ fig08Render(const FigureRun &run, std::FILE *out)
  */
 
 std::vector<Sweep>
-fig09Sweeps()
+fig09Sweeps(const Window &w)
 {
     const std::vector<std::pair<StealPolicy, std::string>> policies = {
         {StealPolicy::None, "Steal nothing"},
@@ -400,7 +427,7 @@ fig09Sweeps()
         for (const auto &[policy, name] : policies) {
             sweep.addComparison(
                 bench, name,
-                ExperimentConfig::standard(bench).withSteal(policy),
+                w.standard(bench).withSteal(policy),
                 TechniqueSpec{"SchedTask"});
         }
     }
@@ -482,9 +509,9 @@ widthName(unsigned bits)
 // the heatmap, so each benchmark's baseline deduplicates to a single
 // run shared by every column. Then the tau grid, benchmark x width:
 // traced SchedTask runs with exact page tracking, whose one measured
-// epoch reports the tau (a window fixed under SCHEDTASK_FAST).
+// epoch reports the tau (a window fixed under --fast).
 std::vector<Sweep>
-fig11Sweeps()
+fig11Sweeps(const Window &w)
 {
     Sweep perf;
     Sweep tau;
@@ -493,9 +520,9 @@ fig11Sweeps()
         for (unsigned b : widths) {
             perf.addComparison(
                 bench, widthName(b),
-                ExperimentConfig::standard(bench).withHeatmapBits(b),
+                w.standard(bench).withHeatmapBits(b),
                 TechniqueSpec{"SchedTask"});
-            ExperimentConfig cfg = ExperimentConfig::standard(bench)
+            ExperimentConfig cfg = w.standard(bench)
                                        .withHeatmapBits(b)
                                        .withEpochs(4, 1);
             cfg.machine.trackExactPages = true;
@@ -505,7 +532,7 @@ fig11Sweeps()
         // Ideal ranking: exact footprint overlap, no Bloom filter.
         perf.addComparison(
             bench, "ideal ranking",
-            ExperimentConfig::standard(bench).withExactOverlap(),
+            w.standard(bench).withExactOverlap(),
             TechniqueSpec{"SchedTask"});
     }
     return {perf, tau};
@@ -561,12 +588,12 @@ fig11Render(const FigureRun &run, std::FILE *out)
 const std::vector<double> scales = {1.0, 2.0, 4.0, 8.0};
 
 std::vector<Sweep>
-tab04Sweeps()
+tab04Sweeps(const Window &w)
 {
     std::vector<Sweep> sweeps;
     for (double scale : scales) {
-        sweeps.push_back(benchmarkCross([scale](const std::string &b) {
-            return ExperimentConfig::standard(b, scale);
+        sweeps.push_back(benchmarkCross([&w, scale](const std::string &b) {
+            return w.standard(b, scale);
         }));
     }
     return sweeps;
@@ -626,12 +653,12 @@ tab04Render(const FigureRun &run, std::FILE *out)
  */
 
 std::vector<Sweep>
-sec61Sweeps()
+sec61Sweeps(const Window &w)
 {
     Sweep sweep;
     for (const std::string &bench : BenchmarkSuite::benchmarkNames())
         sweep.addComparison(bench, "SchedTask",
-                            ExperimentConfig::standard(bench),
+                            w.standard(bench),
                             TechniqueSpec{"SchedTask"});
     return {sweep};
 }
@@ -711,58 +738,47 @@ sec61Render(const FigureRun &run, std::FILE *out)
 
 const std::vector<std::string> ablationBenches = {"Apache", "FileSrv"};
 
-using Variant = std::pair<std::string, ConfigFn>;
+/** A variant's name and how it derives from the standard config. */
+using Variant =
+    std::pair<std::string, ExperimentConfig (*)(ExperimentConfig)>;
 
 const std::vector<Variant> &
 ablationVariants()
 {
-    // Variant name -> config derivation. The four variants that only
-    // touch SchedTask knobs share one deduplicated Linux baseline
-    // per benchmark; the epoch variants change the machine and get
-    // their own.
+    // The four variants that only touch SchedTask knobs share one
+    // deduplicated Linux baseline per benchmark; the epoch variants
+    // change the machine and get their own.
     static const std::vector<Variant> list = {
         {"default (250k-cycle epoch)",
-         [](const std::string &b) {
-             return ExperimentConfig::standard(b);
-         }},
+         [](ExperimentConfig c) { return c; }},
         {"short epoch (100k)",
-         [](const std::string &b) {
-             return ExperimentConfig::standard(b).withEpochCycles(
-                 100000);
-         }},
+         [](ExperimentConfig c) { return c.withEpochCycles(100000); }},
         {"long epoch (500k)",
-         [](const std::string &b) {
-             return ExperimentConfig::standard(b)
-                 .withEpochCycles(500000)
-                 .withEpochs(3, 4);
+         [](ExperimentConfig c) {
+             return c.withEpochCycles(500000).withEpochs(3, 4);
          }},
         {"no interrupt routing",
-         [](const std::string &b) {
-             return ExperimentConfig::standard(b)
-                 .withRouteInterrupts(false);
-         }},
+         [](ExperimentConfig c) { return c.withRouteInterrupts(false); }},
         {"no demand smoothing",
-         [](const std::string &b) {
+         [](ExperimentConfig c) {
              // React fully to each epoch's measurement.
-             return ExperimentConfig::standard(b)
-                 .withDemandSmoothing(1.0);
+             return c.withDemandSmoothing(1.0);
          }},
         {"steal busiest (type-blind)",
-         [](const std::string &b) {
-             return ExperimentConfig::standard(b).withSteal(
-                 StealPolicy::BusiestFirst);
+         [](ExperimentConfig c) {
+             return c.withSteal(StealPolicy::BusiestFirst);
          }},
     };
     return list;
 }
 
 std::vector<Sweep>
-ablationSweeps()
+ablationSweeps(const Window &w)
 {
     Sweep sweep;
     for (const std::string &bench : ablationBenches) {
-        for (const auto &[name, make] : ablationVariants())
-            sweep.addComparison(bench, name, make(bench),
+        for (const auto &[name, derive] : ablationVariants())
+            sweep.addComparison(bench, name, derive(w.standard(bench)),
                                 TechniqueSpec{"SchedTask"});
     }
     return {sweep};
@@ -776,7 +792,7 @@ ablationRender(const FigureRun &run, std::FILE *out)
                 out);
     const SeriesMatrix gains = run.report().throughputChange();
     TextTable table({"variant", "Apache", "FileSrv"});
-    for (const auto &[name, make] : ablationVariants()) {
+    for (const auto &[name, derive] : ablationVariants()) {
         std::vector<std::string> cells = {name};
         for (const std::string &bench : ablationBenches)
             cells.push_back(TextTable::pct(gains.get(bench, name)));
@@ -826,11 +842,11 @@ weightedChange(const RunResult &base, const RunResult &run)
 }
 
 std::vector<Sweep>
-appFig1Sweeps()
+appFig1Sweeps(const Window &w)
 {
     return {Sweep::cross(Workload::bagNames(), comparedTechniques(),
-                         [](const std::string &bag) {
-                             return ExperimentConfig::standardBag(bag);
+                         [&w](const std::string &bag) {
+                             return w.standardBag(bag);
                          })};
 }
 
@@ -858,12 +874,12 @@ appFig1Render(const FigureRun &run, std::FILE *out)
 const std::vector<unsigned> sizes_kb = {16, 32, 64};
 
 std::vector<Sweep>
-appTab2Sweeps()
+appTab2Sweeps(const Window &w)
 {
     std::vector<Sweep> sweeps;
     for (unsigned kb : sizes_kb) {
-        sweeps.push_back(benchmarkCross([kb](const std::string &b) {
-            return ExperimentConfig::standard(b).withL1ISize(kb * 1024ull);
+        sweeps.push_back(benchmarkCross([&w, kb](const std::string &b) {
+            return w.standard(b).withL1ISize(kb * 1024ull);
         }));
     }
     return sweeps;
@@ -910,14 +926,14 @@ appTab2Render(const FigureRun &run, std::FILE *out)
  */
 
 std::vector<Sweep>
-appTab3Sweeps()
+appTab3Sweeps(const Window &w)
 {
     std::vector<Sweep> sweeps;
     for (const HierarchyParams &hier :
          {HierarchyParams::config1(), HierarchyParams::config2(),
           HierarchyParams::paperDefault()}) {
-        sweeps.push_back(benchmarkCross([&hier](const std::string &b) {
-            return ExperimentConfig::standard(b).withHierarchy(hier);
+        sweeps.push_back(benchmarkCross([&w, &hier](const std::string &b) {
+            return w.standard(b).withHierarchy(hier);
         }));
     }
     return sweeps;
@@ -949,12 +965,12 @@ appTab3Render(const FigureRun &run, std::FILE *out)
 const std::vector<unsigned> core_counts = {8, 16, 24, 32};
 
 std::vector<Sweep>
-appTab4Sweeps()
+appTab4Sweeps(const Window &w)
 {
     std::vector<Sweep> sweeps;
     for (unsigned cores : core_counts) {
-        sweeps.push_back(benchmarkCross([cores](const std::string &b) {
-            return ExperimentConfig::standard(b).withCores(cores);
+        sweeps.push_back(benchmarkCross([&w, cores](const std::string &b) {
+            return w.standard(b).withCores(cores);
         }));
     }
     return sweeps;
@@ -984,12 +1000,12 @@ appTab4Render(const FigureRun &run, std::FILE *out)
 // savings line) plus the technique comparisons against the
 // CGP-equipped Linux baseline.
 std::vector<Sweep>
-appFig2Sweeps()
+appFig2Sweeps(const Window &w)
 {
     Sweep sweep;
     for (const std::string &bench : BenchmarkSuite::benchmarkNames()) {
         const ExperimentConfig plain =
-            ExperimentConfig::standard(bench);
+            w.standard(bench);
         sweep.addBaseline(bench, plain);
         for (const TechniqueSpec &t : comparedTechniques())
             sweep.addComparison(bench, t.name,
@@ -1036,10 +1052,10 @@ appFig2Render(const FigureRun &run, std::FILE *out)
  */
 
 std::vector<Sweep>
-appFig3Sweeps()
+appFig3Sweeps(const Window &w)
 {
-    return {benchmarkCross([](const std::string &bench) {
-        return ExperimentConfig::standard(bench).withTraceCache();
+    return {benchmarkCross([&w](const std::string &bench) {
+        return w.standard(bench).withTraceCache();
     })};
 }
 
@@ -1086,8 +1102,8 @@ usageError(const std::string &message)
         names.push_back(f.name);
     std::fprintf(stderr,
                  "schedtask-figures: %s\n"
-                 "usage: schedtask-figures [--out DIR] [--trace-dir DIR] "
-                 "[name...]\nfigures: %s\n",
+                 "usage: schedtask-figures [--fast] [--out DIR] "
+                 "[--trace-dir DIR] [name...]\nfigures: %s\n",
                  message.c_str(), joinNames(names).c_str());
     return 2;
 }
@@ -1111,11 +1127,15 @@ main(int argc, char **argv)
     const auto start = std::chrono::steady_clock::now();
     constexpr std::size_t count = std::size(figures);
     std::string out_dir, trace_dir;
+    const ExperimentConfig defaults;
+    Window window{defaults.warmupEpochs, defaults.measureEpochs};
     std::vector<bool> selected(count, false);
     bool named = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--out" || arg == "--trace-dir") {
+        if (arg == "--fast") {
+            window = {1, 2};
+        } else if (arg == "--out" || arg == "--trace-dir") {
             if (i + 1 == argc)
                 return usageError(arg + " needs a directory");
             (arg == "--out" ? out_dir : trace_dir) = argv[++i];
@@ -1144,7 +1164,7 @@ main(int argc, char **argv)
     std::vector<const Sweep *> all;
     for (std::size_t f = 0; f < count; ++f) {
         if (selected[f])
-            sweeps[f] = figures[f].sweeps();
+            sweeps[f] = figures[f].sweeps(window);
         for (const Sweep &sweep : sweeps[f])
             all.push_back(&sweep);
     }

@@ -12,16 +12,14 @@
  * The interesting part is the registration: one
  * SchedulerRegistry::registerScheduler() call makes the technique a
  * first-class citizen — runnable through runOnce()/compare() and the
- * sweep runner by name, with a typed option blob ("type-hash:salt=7")
- * validated exactly like the built-ins'. No harness edit, no enum
- * case, no switch.
+ * sweep runner as TechniqueSpec{"type-hash"}, exactly like the
+ * built-ins. No harness edit, no enum case, no switch.
  *
  * Run: ./build/examples/custom_scheduler [benchmark]
  */
 
 #include <cstdint>
 #include <cstdio>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -39,14 +37,11 @@ namespace
 
 /**
  * Static type-to-core hashing: the simplest possible fine-grained
- * core specialization. `salt` perturbs the hash so different
- * type-to-core layouts can be compared from the command line.
+ * core specialization.
  */
 class TypeHashScheduler : public QueueScheduler
 {
   public:
-    explicit TypeHashScheduler(std::uint64_t salt) : salt_(salt) {}
-
     const char *name() const override { return "TypeHash"; }
 
     CoreId
@@ -63,18 +58,15 @@ class TypeHashScheduler : public QueueScheduler
     {
         (void)reason;
         // Mix the type bits and pick a home core.
-        std::uint64_t h = sf->type.raw() ^ salt_;
+        std::uint64_t h = sf->type.raw();
         h ^= h >> 33;
         h *= 0xff51afd7ed558ccdULL;
         h ^= h >> 33;
         return static_cast<CoreId>(h % numCores());
     }
-
-  private:
-    std::uint64_t salt_;
 };
 
-/** Make "type-hash" resolvable by name, options included. */
+/** Make "type-hash" resolvable by name. */
 void
 registerTypeHash()
 {
@@ -82,11 +74,8 @@ registerTypeHash()
     info.name = "type-hash";
     info.description =
         "static type-to-core hashing demo (examples/custom_scheduler)";
-    info.options = {{"salt", "hash perturbation (default 0)"}};
-    info.factory = [](const SchedulerFactoryContext &ctx) {
-        const std::uint64_t salt = ctx.options.getUnsigned(
-            "salt", 0, 0, std::numeric_limits<std::uint64_t>::max());
-        return std::make_unique<TypeHashScheduler>(salt);
+    info.factory = [](const SchedTaskParams &) {
+        return std::make_unique<TypeHashScheduler>();
     };
     SchedulerRegistry::instance().registerScheduler(std::move(info));
 }
@@ -107,10 +96,8 @@ main(int argc, char **argv)
     const RunResult base = runOnce(cfg, TechniqueSpec{"Linux"});
 
     // Registered techniques run through the same spec-based entry
-    // points as the built-ins; parseTechniqueSpec accepts the same
-    // "name:key=val" grammar the CLI uses.
-    const RunResult mine =
-        runOnce(cfg, parseTechniqueSpec("type-hash:salt=0"));
+    // points as the built-ins.
+    const RunResult mine = runOnce(cfg, TechniqueSpec{"type-hash"});
     const RunResult st = runOnce(cfg, TechniqueSpec{"SchedTask"});
 
     TextTable table({"scheduler", "throughput vs Linux", "idle (%)",

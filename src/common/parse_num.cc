@@ -42,4 +42,28 @@ parseDouble(std::string_view text)
     return value;
 }
 
+FlagValue<std::uint64_t>
+unsignedFlag(std::string_view flag, std::string_view text,
+             std::uint64_t min, std::uint64_t max)
+{
+    const std::optional<std::uint64_t> value = parseUnsigned(text);
+    if (value && *value >= min && *value <= max)
+        return {*value, {}};
+    return {0, "invalid value '" + std::string(text) + "' for "
+                   + std::string(flag)
+                   + " (expected an unsigned integer in ["
+                   + std::to_string(min) + ", " + std::to_string(max)
+                   + "])"};
+}
+
+FlagValue<double>
+positiveDoubleFlag(std::string_view flag, std::string_view text)
+{
+    const std::optional<double> value = parseDouble(text);
+    if (value && *value > 0.0)
+        return {*value, {}};
+    return {0.0, "invalid value '" + std::string(text) + "' for "
+                     + std::string(flag) + " (expected a number > 0)"};
+}
+
 } // namespace schedtask

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 namespace schedtask
@@ -29,6 +30,32 @@ std::optional<std::uint64_t> parseUnsigned(std::string_view text);
  * whole string, no whitespace; nan/inf rejected).
  */
 std::optional<double> parseDouble(std::string_view text);
+
+/**
+ * The value of a numeric CLI flag, or why its text is not one:
+ * `error` is empty exactly when `value` holds the parsed number.
+ */
+template <typename T>
+struct FlagValue
+{
+    T value{};
+    std::string error;
+};
+
+/**
+ * `text` as the value of `flag`: an unsigned integer (parseUnsigned)
+ * in [min, max], so a value too large for the flag's type is
+ * rejected instead of being truncated into it. The error reads
+ * "invalid value 'TEXT' for FLAG (expected an unsigned integer in
+ * [MIN, MAX])".
+ */
+FlagValue<std::uint64_t> unsignedFlag(std::string_view flag,
+                                      std::string_view text,
+                                      std::uint64_t min, std::uint64_t max);
+
+/** `text` as the value of `flag`: a number (parseDouble) > 0. */
+FlagValue<double> positiveDoubleFlag(std::string_view flag,
+                                     std::string_view text);
 
 } // namespace schedtask
 

@@ -7,6 +7,14 @@
 namespace schedtask
 {
 
+namespace
+{
+
+/** TAlloc cost charged once per epoch, in instructions. */
+constexpr std::uint64_t tallocInsts = 2500;
+
+} // namespace
+
 SchedTaskScheduler::SchedTaskScheduler(const SchedTaskParams &params)
     : params_(params)
 {
@@ -17,7 +25,6 @@ SchedTaskScheduler::attach(Machine &machine)
 {
     QueueScheduler::attach(machine);
     TAllocParams tp;
-    tp.reallocationGuard = params_.reallocationGuard;
     tp.useExactOverlap = params_.useExactOverlap;
     tp.demandSmoothing = params_.demandSmoothing;
     talloc_ = std::make_unique<TAlloc>(numCores(),
@@ -162,9 +169,11 @@ SchedTaskScheduler::onEpoch()
         checkInvariants();
 
     // Detect starvation: idle core-cycles accumulated during the
-    // last epoch. Queue waits only become a demand signal when
-    // cores idled (otherwise waiting in a saturated queue is
-    // normal and the signal would oscillate the allocation).
+    // last epoch. Severe per-type queue waits become a demand signal
+    // only when cores idled (otherwise waiting in a saturated queue
+    // is normal and the signal would oscillate the allocation); this
+    // rescues workloads whose bottleneck stage is starved by short,
+    // frequent re-entries.
     const std::uint64_t idle_now = machine_->idleCycles();
     const std::uint64_t idle_delta =
         idle_now >= last_idle_cycles_ ? idle_now - last_idle_cycles_
@@ -173,7 +182,7 @@ SchedTaskScheduler::onEpoch()
     const double idle_frac = static_cast<double>(idle_delta)
         / (static_cast<double>(machine_->params().epochCycles)
            * numCores());
-    const bool starved = params_.useWaitSignal && idle_frac > 0.05;
+    const bool starved = idle_frac > 0.05;
 
     TAllocResult result = talloc_->run(
         core_stats_, alloc_,
@@ -249,7 +258,7 @@ SchedTaskScheduler::overheadFor(SchedEvent event,
 {
     if (event == SchedEvent::Epoch) {
         SchedOverhead oh;
-        oh.insts = params_.tallocInsts;
+        oh.insts = tallocInsts;
         oh.code = machine_ != nullptr ? &machine_->schedulerCode()
                                       : nullptr;
         return oh;
@@ -259,7 +268,7 @@ SchedTaskScheduler::overheadFor(SchedEvent event,
 
 } // namespace schedtask
 
-// Registry hook: called from SchedulerRegistry::ensureBuiltins().
+// Registry hook: called from the SchedulerRegistry constructor.
 
 #include <memory>
 #include <utility>
@@ -267,91 +276,18 @@ SchedTaskScheduler::overheadFor(SchedEvent event,
 namespace schedtask
 {
 
-namespace
-{
-
-std::vector<SchedulerOptionSpec>
-schedTaskOptionSpecs()
-{
-    return {
-        {"steal",
-         "work-stealing policy: none, same, similar, busiest "
-         "(default similar)"},
-        {"realloc_guard",
-         "cosine-similarity guard for re-allocation (default 0.98)"},
-        {"route_irqs",
-         "program the interrupt controller from the allocation "
-         "(default 1)"},
-        {"exact_overlap",
-         "rank cores by exact footprint overlap instead of heatmaps "
-         "(default 0)"},
-        {"talloc_insts",
-         "TAlloc cost per epoch, in instructions (default 2500)"},
-        {"demand_smoothing",
-         "EMA weight on each new epoch's demand share (default 0.5)"},
-        {"wait_signal",
-         "feed severe per-type queue waits into the demand weights "
-         "(default 1)"},
-    };
-}
-
-/** Apply registry options onto SchedTask params; throws
- *  SchedulerOptionError on bad values (keys are validated upstream). */
 void
-applySchedTaskOptions(SchedTaskParams &params,
-                      const SchedulerOptions &options)
-{
-    if (options.has("steal")) {
-        const std::string policy = options.getString("steal", "");
-        if (policy == "none")
-            params.stealPolicy = StealPolicy::None;
-        else if (policy == "same")
-            params.stealPolicy = StealPolicy::SameOnly;
-        else if (policy == "similar")
-            params.stealPolicy = StealPolicy::SameAndSimilar;
-        else if (policy == "busiest")
-            params.stealPolicy = StealPolicy::BusiestFirst;
-        else
-            throw SchedulerOptionError(
-                "option 'steal': expected none, same, similar or "
-                "busiest, got '" +
-                policy + "'");
-    }
-    params.reallocationGuard =
-        options.getDouble("realloc_guard", params.reallocationGuard, 0.0,
-                          1.0);
-    params.routeInterrupts =
-        options.getBool("route_irqs", params.routeInterrupts);
-    params.useExactOverlap =
-        options.getBool("exact_overlap", params.useExactOverlap);
-    params.tallocInsts =
-        options.getUnsigned("talloc_insts", params.tallocInsts, 0,
-                            kMaxOptionCount);
-    params.demandSmoothing =
-        options.getDouble("demand_smoothing", params.demandSmoothing, 0.0,
-                          1.0);
-    params.useWaitSignal =
-        options.getBool("wait_signal", params.useWaitSignal);
-}
-
-} // namespace
-
-void
-registerSchedTaskTechnique()
+registerSchedTaskTechnique(SchedulerRegistry &registry)
 {
     SchedulerInfo info;
     info.name = "SchedTask";
     info.description = "hardware-assisted TAlloc + TMigrate task "
                        "scheduler (this paper)";
     info.paperOrder = 5;
-    info.options = schedTaskOptionSpecs();
-    info.factory =
-        [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
-        SchedTaskParams p = ctx.schedTask;
-        applySchedTaskOptions(p, ctx.options);
-        return std::make_unique<SchedTaskScheduler>(p);
+    info.factory = [](const SchedTaskParams &params) {
+        return std::make_unique<SchedTaskScheduler>(params);
     };
-    SchedulerRegistry::instance().registerScheduler(std::move(info));
+    registry.registerScheduler(std::move(info));
 }
 
 } // namespace schedtask

@@ -29,25 +29,18 @@
 namespace schedtask
 {
 
-/** SchedTask tunables (the paper's ablation axes). */
+/** SchedTask variant knobs: the paper's Figure 9 steal policies,
+ *  the Section 6.5 ideal ranking and the TAlloc ablation axes. */
 struct SchedTaskParams
 {
     /** Work-stealing strategy (Section 6.4 / Figure 9). */
     StealPolicy stealPolicy = StealPolicy::SameAndSimilar;
-    /** Cosine guard for re-allocation (Section 5.2). */
-    double reallocationGuard = 0.98;
     /** Program the interrupt controller from the allocation. */
     bool routeInterrupts = true;
     /** Use exact footprint overlap (ideal ranking, Section 6.5). */
     bool useExactOverlap = false;
-    /** TAlloc cost charged once per epoch, in instructions. */
-    std::uint64_t tallocInsts = 2500;
     /** EMA weight on each new epoch's demand share (see TAlloc). */
     double demandSmoothing = 0.5;
-    /** Feed severe per-type queue waits into the demand weights
-     *  when cores idle (rescues workloads whose bottleneck stage
-     *  is starved by short, frequent re-entries). */
-    bool useWaitSignal = true;
 };
 
 class SchedTaskScheduler : public QueueScheduler

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "core/page_heatmap.hh"
 #include "harness/reporting.hh"
@@ -37,28 +36,11 @@ makeScheduler(const TechniqueSpec &spec, const SchedTaskParams &st_params)
     return SchedulerRegistry::instance().make(spec, st_params);
 }
 
-namespace
-{
-
-/** SCHEDTASK_FAST=1 shrinks runs for smoke testing. */
-bool
-fastMode()
-{
-    const char *env = std::getenv("SCHEDTASK_FAST");
-    return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-} // namespace
-
 ExperimentConfig
 ExperimentConfig::standard(const std::string &benchmark, double scale)
 {
     ExperimentConfig cfg;
     cfg.parts = {{benchmark, scale}};
-    if (fastMode()) {
-        cfg.warmupEpochs = 1;
-        cfg.measureEpochs = 2;
-    }
     return cfg;
 }
 
@@ -67,10 +49,6 @@ ExperimentConfig::standardBag(const std::string &bag)
 {
     ExperimentConfig cfg;
     cfg.parts = Workload::bagParts(bag);
-    if (fastMode()) {
-        cfg.warmupEpochs = 1;
-        cfg.measureEpochs = 2;
-    }
     return cfg;
 }
 
@@ -90,16 +68,20 @@ ExperimentConfig::validate(const TechniqueSpec &spec) const
     }
     if (std::optional<std::string> geometry = hierarchy.geometryError())
         return geometry;
+    // Negated so that NaN fails too.
+    if (!(schedTask.demandSmoothing >= 0.0
+          && schedTask.demandSmoothing <= 1.0))
+        return "schedTask.demandSmoothing must be in [0, 1]";
 
     MachineParams mp = machine;
     try {
         const std::unique_ptr<Scheduler> sched =
             makeScheduler(spec, schedTask);
         mp.numCores = sched->coresRequired(baselineCores);
-        // Options bounded by the machine shape (FlexSC's
-        // min_syscall_cores) are checked here.
+        // Machine-shape constraints (FlexSC's core split) are
+        // checked here.
         sched->configureMachine(mp);
-    } catch (const SchedulerOptionError &e) {
+    } catch (const TechniqueError &e) {
         return std::string(e.what());
     }
 
@@ -158,8 +140,7 @@ runWithScheduler(const ExperimentConfig &config, Scheduler &scheduler)
 
     MachineParams mp = config.machine;
     mp.numCores = scheduler.coresRequired(config.baselineCores);
-    // Epoch-length overrides and machine-shape checks (FlexSC's
-    // syscall-core bound) apply here.
+    // Machine-shape checks (FlexSC's core split) apply here.
     scheduler.configureMachine(mp);
 
     Machine machine(mp, config.hierarchy, suite, workload, scheduler);

@@ -68,8 +68,6 @@ struct ExperimentConfig
     /**
      * Standard configuration: one benchmark at the given scale
      * (the paper's main results use 2X), paper Table 2 hierarchy.
-     * Honours the SCHEDTASK_FAST environment variable by shrinking
-     * the measurement window.
      */
     static ExperimentConfig standard(const std::string &benchmark,
                                      double scale = 2.0);
@@ -81,14 +79,14 @@ struct ExperimentConfig
      * Why `spec` cannot run on this configuration, or nullopt when
      * it can. This is the one place a run is checked before it
      * starts: an unknown benchmark, a cache level the model cannot
-     * build (HierarchyParams::geometryError()), an unregistered
-     * technique or a malformed option value, a core count (after
-     * coresRequired() and configureMachine()) the full-map
-     * coherence directory cannot track, a heatmap width PageHeatmap
-     * does not accept, and a scale at which a part has no threads
-     * or more than Workload::maxPartThreads. Messages name the
-     * schedtask-sim flag that sets the offending field, or the
-     * `hierarchy.<level>` field no flag sets.
+     * build (HierarchyParams::geometryError()), a demand-smoothing
+     * weight outside [0, 1], an unregistered technique, a core
+     * count (after coresRequired() and configureMachine()) the
+     * full-map coherence directory cannot track, a heatmap width
+     * PageHeatmap does not accept, and a scale at which a part has
+     * no threads or more than Workload::maxPartThreads. Messages
+     * name the schedtask-sim flag that sets the offending field, or
+     * the `hierarchy.<level>` or `schedTask.<field>` no flag sets.
      */
     std::optional<std::string> validate(const TechniqueSpec &spec) const;
 

@@ -88,7 +88,7 @@ static_assert(sizeof(HierarchyParams) == 216,
 static_assert(sizeof(MachineParams) == 40, "new MachineParams field?");
 // The same for cellKey(): mix a new SchedTaskParams field there and
 // perturb it in SweepCellKey.SchedTaskFieldsSplitOnlyNonBaselineCells.
-static_assert(sizeof(SchedTaskParams) == 48,
+static_assert(sizeof(SchedTaskParams) == 16,
               "new SchedTaskParams field?");
 
 void
@@ -190,12 +190,9 @@ cellKey(const RunRequest &request)
     const SchedTaskParams &st = request.config.schedTask;
     fp.mixBits(request.config.machine.heatmapBits);
     fp.mixBits(static_cast<std::uint64_t>(st.stealPolicy));
-    fp.mixDouble(st.reallocationGuard);
     fp.mixBits(st.routeInterrupts ? 1 : 0);
     fp.mixBits(st.useExactOverlap ? 1 : 0);
-    fp.mixBits(st.tallocInsts);
     fp.mixDouble(st.demandSmoothing);
-    fp.mixBits(st.useWaitSignal ? 1 : 0);
     return fp.value();
 }
 

@@ -54,7 +54,7 @@ struct RunRequest
 
     ExperimentConfig config;
 
-    /** Technique to run, as a registry spec (name + options). */
+    /** Technique to run, by registered name. */
     TechniqueSpec spec;
 
     /** Mix the row label into the master seed (see runSeed()).

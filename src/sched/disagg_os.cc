@@ -199,7 +199,7 @@ DisAggregateOSScheduler::epochDecision() const
 
 } // namespace schedtask
 
-// Registry hook: called from SchedulerRegistry::ensureBuiltins().
+// Registry hook: called from the SchedulerRegistry constructor.
 
 #include <memory>
 #include <utility>
@@ -210,19 +210,17 @@ namespace schedtask
 {
 
 void
-registerDisAggregateOsTechnique()
+registerDisAggregateOsTechnique(SchedulerRegistry &registry)
 {
     SchedulerInfo info;
     info.name = "DisAggregateOS";
     info.description = "per-region core partitions rebuilt each epoch "
                        "by a zero-cost micro-scheduler (Lee 2013)";
     info.paperOrder = 3;
-    info.factory =
-        [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
-        (void)ctx;
+    info.factory = [](const SchedTaskParams &) {
         return std::make_unique<DisAggregateOSScheduler>();
     };
-    SchedulerRegistry::instance().registerScheduler(std::move(info));
+    registry.registerScheduler(std::move(info));
 }
 
 } // namespace schedtask

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.hh"
-#include "sched/options.hh"
 #include "sim/machine.hh"
 #include "sim/thread.hh"
 
@@ -20,16 +19,19 @@ FlexSCScheduler::FlexSCScheduler(const FlexSCParams &params)
 void
 FlexSCScheduler::configureMachine(MachineParams &params) const
 {
-    QueueScheduler::configureMachine(params);
     // The split keeps at least one syscall and one application core
     // (onEpoch clamps the syscall share to [min, numCores - 1]).
     if (params.numCores < 2) {
-        throw SchedulerOptionError(
+        throw TechniqueError(
             "FlexSC needs at least 2 cores (system call and application "
             "cores), got " + std::to_string(params.numCores));
     }
-    if (params_.minSyscallCores > params.numCores - 1)
-        throw optionOutOfRange("min_syscall_cores", 1, params.numCores - 1);
+    if (params_.minSyscallCores > params.numCores - 1) {
+        throw TechniqueError(
+            "FlexSC's " + std::to_string(params_.minSyscallCores)
+            + " minimum system call cores leave no application core "
+              "on " + std::to_string(params.numCores) + " cores");
+    }
 }
 
 void
@@ -172,7 +174,7 @@ FlexSCScheduler::overheadFor(SchedEvent event,
 
 } // namespace schedtask
 
-// Registry hook: called from SchedulerRegistry::ensureBuiltins().
+// Registry hook: called from the SchedulerRegistry constructor.
 
 #include <memory>
 #include <utility>
@@ -183,35 +185,17 @@ namespace schedtask
 {
 
 void
-registerFlexScTechnique()
+registerFlexScTechnique(SchedulerRegistry &registry)
 {
     SchedulerInfo info;
     info.name = "FlexSC";
     info.description = "exception-less syscalls on dedicated syscall "
                        "cores (Soares & Stumm, OSDI 2010)";
     info.paperOrder = 2;
-    info.options = {
-        {"linux_sched_insts",
-         "kernel instructions of one Linux-scheduler round trip "
-         "(default 4500)"},
-        {"yield_quantum",
-         "cycles until a yielded single-threaded app re-runs "
-         "(default 60000)"},
-        {"min_syscall_cores", "minimum syscall cores (default 1)"},
+    info.factory = [](const SchedTaskParams &) {
+        return std::make_unique<FlexSCScheduler>();
     };
-    info.factory =
-        [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
-        FlexSCParams p;
-        p.linuxSchedulerInsts = ctx.options.getUnsigned(
-            "linux_sched_insts", p.linuxSchedulerInsts, 0, kMaxOptionCount);
-        p.yieldQuantum = ctx.options.getUnsigned(
-            "yield_quantum", p.yieldQuantum, 0, kMaxOptionCount);
-        // configureMachine() narrows the bound to the core count.
-        p.minSyscallCores = static_cast<unsigned>(ctx.options.getUnsigned(
-            "min_syscall_cores", p.minSyscallCores, 1, kMaxOptionCount));
-        return std::make_unique<FlexSCScheduler>(p);
-    };
-    SchedulerRegistry::instance().registerScheduler(std::move(info));
+    registry.registerScheduler(std::move(info));
 }
 
 } // namespace schedtask

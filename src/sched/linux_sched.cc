@@ -69,7 +69,7 @@ LinuxScheduler::epochDecision() const
 
 } // namespace schedtask
 
-// Registry hook: called from SchedulerRegistry::ensureBuiltins().
+// Registry hook: called from the SchedulerRegistry constructor.
 
 #include <memory>
 #include <utility>
@@ -80,7 +80,7 @@ namespace schedtask
 {
 
 void
-registerLinuxTechnique()
+registerLinuxTechnique(SchedulerRegistry &registry)
 {
     SchedulerInfo info;
     info.name = "Linux";
@@ -88,22 +88,10 @@ registerLinuxTechnique()
                        "periodic load balancer (the paper's baseline)";
     info.isBaseline = true;
     info.paperOrder = 0;
-    info.options = {
-        {"balance_each_epoch",
-         "run the load balancer at every epoch boundary (default 1)"},
-        {"imbalance_threshold",
-         "queue-length difference that triggers a migration (default 2)"},
+    info.factory = [](const SchedTaskParams &) {
+        return std::make_unique<LinuxScheduler>();
     };
-    info.factory =
-        [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
-        LinuxSchedParams p;
-        p.balanceEachEpoch =
-            ctx.options.getBool("balance_each_epoch", p.balanceEachEpoch);
-        p.imbalanceThreshold = static_cast<std::size_t>(ctx.options.getUnsigned(
-            "imbalance_threshold", p.imbalanceThreshold, 0, kMaxOptionCount));
-        return std::make_unique<LinuxScheduler>(p);
-    };
-    SchedulerRegistry::instance().registerScheduler(std::move(info));
+    registry.registerScheduler(std::move(info));
 }
 
 } // namespace schedtask

@@ -2,13 +2,14 @@
  * @file
  * Name-keyed scheduler registry.
  *
- * Techniques self-register under a canonical name with a factory
- * that builds a Scheduler from a SchedulerFactoryContext (the parsed
- * option blob plus the harness's SchedTaskParams ablation knobs).
- * A TechniqueSpec (name + options) is the only way to name a
- * technique: the CLI, the sweep runner and every figure resolve it
- * here, so adding a scheduler is one registration call — no harness
- * edit, no switch.
+ * Techniques register under a canonical name with a factory that
+ * builds a Scheduler from the harness's SchedTaskParams (the
+ * ExperimentConfig::schedTask variant knobs). A TechniqueSpec (a
+ * registered name) is the only way to name a technique: the CLI, the
+ * sweep runner and every figure resolve it here, so adding a
+ * scheduler is one registration call — no harness edit, no switch.
+ * Every run variant is an ExperimentConfig field; a technique has no
+ * options of its own.
  *
  * Properties carried per entry:
  *  - isBaseline: the technique is the reference others are compared
@@ -25,16 +26,13 @@
 #ifndef SCHEDTASK_SCHED_REGISTRY_HH
 #define SCHEDTASK_SCHED_REGISTRY_HH
 
-#include <atomic>
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "sched/options.hh"
 #include "sched/scheduler.hh"
 
 namespace schedtask
@@ -42,22 +40,20 @@ namespace schedtask
 
 struct SchedTaskParams;
 
-/** One documented option key of a registered technique. */
-struct SchedulerOptionSpec
+/**
+ * A technique selection: a registry name. This is the currency the
+ * harness passes around: TechniqueSpec{"Linux"}.
+ */
+struct TechniqueSpec
 {
-    std::string key;
-    std::string help;
-};
+    std::string name = "SchedTask";
 
-/** Everything a factory may consult when building a scheduler. */
-struct SchedulerFactoryContext
-{
-    const SchedulerOptions &options;
-    const SchedTaskParams &schedTask;
+    /** The name, as run labels and cell keys spell it. */
+    std::string str() const { return name; }
 };
 
 using SchedulerFactory =
-    std::function<std::unique_ptr<Scheduler>(const SchedulerFactoryContext &)>;
+    std::function<std::unique_ptr<Scheduler>(const SchedTaskParams &)>;
 
 /** A registered technique. */
 struct SchedulerInfo
@@ -66,7 +62,6 @@ struct SchedulerInfo
     std::string description; ///< one line for --list-techniques
     bool isBaseline = false; ///< comparisons normalise against this
     int paperOrder = -1;     ///< paper figure column order, -1 = none
-    std::vector<SchedulerOptionSpec> options;
     SchedulerFactory factory;
 };
 
@@ -86,7 +81,7 @@ class SchedulerRegistry
     /** Entry for a name, or nullptr when unknown. */
     const SchedulerInfo *find(std::string_view name) const;
 
-    /** Entry for a name; throws SchedulerOptionError listing the
+    /** Entry for a name; throws TechniqueError listing the
      *  registered names when unknown. */
     const SchedulerInfo &resolve(std::string_view name) const;
 
@@ -99,47 +94,20 @@ class SchedulerRegistry
     /** Baseline flag of a name; false when unknown. */
     bool isBaseline(std::string_view name) const;
 
-    /**
-     * Reject options holding a key the technique does not declare
-     * (universal keys excepted). Throws SchedulerOptionError.
-     */
-    void validateOptions(const SchedulerInfo &info,
-                         const SchedulerOptions &options) const;
-
-    /**
-     * Build a scheduler: resolves the name, validates the option
-     * keys, runs the factory, and applies universal options
-     * (epoch_ms). Throws SchedulerOptionError on any failure.
-     */
-    std::unique_ptr<Scheduler> make(std::string_view name,
-                                    const SchedulerOptions &options,
-                                    const SchedTaskParams &sched_task) const;
-
+    /** Build a scheduler: resolves the name and runs the factory.
+     *  Throws TechniqueError for an unregistered name. */
     std::unique_ptr<Scheduler> make(const TechniqueSpec &spec,
                                     const SchedTaskParams &sched_task) const;
 
     /** Build with default SchedTaskParams (examples, tests). */
     std::unique_ptr<Scheduler> make(const TechniqueSpec &spec) const;
 
-    /** Option keys every technique accepts (epoch_ms). */
-    static const std::vector<SchedulerOptionSpec> &universalOptions();
-
   private:
-    SchedulerRegistry() = default;
-
-    void ensureBuiltins();
-    static SchedulerRegistry &mutableInstance();
+    /** Registers the built-in techniques. */
+    SchedulerRegistry();
 
     /** Keyed by lower-cased name; std::map keeps listings sorted. */
     std::map<std::string, SchedulerInfo> entries_;
-    /** True only after every built-in hook has completed; an acquire
-     *  load makes the finished map visible to other threads, so
-     *  post-registration lookups take no lock. */
-    std::atomic<bool> builtins_ready_{false};
-    /** Serializes the one-time registration; recursive because the
-     *  built-in hooks re-enter through instance(). */
-    std::recursive_mutex builtins_mutex_;
-    bool builtins_registered_ = false;
 };
 
 } // namespace schedtask

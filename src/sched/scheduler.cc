@@ -14,13 +14,6 @@ Scheduler::attach(Machine &machine)
     machine_ = &machine;
 }
 
-void
-Scheduler::configureMachine(MachineParams &params) const
-{
-    if (epoch_cycles_override_ != 0)
-        params.epochCycles = epoch_cycles_override_;
-}
-
 SchedOverhead
 Scheduler::overheadFor(SchedEvent event, const SuperFunction *sf) const
 {

@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -27,6 +28,14 @@
 
 namespace schedtask
 {
+
+/** Raised for an unregistered technique name (SchedulerRegistry), or
+ *  a machine shape a technique cannot run on (configureMachine). */
+class TechniqueError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 class Machine;
 struct MachineParams;
@@ -84,24 +93,13 @@ class Scheduler
     /**
      * Adjust machine parameters before the Machine is built. The
      * harness calls this after fixing the core count and before
-     * constructing the Machine. The base implementation applies the
-     * registry's epoch-length override (epoch_ms); techniques with
-     * a machine-shape constraint (FlexSC's syscall-core bound) extend
-     * it. Must be deterministic and must not retain the reference.
-     * Throws SchedulerOptionError for an option value the machine
-     * shape rules out.
+     * constructing the Machine. The base implementation changes
+     * nothing; a technique with a machine-shape constraint (FlexSC's
+     * syscall/application core split) checks it here. Must be
+     * deterministic and must not retain the reference. Throws
+     * TechniqueError for a machine shape the technique cannot run on.
      */
-    virtual void configureMachine(MachineParams &params) const;
-
-    /**
-     * Override the machine's epoch length; applied by
-     * configureMachine(). 0 keeps the configured value. Set by the
-     * registry's universal epoch_ms option.
-     */
-    void overrideEpochCycles(Cycles cycles)
-    {
-        epoch_cycles_override_ = cycles;
-    }
+    virtual void configureMachine(MachineParams &) const {}
 
     /** Bind to the machine; called once before simulation. */
     virtual void attach(Machine &machine);
@@ -187,9 +185,6 @@ class Scheduler
 
   protected:
     Machine *machine_ = nullptr;
-
-  private:
-    Cycles epoch_cycles_override_ = 0;
 };
 
 /**

@@ -97,7 +97,7 @@ SelectiveOffloadScheduler::epochDecision() const
 
 } // namespace schedtask
 
-// Registry hook: called from SchedulerRegistry::ensureBuiltins().
+// Registry hook: called from the SchedulerRegistry constructor.
 
 #include <memory>
 #include <utility>
@@ -108,27 +108,17 @@ namespace schedtask
 {
 
 void
-registerSelectiveOffloadTechnique()
+registerSelectiveOffloadTechnique(SchedulerRegistry &registry)
 {
     SchedulerInfo info;
     info.name = "SelectiveOffload";
     info.description = "app/OS core split with per-core partner "
                        "offloading (Nellans et al.); uses 2x cores";
     info.paperOrder = 1;
-    info.options = {
-        {"offload_threshold",
-         "syscall length in instructions above which work moves to "
-         "the partner OS core (default 100)"},
+    info.factory = [](const SchedTaskParams &) {
+        return std::make_unique<SelectiveOffloadScheduler>();
     };
-    info.factory =
-        [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
-        SelectiveOffloadParams p;
-        p.offloadThresholdInsts = ctx.options.getUnsigned(
-            "offload_threshold", p.offloadThresholdInsts, 0,
-            kMaxOptionCount);
-        return std::make_unique<SelectiveOffloadScheduler>(p);
-    };
-    SchedulerRegistry::instance().registerScheduler(std::move(info));
+    registry.registerScheduler(std::move(info));
 }
 
 } // namespace schedtask

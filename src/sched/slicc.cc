@@ -159,7 +159,7 @@ SliccScheduler::midSfPlacement(SuperFunction *sf, CoreId current)
 
 } // namespace schedtask
 
-// Registry hook: called from SchedulerRegistry::ensureBuiltins().
+// Registry hook: called from the SchedulerRegistry constructor.
 
 #include <memory>
 #include <utility>
@@ -170,7 +170,7 @@ namespace schedtask
 {
 
 void
-registerSliccTechnique()
+registerSliccTechnique(SchedulerRegistry &registry)
 {
     SchedulerInfo info;
     info.name = "SLICC";
@@ -178,22 +178,10 @@ registerSliccTechnique()
                        "hardware thread migration (Atta et al., MICRO "
                        "2012)";
     info.paperOrder = 4;
-    info.options = {
-        {"segment_lines",
-         "code segment size in cache lines (default 64)"},
-        {"spill_threshold",
-         "queue depth at which a collective grows (default 1)"},
+    info.factory = [](const SchedTaskParams &) {
+        return std::make_unique<SliccScheduler>();
     };
-    info.factory =
-        [](const SchedulerFactoryContext &ctx) -> std::unique_ptr<Scheduler> {
-        SliccParams p;
-        p.segmentLines = ctx.options.getUnsigned(
-            "segment_lines", p.segmentLines, 1, kMaxOptionCount);
-        p.spillThreshold = static_cast<std::size_t>(ctx.options.getUnsigned(
-            "spill_threshold", p.spillThreshold, 0, kMaxOptionCount));
-        return std::make_unique<SliccScheduler>(p);
-    };
-    SchedulerRegistry::instance().registerScheduler(std::move(info));
+    registry.registerScheduler(std::move(info));
 }
 
 } // namespace schedtask

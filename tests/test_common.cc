@@ -309,6 +309,35 @@ TEST(ParseNum, DoubleRejectsGarbageAndNonFinite)
     EXPECT_FALSE(parseDouble("1e999"));
 }
 
+TEST(ParseNum, UnsignedFlagBoundsAndMessage)
+{
+    const FlagValue<std::uint64_t> ok = unsignedFlag("--cores", "32", 1, 64);
+    EXPECT_EQ(ok.value, 32u);
+    EXPECT_TRUE(ok.error.empty());
+    EXPECT_TRUE(unsignedFlag("--cores", "1", 1, 64).error.empty());
+    EXPECT_TRUE(unsignedFlag("--cores", "64", 1, 64).error.empty());
+    // Below min, past max (a value too large for the flag's type is
+    // rejected, not truncated) and malformed text all name the flag.
+    for (const char *bad : {"0", "65", "4294967297", "xyz", ""}) {
+        EXPECT_EQ(unsignedFlag("--cores", bad, 1, 64).error,
+                  "invalid value '" + std::string(bad)
+                      + "' for --cores (expected an unsigned integer "
+                        "in [1, 64])");
+    }
+}
+
+TEST(ParseNum, PositiveDoubleFlagRejectsZeroAndGarbage)
+{
+    const FlagValue<double> ok = positiveDoubleFlag("--scale", "1.5");
+    EXPECT_DOUBLE_EQ(ok.value, 1.5);
+    EXPECT_TRUE(ok.error.empty());
+    for (const char *bad : {"0", "-1.5", "nan", "1e999", "2x"}) {
+        EXPECT_EQ(positiveDoubleFlag("--scale", bad).error,
+                  "invalid value '" + std::string(bad)
+                      + "' for --scale (expected a number > 0)");
+    }
+}
+
 // ---- Panic context ---------------------------------------------------
 
 TEST(PanicContext, AppendedToPanicMessages)

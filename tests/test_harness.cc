@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 
@@ -142,13 +140,4 @@ TEST(ReportingDeath, UnknownRowPanics)
 {
     SeriesMatrix m({"r"}, {"c"});
     EXPECT_DEATH(m.set("bogus", "c", 1.0), "unknown row");
-}
-
-TEST(Harness, FastModeShrinksWindows)
-{
-    setenv("SCHEDTASK_FAST", "1", 1);
-    const ExperimentConfig fast = ExperimentConfig::standard("Find");
-    unsetenv("SCHEDTASK_FAST");
-    const ExperimentConfig full = ExperimentConfig::standard("Find");
-    EXPECT_LT(fast.measureEpochs, full.measureEpochs);
 }

@@ -1,14 +1,14 @@
 /**
  * @file
  * In-process fuzzer for the user-input path of schedtask-sim: the
- * "name:key=val,..." technique grammar (parseTechniqueSpec, the
- * registry lookup, validateOptions) and ExperimentConfig::validate
+ * numeric flag parsers (unsignedFlag, positiveDoubleFlag), the
+ * registry's technique-name lookup, and ExperimentConfig::validate
  * over every machine shape the CLI flags can express. The inputs
  * come from a seeded Rng, so a failing case is reproducible by its
  * number. The contract is the CLI's: every input is accepted or
  * rejected with a message — it never aborts (which would kill this
- * binary) and never throws anything but SchedulerOptionError.
- * Nothing is simulated and no process is started.
+ * binary) and never throws. Nothing is simulated and no process is
+ * started.
  */
 
 #include <gtest/gtest.h>
@@ -19,9 +19,9 @@
 #include <string>
 #include <vector>
 
+#include "common/parse_num.hh"
 #include "common/random.hh"
 #include "harness/experiment.hh"
-#include "sched/options.hh"
 #include "sched/registry.hh"
 #include "workload/benchmarks.hh"
 #include "workload/workload.hh"
@@ -38,7 +38,7 @@ pick(Rng &rng, const std::vector<T> &from)
     return from[rng.below(from.size())];
 }
 
-/** A short string over the grammar's separators and a few letters. */
+/** A short string over separators, signs and a few letters. */
 std::string
 garbage(Rng &rng)
 {
@@ -63,18 +63,19 @@ recase(Rng &rng, std::string text)
     return text;
 }
 
-/** Option values: edges of every range the options check, the
- *  number grammars' edge cases, and random digits. */
+/** Flag text: edges of every range the flags check, the number
+ *  grammars' edge cases, and random digits. */
 std::string
-optionValue(Rng &rng)
+numberText(Rng &rng)
 {
     static const std::vector<std::string> edges = {
-        "0", "1", "2", "-1", "-5", "0.5", "1e308", "-1e308", "1e-320",
-        "nan", "inf", "-inf", "4294967295", "4294967296", "4294967297",
-        "18446744073709551615", "18446744073709551616", "73786976294839",
-        "10000", "10001", "65536", "65537", "0x10", "1e3", " 1", "1 ",
-        "+1", "00", "", "yes", "no", "true", "off", "similar", "same",
-        "none", "busiest"};
+        "0", "1", "2", "3", "8", "31", "32", "33", "63", "64", "65",
+        "100", "128", "512", "2048", "65536", "65537", "131072", "-1",
+        "-5", "0.001", "0.5", "1.0", "2.0", "16", "1e9", "1e308",
+        "-1e308", "1e-320", "1e-300", "nan", "inf", "-inf",
+        "2147483648", "4294967295", "4294967296", "4294967297",
+        "18446744073709551615", "18446744073709551616", "0x10", "1e3",
+        " 1", "1 ", "+1", "00", "", "yes"};
     switch (rng.below(4)) {
       case 0:
         return garbage(rng);
@@ -87,71 +88,82 @@ optionValue(Rng &rng)
     }
 }
 
-/** Every option key any technique accepts, plus the universal ones. */
-std::vector<std::string>
-allOptionKeys()
-{
-    const SchedulerRegistry &reg = SchedulerRegistry::instance();
-    std::vector<std::string> keys;
-    for (const std::string &name : reg.names())
-        for (const SchedulerOptionSpec &opt : reg.find(name)->options)
-            keys.push_back(opt.key);
-    for (const SchedulerOptionSpec &opt :
-         SchedulerRegistry::universalOptions())
-        keys.push_back(opt.key);
-    return keys;
-}
+/** Keys of the deleted "name:key=val" technique spellings. */
+const std::vector<std::string> formerKeys = {
+    "steal", "realloc_guard", "route_irqs", "exact_overlap",
+    "talloc_insts", "demand_smoothing", "wait_signal", "min_syscall_cores",
+    "segment_lines", "bogus"};
 
-/** One --technique argument: mostly well-formed, sometimes not. */
+/** One --technique argument: mostly a registered name in any case,
+ *  sometimes garbage or a former "name:key=val" spelling. */
 std::string
-techniqueText(Rng &rng, const std::vector<std::string> &names,
-              const std::vector<std::string> &keys)
+techniqueText(Rng &rng, const std::vector<std::string> &names)
 {
     std::string text =
         rng.chance(0.9) ? recase(rng, pick(rng, names)) : garbage(rng);
-    const std::uint64_t options = rng.chance(0.5) ? 0 : rng.below(4);
-    for (std::uint64_t i = 0; i < options; ++i) {
-        text += i == 0 ? ":" : ",";
-        if (rng.chance(0.05))
-            continue; // empty entry
-        text += rng.chance(0.85) ? pick(rng, keys) : garbage(rng);
-        if (rng.chance(0.95))
-            text += "=";
-        text += optionValue(rng);
-    }
-    if (rng.chance(0.03))
-        text += pick(rng, std::vector<std::string>{":", ",", "=", ":x"});
+    if (rng.chance(0.1))
+        text += ":" + pick(rng, formerKeys) + "=" + numberText(rng);
     return text;
 }
 
-/** The unsigned values a CLI flag can carry: mostly its default,
- *  else an edge, else anything at or above the flag's minimum. */
-unsigned
-flagValue(Rng &rng, unsigned fallback, const std::vector<unsigned> &edges,
-          unsigned min)
+/**
+ * One schedtask-sim command line's worth of numeric flags, parsed
+ * as the CLI parses them, into `cfg`. Each flag keeps its default
+ * when absent; the first flag whose text does not parse is the
+ * returned message.
+ */
+std::optional<std::string>
+parseFlags(Rng &rng, ExperimentConfig &cfg)
 {
-    if (rng.chance(0.6))
-        return fallback;
-    if (rng.chance(0.8))
-        return pick(rng, edges);
-    const auto v = static_cast<unsigned>(rng());
-    return v < min ? min : v;
-}
+    struct UnsignedFlag
+    {
+        const char *flag;
+        std::uint64_t min;
+        std::uint64_t max;
+        std::uint64_t *out;
+    };
+    std::uint64_t cores = cfg.baselineCores;
+    std::uint64_t heatmap_bits = cfg.machine.heatmapBits;
+    std::uint64_t warmup = cfg.warmupEpochs;
+    std::uint64_t measure = cfg.measureEpochs;
+    constexpr std::uint64_t u32 = std::numeric_limits<unsigned>::max();
+    const UnsignedFlag flags[] = {
+        {"--cores", 1, u32, &cores},
+        {"--heatmap-bits", 1, u32, &heatmap_bits},
+        {"--warmup", 0, u32, &warmup},
+        {"--measure", 1, u32, &measure},
+        {"--seed", 0, std::numeric_limits<std::uint64_t>::max(),
+         &cfg.machine.seed},
+    };
+    for (const UnsignedFlag &f : flags) {
+        if (!rng.chance(0.4))
+            continue;
+        const FlagValue<std::uint64_t> v =
+            unsignedFlag(f.flag, numberText(rng), f.min, f.max);
+        if (!v.error.empty()) {
+            EXPECT_NE(v.error.find(f.flag), std::string::npos) << v.error;
+            return v.error;
+        }
+        EXPECT_GE(v.value, f.min);
+        EXPECT_LE(v.value, f.max);
+        *f.out = v.value;
+    }
+    cfg.baselineCores = static_cast<unsigned>(cores);
+    cfg.machine.heatmapBits = static_cast<unsigned>(heatmap_bits);
+    cfg.warmupEpochs = static_cast<unsigned>(warmup);
+    cfg.measureEpochs = static_cast<unsigned>(measure);
 
-/** A configuration schedtask-sim could build from its flags. */
-ExperimentConfig
-cliConfig(Rng &rng)
-{
-    static const std::vector<double> scales = {
-        1e-300, 1e-9, 0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 8.0, 16.0,
-        100.0, 1e4, 1e9, 1e308, std::numeric_limits<double>::min(),
-        std::numeric_limits<double>::max()};
-    ExperimentConfig cfg;
     double scale = 2.0;
-    if (rng.chance(0.3))
-        scale = pick(rng, scales);
-    else if (rng.chance(0.3))
-        scale = 0x1.0p-20 + rng.uniform() * 64.0;
+    if (rng.chance(0.4)) {
+        const FlagValue<double> v = positiveDoubleFlag("--scale",
+                                                       numberText(rng));
+        if (!v.error.empty()) {
+            EXPECT_NE(v.error.find("--scale"), std::string::npos) << v.error;
+            return v.error;
+        }
+        EXPECT_GT(v.value, 0.0);
+        scale = v.value;
+    }
     if (rng.chance(0.15)) {
         cfg.parts = Workload::bagParts(pick(rng, Workload::bagNames()));
     } else {
@@ -160,20 +172,7 @@ cliConfig(Rng &rng)
             : garbage(rng);
         cfg.parts = {{bench, scale}};
     }
-    cfg.baselineCores = flagValue(
-        rng, 32,
-        {1, 2, 3, 8, 16, 31, 32, 33, 63, 64, 65, 128, 1u << 31,
-         0xffff'ffffu},
-        1);
-    cfg.machine.heatmapBits = flagValue(
-        rng, 512,
-        {1, 32, 63, 64, 100, 128, 512, 2048, 65536, 65537, 131072,
-         0xffff'ffffu},
-        1);
-    cfg.warmupEpochs = flagValue(rng, 4, {0, 1, 0xffff'ffffu}, 0);
-    cfg.measureEpochs = flagValue(rng, 6, {1, 2, 0xffff'ffffu}, 1);
-    cfg.machine.seed = rng();
-    return cfg;
+    return std::nullopt;
 }
 
 } // namespace
@@ -182,30 +181,23 @@ TEST(InputFuzz, TechniqueSpecAndValidateAcceptOrReject)
 {
     const SchedulerRegistry &reg = SchedulerRegistry::instance();
     const std::vector<std::string> names = reg.names();
-    const std::vector<std::string> keys = allOptionKeys();
     Rng rng(0xf022);
     unsigned accepted = 0;
     unsigned rejected = 0;
     constexpr unsigned cases = 10000;
     for (unsigned i = 0; i < cases; ++i) {
-        const std::string text = techniqueText(rng, names, keys);
-        const ExperimentConfig cfg = cliConfig(rng);
+        const std::string text = techniqueText(rng, names);
+        ExperimentConfig cfg;
         SCOPED_TRACE(::testing::Message()
                      << "case " << i << " --technique '" << text << "'");
-        // The CLI's order: grammar, registry name, option keys, then
-        // one validate() for values and the machine shape.
-        std::optional<std::string> error;
-        try {
-            TechniqueSpec spec = parseTechniqueSpec(text);
-            if (const SchedulerInfo *info = reg.find(spec.name)) {
-                spec.name = info->name;
-                reg.validateOptions(*info, spec.options);
-                error = cfg.validate(spec);
-            } else {
-                error = "unknown technique '" + spec.name + "'";
-            }
-        } catch (const SchedulerOptionError &e) {
-            error = e.what();
+        // The CLI's order: each flag's number, the registry name,
+        // then one validate() for the machine shape.
+        std::optional<std::string> error = parseFlags(rng, cfg);
+        if (!error) {
+            if (const SchedulerInfo *info = reg.find(text))
+                error = cfg.validate(TechniqueSpec{info->name});
+            else
+                error = "unknown technique '" + text + "'";
         }
         if (error) {
             ASSERT_FALSE(error->empty());

@@ -272,7 +272,7 @@ TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
 {
     // validate()'s message for `spec` on `cfg`; "" when runnable.
     auto problem = [](const ExperimentConfig &cfg, const char *spec) {
-        return cfg.validate(parseTechniqueSpec(spec)).value_or("");
+        return cfg.validate(TechniqueSpec{spec}).value_or("");
     };
     const auto npos = std::string::npos;
     EXPECT_EQ(problem(smallConfig(), "SchedTask"), "");
@@ -283,8 +283,10 @@ TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
     EXPECT_EQ(problem(smallConfig().withCores(32), "SelectiveOffload"), "");
     EXPECT_NE(problem(smallConfig().withCores(33), "SelectiveOffload")
                   .find("needs 66 cores"), npos);
-    EXPECT_NE(problem(smallConfig(), "SchedTask:epoch_ms=0")
-                  .find("'epoch_ms' must be in [1, 10000]"), npos);
+    EXPECT_NE(problem(smallConfig(), "SchedTask:steal=none")
+                  .find("unknown technique 'SchedTask:steal=none'"), npos);
+    EXPECT_EQ(problem(smallConfig().withDemandSmoothing(-0.5), "SchedTask"),
+              "schedTask.demandSmoothing must be in [0, 1]");
     EXPECT_NE(problem(ExperimentConfig::standard("Apache", 1e-6), "Linux")
                   .find("Apache would run 0 threads"), npos);
 }
@@ -297,7 +299,7 @@ TEST(ExperimentConfigValidate, RejectsUnsupportedCacheGeometry)
     auto problem = [](const std::function<void(HierarchyParams &)> &bad) {
         ExperimentConfig cfg = smallConfig();
         bad(cfg.hierarchy);
-        return cfg.validate(parseTechniqueSpec("Linux")).value_or("");
+        return cfg.validate(TechniqueSpec{"Linux"}).value_or("");
     };
     EXPECT_EQ(problem([](HierarchyParams &) {}), "");
     const std::string two_way =
@@ -435,12 +437,9 @@ TEST(SweepCellKey, SchedTaskFieldsSplitOnlyNonBaselineCells)
     const auto perturbations = std::vector{
         PERTURB(Cfg, c.machine.heatmapBits = 1024),
         PERTURB(Cfg, c.schedTask.stealPolicy = StealPolicy::None),
-        PERTURB(Cfg, c.schedTask.reallocationGuard = 0.5),
         PERTURB(Cfg, c.schedTask.routeInterrupts = false),
         PERTURB(Cfg, c.schedTask.useExactOverlap = true),
-        PERTURB(Cfg, c.schedTask.tallocInsts = 1),
         PERTURB(Cfg, c.schedTask.demandSmoothing = 1.0),
-        PERTURB(Cfg, c.schedTask.useWaitSignal = false),
     };
     const auto key = [](const char *technique, const Cfg &cfg) {
         RunRequest req;

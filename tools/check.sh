@@ -9,7 +9,7 @@
 #     certifies the thread pool, the logQuiet flag, and the per-run
 #     trace-file writes as race-free.
 #   * default, checked and portable (any two or more of them):
-#     SCHEDTASK_FAST=1 schedtask-figures fig07_fast
+#     schedtask-figures --fast fig07_fast
 #     sec44_epoch_similarity fig11_heatmap_size app_fig2_prefetcher
 #     app_fig3_trace_cache under each build, in one --trace-dir call;
 #     the reports and every trace file (the fig07_fast cross, the
@@ -71,7 +71,7 @@ if [ ${#IDENTITY[@]} -ge 2 ]; then
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
     for preset in "${IDENTITY[@]}"; do
-        SCHEDTASK_FAST=1 ./build-$preset/bench/schedtask-figures \
+        ./build-$preset/bench/schedtask-figures --fast \
             --trace-dir "$tmp/$preset" fig07_fast sec44_epoch_similarity \
             fig11_heatmap_size app_fig2_prefetcher app_fig3_trace_cache \
             >"$tmp/$preset.out"

@@ -7,9 +7,9 @@
 #
 # Extra arguments go to schedtask-figures: figure names to render a
 # subset, `--trace-dir DIR` to also write one epoch-trace pair per
-# simulation. SCHEDTASK_JOBS sets the worker threads (results are
-# bitwise identical for any value); SCHEDTASK_FAST=1 shrinks the
-# measurement windows for a quick smoke pass.
+# simulation, `--fast` to shrink the measurement windows for a quick
+# smoke pass. SCHEDTASK_JOBS sets the worker threads (results are
+# bitwise identical for any value).
 #
 # Output: one <figure>.txt per figure in the output dir (default
 # build/figures), plus timings.txt with the time-to-paper line.

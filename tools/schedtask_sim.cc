@@ -43,12 +43,11 @@ usage(int code)
         "  --benchmark NAME   one of the 8 paper benchmarks "
         "(default Apache)\n"
         "  --bag NAME         multi-programmed bag MPW-A..MPW-F\n"
-        "  --technique SPEC   NAME[:key=val,...], any registered "
-        "technique\n"
+        "  --technique NAME   any registered technique, in any case\n"
         "                     (see --list-techniques; default "
         "SchedTask)\n"
-        "  --list-techniques  print registered techniques and their\n"
-        "                     option keys, sorted, and exit\n"
+        "  --list-techniques  print registered techniques, sorted, "
+        "and exit\n"
         "  --cores N          baseline cores (default 32)\n"
         "  --scale X          workload scale (default 2.0)\n"
         "  --warmup N         warmup epochs (default 4)\n"
@@ -65,40 +64,24 @@ usage(int code)
     std::exit(code);
 }
 
-/**
- * Parse and validate "--technique NAME[:key=val,...]" against the
- * registry. Unknown names exit 2 listing the registered techniques;
- * grammar errors and unknown option keys exit 2 with the registry's
- * diagnostic. Option *values* are checked by
- * ExperimentConfig::validate().
- */
+/** "--technique NAME" resolved against the registry, in canonical
+ *  casing. An unknown name exits 2 listing the registered ones. */
 TechniqueSpec
-parseTechniqueArg(const std::string &text)
+parseTechniqueArg(const std::string &name)
 {
-    try {
-        TechniqueSpec spec = parseTechniqueSpec(text);
-        const SchedulerRegistry &reg = SchedulerRegistry::instance();
-        const SchedulerInfo *info = reg.find(spec.name);
-        if (info == nullptr) {
-            std::fprintf(stderr,
-                         "schedtask-sim: unknown technique '%s'\n"
-                         "registered techniques: %s\n",
-                         spec.name.c_str(),
-                         joinNames(reg.names()).c_str());
-            std::exit(2);
-        }
-        spec.name = info->name; // canonical display casing
-        reg.validateOptions(*info, spec.options);
-        return spec;
-    } catch (const SchedulerOptionError &e) {
-        std::fprintf(stderr, "schedtask-sim: %s\n", e.what());
+    const SchedulerRegistry &reg = SchedulerRegistry::instance();
+    const SchedulerInfo *info = reg.find(name);
+    if (info == nullptr) {
+        std::fprintf(stderr,
+                     "schedtask-sim: unknown technique '%s'\n"
+                     "registered techniques: %s\n",
+                     name.c_str(), joinNames(reg.names()).c_str());
         std::exit(2);
     }
+    return TechniqueSpec{info->name};
 }
 
-/** --list-techniques: names + option keys, deterministically
- *  sorted (registry names are sorted; option keys sorted at
- *  registration). */
+/** --list-techniques: names and descriptions, sorted. */
 [[noreturn]] void
 listTechniques()
 {
@@ -109,51 +92,29 @@ listTechniques()
         std::printf("  %-18s %s%s\n", name.c_str(),
                     info->description.c_str(),
                     info->isBaseline ? " [baseline]" : "");
-        for (const SchedulerOptionSpec &opt : info->options)
-            std::printf("    %-18s %s\n", opt.key.c_str(),
-                        opt.help.c_str());
     }
-    std::printf("universal options (any technique):\n");
-    for (const SchedulerOptionSpec &opt :
-         SchedulerRegistry::universalOptions())
-        std::printf("    %-18s %s\n", opt.key.c_str(),
-                    opt.help.c_str());
     std::exit(0);
 }
 
-/** Strictly parsed unsigned flag value in [min, max of T]; exits 2
- *  on bad input, so a value too large for T is rejected instead of
- *  being truncated into it. */
+/** A parsed flag value; exits 2 with its error when there is one. */
+template <typename T>
+T
+require(const FlagValue<T> &flag)
+{
+    if (!flag.error.empty()) {
+        std::fprintf(stderr, "schedtask-sim: %s\n", flag.error.c_str());
+        std::exit(2);
+    }
+    return flag.value;
+}
+
+/** An unsigned flag value in [min, max of T]. */
 template <typename T>
 T
 requireUnsigned(const char *flag, const char *text, T min)
 {
-    constexpr T max = std::numeric_limits<T>::max();
-    const std::optional<std::uint64_t> value = parseUnsigned(text);
-    if (!value || *value < min || *value > max) {
-        std::fprintf(stderr,
-                     "schedtask-sim: invalid value '%s' for %s "
-                     "(expected an unsigned integer in [%llu, %llu])\n",
-                     text, flag, static_cast<unsigned long long>(min),
-                     static_cast<unsigned long long>(max));
-        std::exit(2);
-    }
-    return static_cast<T>(*value);
-}
-
-/** Strictly parsed positive double flag value; exits 2 on bad input. */
-double
-requirePositiveDouble(const char *flag, const char *text)
-{
-    const std::optional<double> value = parseDouble(text);
-    if (!value || *value <= 0.0) {
-        std::fprintf(stderr,
-                     "schedtask-sim: invalid value '%s' for %s "
-                     "(expected a number > 0)\n",
-                     text, flag);
-        std::exit(2);
-    }
-    return *value;
+    return static_cast<T>(require(unsignedFlag(
+        flag, text, min, std::numeric_limits<T>::max())));
 }
 
 /** The headline metrics of one run, with the Figure 8 hit rates. */
@@ -188,7 +149,7 @@ main(int argc, char **argv)
 {
     std::string benchmark = "Apache";
     std::optional<std::string> bag;
-    TechniqueSpec spec; // defaults to SchedTask, no options
+    TechniqueSpec spec; // defaults to SchedTask
     unsigned cores = 32;
     double scale = 2.0;
     unsigned warmup = 4, measure = 6;
@@ -218,7 +179,7 @@ main(int argc, char **argv)
         } else if (arg == "--cores") {
             cores = requireUnsigned<unsigned>("--cores", next(), 1);
         } else if (arg == "--scale") {
-            scale = requirePositiveDouble("--scale", next());
+            scale = require(positiveDoubleFlag("--scale", next()));
         } else if (arg == "--warmup") {
             warmup = requireUnsigned<unsigned>("--warmup", next(), 0);
         } else if (arg == "--measure") {
@@ -262,8 +223,8 @@ main(int argc, char **argv)
     cfg.machine.heatmapBits = heatmap_bits;
     cfg.machine.seed = seed;
 
-    // Unknown benchmarks, malformed option values and unbuildable
-    // machines are usage errors, reported before any run starts.
+    // Unknown benchmarks and unbuildable machines are usage errors,
+    // reported before any run starts.
     if (const std::optional<std::string> error = cfg.validate(spec)) {
         std::fprintf(stderr, "schedtask-sim: %s\n", error->c_str());
         return 2;
