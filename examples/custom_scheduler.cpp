@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -86,13 +87,18 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "Apache";
+    const ExperimentConfig cfg = ExperimentConfig::standard(bench);
+    if (const std::optional<std::string> error =
+            cfg.validate(TechniqueSpec{"SchedTask"})) {
+        std::fprintf(stderr, "custom_scheduler: %s\n", error->c_str());
+        return 2;
+    }
 
     printHeader("Custom scheduler demo on " + bench
                 + " (2X workload)");
 
     registerTypeHash();
 
-    const ExperimentConfig cfg = ExperimentConfig::standard(bench);
     const RunResult base = runOnce(cfg, TechniqueSpec{"Linux"});
 
     // Registered techniques run through the same spec-based entry

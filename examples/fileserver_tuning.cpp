@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "harness/experiment.hh"
@@ -23,14 +24,19 @@ int
 main(int argc, char **argv)
 {
     const std::string bench = argc > 1 ? argv[1] : "FileSrv";
+    const ExperimentConfig base_cfg =
+        ExperimentConfig::standard(bench);
+    if (const std::optional<std::string> error =
+            base_cfg.validate(TechniqueSpec{"SchedTask"})) {
+        std::fprintf(stderr, "fileserver_tuning: %s\n", error->c_str());
+        return 2;
+    }
 
     printHeader("SchedTask tuning on " + bench + " (2X workload)");
 
     // One sweep: every tuning variant is addVersus'd against the
     // one unmodified-config Linux baseline, so the whole study runs
     // concurrently and the baseline simulates exactly once.
-    const ExperimentConfig base_cfg =
-        ExperimentConfig::standard(bench);
     const std::vector<Cycles> epochs = {100000u, 250000u, 500000u};
     const std::vector<unsigned> widths = {128u, 256u, 512u, 1024u,
                                           2048u};

@@ -11,8 +11,10 @@
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
+#include "common/parse_num.hh"
 #include "harness/experiment.hh"
 #include "harness/reporting.hh"
 #include "stats/table.hh"
@@ -23,18 +25,30 @@ int
 main(int argc, char **argv)
 {
     const std::string benchmark = argc > 1 ? argv[1] : "Apache";
-    const double scale = argc > 2 ? std::stod(argv[2]) : 2.0;
+    double scale = 2.0;
+    if (argc > 2) {
+        const FlagValue<double> flag = positiveDoubleFlag("scale", argv[2]);
+        if (!flag.error.empty()) {
+            std::fprintf(stderr, "quickstart: %s\n", flag.error.c_str());
+            return 2;
+        }
+        scale = flag.value;
+    }
+    const ExperimentConfig cfg =
+        ExperimentConfig::standard(benchmark, scale);
+    const TechniqueSpec technique{"SchedTask"};
+    if (const std::optional<std::string> error = cfg.validate(technique)) {
+        std::fprintf(stderr, "quickstart: %s\n", error->c_str());
+        return 2;
+    }
 
     printHeader("SchedTask quickstart: " + benchmark + " @ "
                 + TextTable::num(scale, 1) + "X workload");
 
-    const ExperimentConfig cfg =
-        ExperimentConfig::standard(benchmark, scale);
-
     // compare() runs the Linux baseline and SchedTask on two worker
     // threads (SCHEDTASK_JOBS permitting), same workload streams.
     std::printf("running Linux baseline and SchedTask...\n");
-    const Comparison cmp = compare(cfg, TechniqueSpec{"SchedTask"});
+    const Comparison cmp = compare(cfg, technique);
     const RunResult &base = cmp.baseline;
     const RunResult &st = cmp.technique;
 

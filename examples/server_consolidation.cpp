@@ -10,6 +10,7 @@
  * Run: ./build/examples/server_consolidation [bag-name]
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 
@@ -24,6 +25,13 @@ int
 main(int argc, char **argv)
 {
     const std::string bag = argc > 1 ? argv[1] : "MPW-B";
+    const std::vector<std::string> &bags = Workload::bagNames();
+    if (std::find(bags.begin(), bags.end(), bag) == bags.end()) {
+        std::fprintf(stderr,
+                     "server_consolidation: unknown bag '%s' (known: %s)\n",
+                     bag.c_str(), joinNames(bags).c_str());
+        return 2;
+    }
 
     printHeader("Server consolidation: " + bag);
     std::printf("tenants:");

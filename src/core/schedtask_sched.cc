@@ -24,11 +24,9 @@ void
 SchedTaskScheduler::attach(Machine &machine)
 {
     QueueScheduler::attach(machine);
-    TAllocParams tp;
-    tp.useExactOverlap = params_.useExactOverlap;
-    tp.demandSmoothing = params_.demandSmoothing;
-    talloc_ = std::make_unique<TAlloc>(numCores(),
-                                       machine.params().heatmapBits, tp);
+    talloc_ = std::make_unique<TAlloc>(
+        numCores(), machine.params().heatmapBits,
+        params_.useExactOverlap, params_.demandSmoothing);
     core_stats_.assign(numCores(),
                        StatsTable(machine.params().heatmapBits));
     alloc_ = AllocTable{};

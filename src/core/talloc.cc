@@ -9,10 +9,19 @@
 namespace schedtask
 {
 
+namespace
+{
+
+/** Cosine-similarity guard for re-allocation (paper: 0.98). */
+constexpr double reallocationGuard = 0.98;
+
+} // namespace
+
 TAlloc::TAlloc(unsigned num_cores, unsigned heatmap_bits,
-               const TAllocParams &params)
+               bool use_exact_overlap, double demand_smoothing)
     : num_cores_(num_cores), heatmap_bits_(heatmap_bits),
-      params_(params), system_stats_(heatmap_bits)
+      use_exact_overlap_(use_exact_overlap),
+      demand_smoothing_(demand_smoothing), system_stats_(heatmap_bits)
 {
     SCHEDTASK_ASSERT(num_cores >= 1, "TAlloc needs at least one core");
 }
@@ -38,7 +47,7 @@ TAlloc::run(std::vector<StatsTable> &per_core_stats,
     }
 
     // 2. Overlap table from this epoch's heatmaps.
-    result.overlap = params_.useExactOverlap
+    result.overlap = use_exact_overlap_
         ? OverlapTable::fromExactFootprints(system_stats_)
         : OverlapTable::fromHeatmaps(system_stats_);
 
@@ -106,7 +115,7 @@ TAlloc::run(std::vector<StatsTable> &per_core_stats,
     // shares so the allocation cannot ping-pong when the measured
     // demand reacts to the previous allocation.
     const double alpha =
-        first_run_ ? 1.0 : std::clamp(params_.demandSmoothing, 0.0, 1.0);
+        first_run_ ? 1.0 : std::clamp(demand_smoothing_, 0.0, 1.0);
     for (TypeLoad &load : demand) {
         const double share = total > 0.0 ? load.weight / total : 0.0;
         const auto it = smoothed_share_.find(load.type.raw());
@@ -156,7 +165,7 @@ TAlloc::run(std::vector<StatsTable> &per_core_stats,
     AllocTable tentative =
         AllocTable::build(demand, result.overlap, num_cores_);
     const bool stable = !current.empty()
-        && last_similarity_ >= params_.reallocationGuard
+        && last_similarity_ >= reallocationGuard
         && tentative.sameShape(current);
 
     if (stable) {

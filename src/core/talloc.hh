@@ -29,22 +29,6 @@
 namespace schedtask
 {
 
-/** TAlloc tunables. */
-struct TAllocParams
-{
-    /** Cosine-similarity guard for re-allocation (paper: 0.98). */
-    double reallocationGuard = 0.98;
-    /** Use exact footprint overlap instead of Bloom heatmaps. */
-    bool useExactOverlap = false;
-    /**
-     * Exponential smoothing factor applied to the per-type demand
-     * shares across epochs (weight on the *new* epoch's share).
-     * Damps allocation ping-pong when the measured demand reacts
-     * to the previous allocation.
-     */
-    double demandSmoothing = 0.5;
-};
-
 /** Interrupt route decided by TAlloc. */
 struct IrqRoute
 {
@@ -68,8 +52,12 @@ struct TAllocResult
 class TAlloc
 {
   public:
+    /** The last two are SchedTaskParams' useExactOverlap (exact
+     *  footprints instead of Bloom heatmaps) and demandSmoothing (EMA
+     *  weight on each new epoch's demand share, which damps
+     *  allocation ping-pong). */
     TAlloc(unsigned num_cores, unsigned heatmap_bits,
-           const TAllocParams &params = {});
+           bool use_exact_overlap, double demand_smoothing);
 
     /**
      * Run the epoch-start work.
@@ -107,7 +95,8 @@ class TAlloc
   private:
     unsigned num_cores_;
     unsigned heatmap_bits_;
-    TAllocParams params_;
+    bool use_exact_overlap_;
+    double demand_smoothing_;
     StatsTable system_stats_;
     /** Type order and breakup at the last re-allocation. */
     std::vector<std::uint64_t> basis_order_;

@@ -30,12 +30,6 @@ comparedTechniques()
     return techniques;
 }
 
-std::unique_ptr<Scheduler>
-makeScheduler(const TechniqueSpec &spec, const SchedTaskParams &st_params)
-{
-    return SchedulerRegistry::instance().make(spec, st_params);
-}
-
 ExperimentConfig
 ExperimentConfig::standard(const std::string &benchmark, double scale)
 {
@@ -76,7 +70,7 @@ ExperimentConfig::validate(const TechniqueSpec &spec) const
     MachineParams mp = machine;
     try {
         const std::unique_ptr<Scheduler> sched =
-            makeScheduler(spec, schedTask);
+            SchedulerRegistry::instance().make(spec, schedTask);
         mp.numCores = sched->coresRequired(baselineCores);
         // Machine-shape constraints (FlexSC's core split) are
         // checked here.

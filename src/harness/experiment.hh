@@ -34,17 +34,13 @@ namespace schedtask
  */
 const std::vector<TechniqueSpec> &comparedTechniques();
 
-/** Instantiate a scheduler from a registry spec. */
-std::unique_ptr<Scheduler> makeScheduler(
-    const TechniqueSpec &spec, const SchedTaskParams &st_params = {});
-
 /** Everything one simulation run needs. */
 struct ExperimentConfig
 {
     /** Baseline core count (techniques may use more). */
     unsigned baselineCores = 32;
 
-    /** Cache hierarchy (core count is filled in per technique). */
+    /** Cache hierarchy, built on the technique's core count. */
     HierarchyParams hierarchy = HierarchyParams::paperDefault();
 
     /** Machine parameters (numCores filled in per technique). */

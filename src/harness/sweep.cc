@@ -83,7 +83,7 @@ class Fingerprint
 // update the size. (Sizes are for the LP64 ABI the presets build.)
 static_assert(sizeof(CacheParams) == 32, "new CacheParams field?");
 static_assert(sizeof(TlbParams) == 16, "new TlbParams field?");
-static_assert(sizeof(HierarchyParams) == 216,
+static_assert(sizeof(HierarchyParams) == 208,
               "new HierarchyParams field?");
 static_assert(sizeof(MachineParams) == 40, "new MachineParams field?");
 // The same for cellKey(): mix a new SchedTaskParams field there and
@@ -134,7 +134,6 @@ baselineFingerprint(const ExperimentConfig &config)
     // in per technique from baselineCores, and trace is observation
     // only.
 
-    // h.numCores is filled in per technique, like m.numCores.
     const HierarchyParams &h = config.hierarchy;
     mixCache(fp, h.l1i);
     mixCache(fp, h.l1d);
@@ -455,7 +454,8 @@ SweepRunner::runAll(const std::vector<const Sweep *> &sweeps,
             if (!trace_dir.empty())
                 cfg.machine.trace = true;
             const std::unique_ptr<Scheduler> scheduler =
-                makeScheduler(req.spec, cfg.schedTask);
+                SchedulerRegistry::instance().make(req.spec,
+                                                   cfg.schedTask);
             const RunResult &result = done_cells[i].emplace(
                 runWithScheduler(cfg, *scheduler));
             if (!trace_dir.empty())

@@ -9,27 +9,24 @@ namespace schedtask
 {
 
 HierarchyParams
-HierarchyParams::paperDefault(unsigned num_cores)
+HierarchyParams::paperDefault()
 {
-    HierarchyParams p;
-    p.numCores = num_cores;
-    return p;
+    return HierarchyParams{};
 }
 
 HierarchyParams
-HierarchyParams::config1(unsigned num_cores)
+HierarchyParams::config1()
 {
     HierarchyParams p;
-    p.numCores = num_cores;
     p.hasPrivateL2 = false;
     p.llc = CacheParams{8 * 1024 * 1024, 8, lineBytes, 18};
     return p;
 }
 
 HierarchyParams
-HierarchyParams::config2(unsigned num_cores)
+HierarchyParams::config2()
 {
-    HierarchyParams p = config1(num_cores);
+    HierarchyParams p = config1();
     p.llc.latency = 8;
     return p;
 }
@@ -66,17 +63,18 @@ HierarchyParams::geometryError() const
     return std::nullopt;
 }
 
-MemHierarchy::MemHierarchy(const HierarchyParams &params)
-    : params_(params), llc_(params.llc), directory_(params.numCores)
+MemHierarchy::MemHierarchy(const HierarchyParams &params,
+                           unsigned num_cores)
+    : params_(params), llc_(params.llc), directory_(num_cores)
 {
-    SCHEDTASK_ASSERT(params_.numCores >= 1, "need at least one core");
+    SCHEDTASK_ASSERT(num_cores >= 1, "need at least one core");
     const std::optional<std::string> geometry = params_.geometryError();
     SCHEDTASK_ASSERT(!geometry, *geometry);
-    l1i_.reserve(params_.numCores);
-    l1d_.reserve(params_.numCores);
-    itlbs_.reserve(params_.numCores);
-    dtlbs_.reserve(params_.numCores);
-    for (unsigned c = 0; c < params_.numCores; ++c) {
+    l1i_.reserve(num_cores);
+    l1d_.reserve(num_cores);
+    itlbs_.reserve(num_cores);
+    dtlbs_.reserve(num_cores);
+    for (unsigned c = 0; c < num_cores; ++c) {
         l1i_.push_back(std::make_unique<Cache>(params_.l1i));
         l1d_.push_back(std::make_unique<Cache>(params_.l1d));
         if (params_.hasPrivateL2)
@@ -259,7 +257,7 @@ MemHierarchy::onTaskStart(CoreId core, std::uint64_t task_token)
 }
 
 void
-MemHierarchy::setPrefetcher(std::unique_ptr<InstPrefetcher> pf)
+MemHierarchy::setPrefetcher(std::unique_ptr<CallGraphPrefetcher> pf)
 {
     prefetcher_ = std::move(pf);
 }
@@ -268,8 +266,8 @@ void
 MemHierarchy::enableTraceCaches(const TraceCacheParams &params)
 {
     trace_caches_.clear();
-    trace_caches_.reserve(params_.numCores);
-    for (unsigned c = 0; c < params_.numCores; ++c)
+    trace_caches_.reserve(directory_.numCores());
+    for (unsigned c = 0; c < directory_.numCores(); ++c)
         trace_caches_.push_back(std::make_unique<TraceCache>(params));
 }
 
@@ -361,7 +359,7 @@ MemHierarchy::checkCacheInvariants() const
                          what, " has a set whose recency word is not a "
                          "permutation of its ways");
     };
-    for (unsigned c = 0; c < params_.numCores; ++c) {
+    for (unsigned c = 0; c < directory_.numCores(); ++c) {
         check(*l1i_[c], "L1I");
         check(*l1d_[c], "L1D");
         if (params_.hasPrivateL2)

@@ -60,11 +60,10 @@ struct AccessCounts
     }
 };
 
-/** Complete hierarchy configuration. */
+/** Complete hierarchy configuration, per core for the private
+ *  levels; the core count is MemHierarchy's constructor argument. */
 struct HierarchyParams
 {
-    unsigned numCores = 32;
-
     CacheParams l1i{32 * 1024, 4, lineBytes, 3};
     CacheParams l1d{32 * 1024, 4, lineBytes, 3};
 
@@ -102,13 +101,13 @@ struct HierarchyParams
     double dtlbHideFactor = 0.5;
 
     /** Paper Table 2 three-level hierarchy (also appendix Config3). */
-    static HierarchyParams paperDefault(unsigned num_cores = 32);
+    static HierarchyParams paperDefault();
 
     /** Appendix Config1: 2-level, shared 8 MB L2 at 18 cycles. */
-    static HierarchyParams config1(unsigned num_cores = 32);
+    static HierarchyParams config1();
 
     /** Appendix Config2: 2-level, shared 8 MB L2 at 8 cycles. */
-    static HierarchyParams config2(unsigned num_cores = 32);
+    static HierarchyParams config2();
 
     /** Why a level (`hierarchy.l1i`, ..., `hierarchy.dtlb`) cannot
      *  be built — Cache::supports() rejects it, or an L1, L2 or LLC
@@ -123,7 +122,9 @@ struct HierarchyParams
 class MemHierarchy : public PrefetchSink
 {
   public:
-    explicit MemHierarchy(const HierarchyParams &params);
+    /** `params` on `num_cores` cores, each with its own private
+     *  levels, TLBs and (when enabled) trace cache. */
+    MemHierarchy(const HierarchyParams &params, unsigned num_cores);
 
     /**
      * Perform an instruction fetch of one cache line.
@@ -149,8 +150,8 @@ class MemHierarchy : public PrefetchSink
     /** Notify the prefetcher that a new task starts on a core. */
     void onTaskStart(CoreId core, std::uint64_t task_token);
 
-    /** Attach an instruction prefetcher (appendix Fig. 2). */
-    void setPrefetcher(std::unique_ptr<InstPrefetcher> pf);
+    /** Attach the call-graph prefetcher (appendix Fig. 2). */
+    void setPrefetcher(std::unique_ptr<CallGraphPrefetcher> pf);
 
     /** Enable per-core trace caches (appendix Fig. 3). */
     void enableTraceCaches(const TraceCacheParams &params);
@@ -205,7 +206,7 @@ class MemHierarchy : public PrefetchSink
     std::uint64_t remoteDirtyFills() const { return remote_dirty_fills_; }
 
     /** Prefetcher, if attached. */
-    const InstPrefetcher *prefetcher() const { return prefetcher_.get(); }
+    const CallGraphPrefetcher *prefetcher() const { return prefetcher_.get(); }
 
     /** Trace cache of a core (nullptr unless enabled). */
     const TraceCache *
@@ -257,7 +258,7 @@ class MemHierarchy : public PrefetchSink
     CoherenceDirectory directory_;
     std::vector<std::unique_ptr<Tlb>> itlbs_;
     std::vector<std::unique_ptr<Tlb>> dtlbs_;
-    std::unique_ptr<InstPrefetcher> prefetcher_;
+    std::unique_ptr<CallGraphPrefetcher> prefetcher_;
     std::vector<std::unique_ptr<TraceCache>> trace_caches_;
 
     /** Exposed read-miss stalls per fill source and the exposed dTLB

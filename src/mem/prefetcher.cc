@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/logging.hh"
-
 namespace schedtask
 {
 
@@ -11,7 +9,7 @@ namespace
 {
 
 /**
- * Next-line prefetchers work on physical addresses and cannot cross
+ * Next-line prefetches work on physical addresses and cannot cross
  * a page boundary: the next virtual page may map anywhere, so a
  * sequential physical prefetch past the page edge would fetch an
  * unrelated page's line (and this simulator's scattered frame layout
@@ -25,33 +23,8 @@ samePage(Addr a, Addr b)
 
 } // namespace
 
-NextLinePrefetcher::NextLinePrefetcher(unsigned degree)
-    : degree_(degree)
-{
-    SCHEDTASK_ASSERT(degree >= 1, "prefetch degree must be >= 1");
-}
-
-void
-NextLinePrefetcher::onFetch(CoreId core, Addr line_addr, bool hit,
-                            PrefetchSink &sink)
-{
-    if (hit)
-        return;
-    for (unsigned d = 1; d <= degree_; ++d) {
-        const Addr next = line_addr + d * lineBytes;
-        if (!samePage(line_addr, next))
-            break;
-        sink.installInstLine(core, next);
-        ++issued_;
-    }
-}
-
-CallGraphPrefetcher::CallGraphPrefetcher(unsigned num_cores,
-                                         unsigned record_limit,
-                                         unsigned next_line_degree)
-    : record_limit_(record_limit),
-      next_line_degree_(next_line_degree),
-      core_state_(num_cores)
+CallGraphPrefetcher::CallGraphPrefetcher(unsigned num_cores)
+    : core_state_(num_cores)
 {
 }
 
@@ -64,17 +37,17 @@ CallGraphPrefetcher::onFetch(CoreId core, Addr line_addr, bool hit,
     // started: those are the ones a prefetch would have saved.
     // Learning hit lines and re-installing them on every start
     // would evict useful contents for no gain (prefetch pollution).
-    if (cs.recording && cs.recorded < record_limit_) {
+    if (cs.recording && cs.recorded < recordLimit) {
         if (!hit) {
             auto &lines = table_[cs.token];
             if (std::find(lines.begin(), lines.end(), line_addr)
                     == lines.end()
-                    && lines.size() < record_limit_) {
+                    && lines.size() < recordLimit) {
                 lines.push_back(line_addr);
             }
         }
         ++cs.recorded;
-        if (cs.recorded >= record_limit_)
+        if (cs.recorded >= recordLimit)
             cs.recording = false;
     }
 
@@ -84,7 +57,7 @@ CallGraphPrefetcher::onFetch(CoreId core, Addr line_addr, bool hit,
         // demand fetch overtakes it).
         cs.timely = !cs.timely;
         if (cs.timely) {
-            for (unsigned d = 1; d <= next_line_degree_; ++d) {
+            for (unsigned d = 1; d <= nextLineDegree; ++d) {
                 const Addr next = line_addr + d * lineBytes;
                 if (!samePage(line_addr, next))
                     break;

@@ -1,15 +1,13 @@
 /**
  * @file
- * Instruction prefetcher models for the appendix sensitivity study.
+ * The instruction prefetcher of the appendix sensitivity study.
  *
  * The appendix (Fig. 2) evaluates the core-specialization techniques
  * on a baseline equipped with the hardware-only mode of the Call
  * Graph Prefetcher (CGP, Annavaram et al.), which reduces i-cache
- * misses by 20-30%. We model:
- *  - NextLinePrefetcher: classic sequential prefetch of N lines; and
- *  - CallGraphPrefetcher: learns the entry lines touched at the
- *    start of each task (the call-graph successor set) and prefetches
- *    them when the task is entered again.
+ * misses by 20-30%. CallGraphPrefetcher learns the entry lines
+ * missed at the start of each task (the call-graph successor set)
+ * and prefetches them when the task is entered again.
  */
 
 #ifndef SCHEDTASK_MEM_PREFETCHER_HH
@@ -34,15 +32,29 @@ class PrefetchSink
     virtual void installInstLine(CoreId core, Addr line_addr) = 0;
 };
 
-/** Abstract instruction prefetcher. */
-class InstPrefetcher
+/**
+ * Call-graph prefetcher (CGP-like, hardware-only mode).
+ *
+ * Records the first `recordLimit` distinct missing lines of each
+ * task start, keyed by the task token; prefetches that recorded set
+ * when the same task starts again, and falls back to next-line
+ * prefetching (`nextLineDegree` lines) on misses.
+ */
+class CallGraphPrefetcher
 {
   public:
-    virtual ~InstPrefetcher() = default;
+    /** Fetches after a task start whose misses are learned (so
+     *  also the most lines learned per task). */
+    static constexpr unsigned recordLimit = 4;
+    /** Lines of the next-line fallback. */
+    static constexpr unsigned nextLineDegree = 1;
+
+    /** Keeps one recording state per core of the hierarchy. */
+    explicit CallGraphPrefetcher(unsigned num_cores);
 
     /** Called on every demand i-fetch, after the lookup. */
-    virtual void onFetch(CoreId core, Addr line_addr, bool hit,
-                         PrefetchSink &sink) = 0;
+    void onFetch(CoreId core, Addr line_addr, bool hit,
+                 PrefetchSink &sink);
 
     /**
      * Called when a task (SuperFunction) starts on a core.
@@ -50,60 +62,17 @@ class InstPrefetcher
      * @param task_token an opaque identity of the task's code (the
      *                   superFuncType in this project).
      */
-    virtual void
-    onTaskStart(CoreId core, std::uint64_t task_token, PrefetchSink &sink)
-    {
-        (void)core;
-        (void)task_token;
-        (void)sink;
-    }
+    void onTaskStart(CoreId core, std::uint64_t task_token,
+                     PrefetchSink &sink);
+
+    /** Number of task entries learned (for tests). */
+    std::size_t learnedEntries() const { return table_.size(); }
 
     /** Number of prefetches issued so far. */
     std::uint64_t issued() const { return issued_; }
 
     /** Reset the statistics, keeping learned state. */
     void resetStats() { issued_ = 0; }
-
-  protected:
-    std::uint64_t issued_ = 0;
-};
-
-/** Prefetch the next `degree` sequential lines on every miss. */
-class NextLinePrefetcher : public InstPrefetcher
-{
-  public:
-    explicit NextLinePrefetcher(unsigned degree = 2);
-
-    void onFetch(CoreId core, Addr line_addr, bool hit,
-                 PrefetchSink &sink) override;
-
-  private:
-    unsigned degree_;
-};
-
-/**
- * Call-graph prefetcher (CGP-like, hardware-only mode).
- *
- * Records the first `recordLimit` distinct lines fetched after each
- * task start, keyed by the task token; prefetches that recorded set
- * when the same task starts again, and falls back to next-line
- * prefetching on misses.
- */
-class CallGraphPrefetcher : public InstPrefetcher
-{
-  public:
-    explicit CallGraphPrefetcher(unsigned num_cores,
-                                 unsigned record_limit = 4,
-                                 unsigned next_line_degree = 1);
-
-    void onFetch(CoreId core, Addr line_addr, bool hit,
-                 PrefetchSink &sink) override;
-
-    void onTaskStart(CoreId core, std::uint64_t task_token,
-                     PrefetchSink &sink) override;
-
-    /** Number of task entries learned (for tests). */
-    std::size_t learnedEntries() const { return table_.size(); }
 
   private:
     struct CoreState
@@ -116,9 +85,8 @@ class CallGraphPrefetcher : public InstPrefetcher
         bool timely = false;
     };
 
-    unsigned record_limit_;
-    unsigned next_line_degree_;
     std::vector<CoreState> core_state_;
+    std::uint64_t issued_ = 0;
     std::unordered_map<std::uint64_t, std::vector<Addr>> table_;
 };
 

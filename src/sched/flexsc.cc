@@ -11,26 +11,29 @@
 namespace schedtask
 {
 
-FlexSCScheduler::FlexSCScheduler(const FlexSCParams &params)
-    : params_(params)
+namespace
 {
-}
+
+/** Kernel instructions of one Linux-scheduler round trip. */
+constexpr std::uint64_t linuxSchedulerInsts = 4500;
+/** Cycles until a yielded single-threaded app is re-run. */
+constexpr Cycles yieldQuantum = 60000;
+/** Minimum syscall cores. */
+constexpr unsigned minSyscallCores = 1;
+
+} // namespace
 
 void
 FlexSCScheduler::configureMachine(MachineParams &params) const
 {
     // The split keeps at least one syscall and one application core
     // (onEpoch clamps the syscall share to [min, numCores - 1]).
-    if (params.numCores < 2) {
+    if (params.numCores < minSyscallCores + 1) {
         throw TechniqueError(
-            "FlexSC needs at least 2 cores (system call and application "
-            "cores), got " + std::to_string(params.numCores));
-    }
-    if (params_.minSyscallCores > params.numCores - 1) {
-        throw TechniqueError(
-            "FlexSC's " + std::to_string(params_.minSyscallCores)
-            + " minimum system call cores leave no application core "
-              "on " + std::to_string(params.numCores) + " cores");
+            "FlexSC needs at least "
+            + std::to_string(minSyscallCores + 1)
+            + " cores (system call and application cores), got "
+            + std::to_string(params.numCores));
     }
 }
 
@@ -38,7 +41,7 @@ void
 FlexSCScheduler::attach(Machine &machine)
 {
     QueueScheduler::attach(machine);
-    syscall_cores_ = std::max(params_.minSyscallCores, numCores() / 4);
+    syscall_cores_ = std::max(minSyscallCores, numCores() / 4);
     syscall_time_ = 0;
     total_time_ = 0;
 }
@@ -87,7 +90,7 @@ FlexSCScheduler::onSfResume(SuperFunction *parent,
     // the next scheduling quantum (Section 2/6.1 discussion).
     if (completed_child != nullptr
             && isSingleThreadedSyscall(completed_child)) {
-        machine_->scheduleDelayedWakeup(parent, params_.yieldQuantum);
+        machine_->scheduleDelayedWakeup(parent, yieldQuantum);
         return;
     }
     QueueScheduler::onSfResume(parent, completed_child);
@@ -116,7 +119,7 @@ FlexSCScheduler::onEpoch()
             / static_cast<double>(total_time_);
         const auto want = static_cast<unsigned>(
             std::lround(frac * numCores()));
-        syscall_cores_ = std::clamp(want, params_.minSyscallCores,
+        syscall_cores_ = std::clamp(want, minSyscallCores,
                                     numCores() - 1);
     }
 
@@ -134,7 +137,7 @@ FlexSCScheduler::onEpoch()
         syscall_cores_ = std::min(syscall_cores_ + 1, numCores() - 1);
     } else if (app_q > sys_q + 4) {
         syscall_cores_ =
-            std::max(syscall_cores_ - 1, params_.minSyscallCores);
+            std::max(syscall_cores_ - 1, minSyscallCores);
     }
 
     last_repartitioned_ = syscall_cores_ != before;
@@ -167,7 +170,7 @@ FlexSCScheduler::overheadFor(SchedEvent event,
                                   : nullptr;
     if (event == SchedEvent::Start && sf != nullptr
             && isSingleThreadedSyscall(sf)) {
-        oh.insts = params_.linuxSchedulerInsts;
+        oh.insts = linuxSchedulerInsts;
     }
     return oh;
 }

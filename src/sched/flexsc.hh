@@ -31,26 +31,13 @@
 namespace schedtask
 {
 
-/** FlexSC tunables. */
-struct FlexSCParams
-{
-    /** Kernel instructions of one Linux-scheduler round trip. */
-    std::uint64_t linuxSchedulerInsts = 4500;
-    /** Cycles until a yielded single-threaded app is re-run. */
-    Cycles yieldQuantum = 60000;
-    /** Minimum syscall cores. */
-    unsigned minSyscallCores = 1;
-};
-
 class FlexSCScheduler : public QueueScheduler
 {
   public:
-    explicit FlexSCScheduler(const FlexSCParams &params = {});
-
     const char *name() const override { return "FlexSC"; }
 
     /** Rejects machines the core split cannot partition: fewer than
-     *  two cores, or min_syscall_cores above numCores - 1. */
+     *  two cores (one syscall and one application core). */
     void configureMachine(MachineParams &params) const override;
     void attach(Machine &machine) override;
     void onSfResume(SuperFunction *parent,
@@ -76,7 +63,6 @@ class FlexSCScheduler : public QueueScheduler
 
     static bool isSingleThreadedSyscall(const SuperFunction *sf);
 
-    FlexSCParams params_;
     unsigned syscall_cores_ = 1;
     Cycles syscall_time_ = 0;
     Cycles total_time_ = 0;

@@ -5,10 +5,13 @@
 namespace schedtask
 {
 
-LinuxScheduler::LinuxScheduler(const LinuxSchedParams &params)
-    : params_(params)
+namespace
 {
-}
+
+/** Queue-length difference that triggers a balancer migration. */
+constexpr std::size_t imbalanceThreshold = 2;
+
+} // namespace
 
 CoreId
 LinuxScheduler::choosePlacement(SuperFunction *sf, PlacementReason reason)
@@ -35,8 +38,6 @@ void
 LinuxScheduler::onEpoch()
 {
     last_balance_moves_ = 0;
-    if (!params_.balanceEachEpoch)
-        return;
     // Load balancing: move work from the longest to the shortest
     // queue while the imbalance is significant. Linux balances
     // conservatively, so one pass per epoch suffices.
@@ -49,7 +50,7 @@ LinuxScheduler::onEpoch()
                 idlest = c;
         }
         if (queueLen(busiest)
-                < queueLen(idlest) + params_.imbalanceThreshold) {
+                < queueLen(idlest) + imbalanceThreshold) {
             break;
         }
         SuperFunction *moved = takeBack(busiest);

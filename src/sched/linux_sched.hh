@@ -18,20 +18,9 @@
 namespace schedtask
 {
 
-/** Tunables of the Linux baseline model. */
-struct LinuxSchedParams
-{
-    /** Cycles between load-balancer invocations (epoch-coupled). */
-    bool balanceEachEpoch = true;
-    /** Queue-length difference that triggers a migration. */
-    std::size_t imbalanceThreshold = 2;
-};
-
 class LinuxScheduler : public QueueScheduler
 {
   public:
-    explicit LinuxScheduler(const LinuxSchedParams &params = {});
-
     const char *name() const override { return "Linux"; }
 
     void onEpoch() override;
@@ -43,7 +32,6 @@ class LinuxScheduler : public QueueScheduler
                            PlacementReason reason) override;
 
   private:
-    LinuxSchedParams params_;
     CoreId next_spawn_core_ = 0;
     /** Load-balancer migrations at the last epoch boundary. */
     std::uint64_t last_balance_moves_ = 0;

@@ -4,7 +4,6 @@
 #include <cctype>
 
 #include "common/logging.hh"
-#include "core/schedtask_sched.hh"
 
 namespace schedtask
 {
@@ -130,12 +129,6 @@ SchedulerRegistry::make(const TechniqueSpec &spec,
     SCHEDTASK_ASSERT(sched != nullptr, "technique '", info.name,
                      "' factory returned nullptr");
     return sched;
-}
-
-std::unique_ptr<Scheduler>
-SchedulerRegistry::make(const TechniqueSpec &spec) const
-{
-    return make(spec, SchedTaskParams{});
 }
 
 } // namespace schedtask

@@ -99,9 +99,6 @@ class SchedulerRegistry
     std::unique_ptr<Scheduler> make(const TechniqueSpec &spec,
                                     const SchedTaskParams &sched_task) const;
 
-    /** Build with default SchedTaskParams (examples, tests). */
-    std::unique_ptr<Scheduler> make(const TechniqueSpec &spec) const;
-
   private:
     /** Registers the built-in techniques. */
     SchedulerRegistry();

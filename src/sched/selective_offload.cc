@@ -6,11 +6,13 @@
 namespace schedtask
 {
 
-SelectiveOffloadScheduler::SelectiveOffloadScheduler(
-    const SelectiveOffloadParams &params)
-    : params_(params)
+namespace
 {
-}
+
+/** Offload threshold, in instructions (paper Table 3: 100). */
+constexpr std::uint64_t offloadThresholdInsts = 100;
+
+} // namespace
 
 bool
 SelectiveOffloadScheduler::isAdmitted(const SuperFunction *sf) const
@@ -62,7 +64,7 @@ SelectiveOffloadScheduler::choosePlacement(SuperFunction *sf,
     // (i-cache and d-cache thrash on the OS side).
     if (sf->info->category == SfCategory::SystemCall
             && sf->phase != nullptr
-            && sf->phase->meanInsts <= params_.offloadThresholdInsts
+            && sf->phase->meanInsts <= offloadThresholdInsts
             && sf->lastCore != invalidCore && sf->lastCore < os_base) {
         return sf->lastCore;
     }

@@ -28,19 +28,9 @@
 namespace schedtask
 {
 
-/** Tunables of the SelectiveOffload model. */
-struct SelectiveOffloadParams
-{
-    /** Offload threshold, in instructions (paper Table 3: 100). */
-    std::uint64_t offloadThresholdInsts = 100;
-};
-
 class SelectiveOffloadScheduler : public QueueScheduler
 {
   public:
-    explicit SelectiveOffloadScheduler(
-        const SelectiveOffloadParams &params = {});
-
     const char *name() const override { return "SelectiveOffload"; }
 
     unsigned
@@ -65,7 +55,6 @@ class SelectiveOffloadScheduler : public QueueScheduler
     /** First OS core index. */
     CoreId osBase() const { return numCores() / 2; }
 
-    SelectiveOffloadParams params_;
     CoreId next_spawn_core_ = 0;
     CoreId rr_os_core_ = 0;
 };

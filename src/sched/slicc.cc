@@ -9,12 +9,16 @@
 namespace schedtask
 {
 
-SliccScheduler::SliccScheduler(const SliccParams &params)
-    : params_(params)
+namespace
 {
-    SCHEDTASK_ASSERT(params_.segmentLines > 0,
-                     "segment size must be positive");
-}
+
+/** Segment size in cache lines. */
+constexpr std::uint64_t segmentLines = 64;
+static_assert(segmentLines > 0, "segment size must be positive");
+/** Queue depth at which a segment's collective grows. */
+constexpr std::size_t spillThreshold = 1;
+
+} // namespace
 
 void
 SliccScheduler::attach(Machine &machine)
@@ -40,7 +44,7 @@ SliccScheduler::segmentKeyOf(const SuperFunction *sf) const
 {
     const Footprint *fp = sf->walker.footprint();
     SCHEDTASK_ASSERT(fp != nullptr, "SF without a footprint");
-    const std::uint64_t seg = sf->walker.cursor() / params_.segmentLines;
+    const std::uint64_t seg = sf->walker.cursor() / segmentLines;
     std::uint64_t key = appIdentityOf(sf);
     key ^= reinterpret_cast<std::uintptr_t>(fp) * 0x9e3779b97f4a7c15ULL;
     key ^= (seg + 1) * 0xc2b2ae3d27d4eb4fULL;
@@ -80,7 +84,7 @@ SliccScheduler::segmentHome(SuperFunction *sf)
     // Self-assembly: if every core of the collective is backlogged,
     // grow it by one (the footprint's replica set expands to match
     // demand).
-    if (queueLen(best) >= params_.spillThreshold
+    if (queueLen(best) >= spillThreshold
             && homes.size() < numCores()) {
         CoreId &next = next_core_[app];
         const CoreId extra = next;

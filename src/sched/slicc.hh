@@ -34,20 +34,9 @@
 namespace schedtask
 {
 
-/** SLICC tunables. */
-struct SliccParams
-{
-    /** Segment size in cache lines. */
-    std::uint64_t segmentLines = 64;
-    /** Queue depth at which a segment's collective grows. */
-    std::size_t spillThreshold = 1;
-};
-
 class SliccScheduler : public QueueScheduler
 {
   public:
-    explicit SliccScheduler(const SliccParams &params = {});
-
     const char *name() const override { return "SLICC"; }
 
     void attach(Machine &machine) override;
@@ -91,7 +80,6 @@ class SliccScheduler : public QueueScheduler
     /** Pick (possibly growing) the home core for a segment. */
     CoreId segmentHome(SuperFunction *sf);
 
-    SliccParams params_;
     /** (app identity, footprint, segment) -> home cores. */
     std::unordered_map<std::uint64_t, std::vector<CoreId>> seg_homes_;
     /** Per-application round-robin spread counter. */

@@ -19,9 +19,7 @@ Machine::Machine(const MachineParams &params, const HierarchyParams &hier,
       sched_code_(&suite.catalog().schedulerCode()),
       num_parts_(workload.numParts())
 {
-    HierarchyParams hp = hier;
-    hp.numCores = params_.numCores;
-    hierarchy_ = std::make_unique<MemHierarchy>(hp);
+    hierarchy_ = std::make_unique<MemHierarchy>(hier, params_.numCores);
 
     heatmaps_enabled_ = scheduler_->wantsHeatmap();
     scheduler_->attach(*this);

@@ -109,7 +109,8 @@ class Machine
      * Build the machine.
      *
      * @param params    machine parameters (numCores is authoritative)
-     * @param hier      hierarchy parameters (core count overridden)
+     * @param hier      hierarchy parameters, built on params.numCores
+     *                  cores
      * @param suite     benchmark suite providing the SF catalog
      * @param workload  instantiated workload (threads + ambient IRQs)
      * @param scheduler technique under evaluation

@@ -331,7 +331,8 @@ TEST(Backlog, QueueSchedulerWithoutCostKeepsZeroBacklog)
     MachineParams mp;
     mp.numCores = 4;
     mp.epochCycles = 50000;
-    auto sched = makeScheduler(TechniqueSpec{"Linux"});
+    auto sched = SchedulerRegistry::instance().make(TechniqueSpec{"Linux"},
+                                                    SchedTaskParams{});
     Machine m(mp, HierarchyParams::paperDefault(), suite, workload,
               *sched);
     m.run(3 * mp.epochCycles);

@@ -12,16 +12,20 @@ using namespace schedtask;
 
 TEST(Harness, TechniqueNamesRoundTrip)
 {
-    EXPECT_STREQ(makeScheduler(TechniqueSpec{"Linux"})->name(), "Linux");
-    EXPECT_STREQ(makeScheduler(TechniqueSpec{"schedtask"})->name(),
-                 "SchedTask");
+    const SchedulerRegistry &reg = SchedulerRegistry::instance();
+    EXPECT_STREQ(reg.make(TechniqueSpec{"Linux"}, SchedTaskParams{})->name(),
+                 "Linux");
+    EXPECT_STREQ(
+        reg.make(TechniqueSpec{"schedtask"}, SchedTaskParams{})->name(),
+        "SchedTask");
     EXPECT_EQ(comparedTechniques().size(), 5u);
 }
 
 TEST(Harness, MakeSchedulerMatchesName)
 {
     for (const TechniqueSpec &t : comparedTechniques()) {
-        auto sched = makeScheduler(t);
+        auto sched =
+            SchedulerRegistry::instance().make(t, SchedTaskParams{});
         EXPECT_EQ(sched->name(), t.name);
     }
 }

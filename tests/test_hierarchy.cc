@@ -13,18 +13,14 @@ using namespace schedtask;
 namespace
 {
 
-HierarchyParams
-tinyParams()
-{
-    HierarchyParams p = HierarchyParams::paperDefault(2);
-    return p;
-}
+/** Cores of every hierarchy built here. */
+constexpr unsigned kCores = 2;
 
 } // namespace
 
 TEST(Hierarchy, FirstFetchMissesThenHits)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     const Cycles miss = h.fetch(0, 0x10000, ExecClass::Os);
     // Cold: iTLB walk + frontend bubble + L3 + memory.
     EXPECT_GT(miss, h.params().memLatency);
@@ -34,7 +30,7 @@ TEST(Hierarchy, FirstFetchMissesThenHits)
 
 TEST(Hierarchy, SecondCoreFetchHitsLlc)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.fetch(0, 0x10000, ExecClass::Os);
     const Cycles c1 = h.fetch(1, 0x10000, ExecClass::Os);
     // Core 1 misses privately but hits the shared LLC: cost must be
@@ -45,7 +41,7 @@ TEST(Hierarchy, SecondCoreFetchHitsLlc)
 
 TEST(Hierarchy, StatsSplitByExecClass)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.fetch(0, 0x10000, ExecClass::App);
     h.fetch(0, 0x10000, ExecClass::App);
     h.fetch(0, 0x20000, ExecClass::Os);
@@ -57,9 +53,9 @@ TEST(Hierarchy, StatsSplitByExecClass)
 
 TEST(Hierarchy, DataReadMostlyHiddenByOoo)
 {
-    HierarchyParams p = tinyParams();
+    HierarchyParams p = HierarchyParams::paperDefault();
     p.dataHideFactor = 0.9;
-    MemHierarchy h(p);
+    MemHierarchy h(p, kCores);
     const Cycles miss = h.data(0, 0x30000, false, ExecClass::App);
     // Exposed stall must be far below the raw L3+memory latency.
     EXPECT_LT(miss, (p.llc.latency + p.memLatency) / 2);
@@ -69,7 +65,7 @@ TEST(Hierarchy, DataReadMostlyHiddenByOoo)
 
 TEST(Hierarchy, WritesExposeNoFillLatency)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     // Cold write: store buffer hides the miss (only dTLB walk may
     // expose a little).
     const Cycles w = h.data(0, 0x40000, true, ExecClass::Os);
@@ -78,7 +74,7 @@ TEST(Hierarchy, WritesExposeNoFillLatency)
 
 TEST(Hierarchy, RemoteDirtyFillCountsAndCosts)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.data(0, 0x50000, true, ExecClass::Os);  // core 0 owns dirty
     h.data(1, 0x50000, false, ExecClass::Os); // core 1 reads
     EXPECT_EQ(h.remoteDirtyFills(), 1u);
@@ -86,7 +82,7 @@ TEST(Hierarchy, RemoteDirtyFillCountsAndCosts)
 
 TEST(Hierarchy, WriteInvalidatesRemoteCopies)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.data(0, 0x60000, false, ExecClass::Os);
     h.data(1, 0x60000, false, ExecClass::Os);
     h.data(0, 0x60000, true, ExecClass::Os); // invalidates core 1
@@ -98,7 +94,7 @@ TEST(Hierarchy, WriteInvalidatesRemoteCopies)
 
 TEST(Hierarchy, InstallInstLinePrefetchesWithoutStats)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.installInstLine(0, 0x70000);
     EXPECT_TRUE(h.icacheContains(0, 0x70000));
     EXPECT_EQ(h.iCountsTotal().accesses, 0u);
@@ -111,7 +107,7 @@ TEST(Hierarchy, InstallInstLinePrefetchesWithoutStats)
 
 TEST(Hierarchy, ResetStatsKeepsContents)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.fetch(0, 0x80000, ExecClass::Os);
     h.resetStats();
     EXPECT_EQ(h.iCountsTotal().accesses, 0u);
@@ -121,7 +117,7 @@ TEST(Hierarchy, ResetStatsKeepsContents)
 
 TEST(Hierarchy, StallCountersAccumulate)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.fetch(0, 0x90000, ExecClass::Os);
     h.data(0, 0xa0000, false, ExecClass::Os);
     EXPECT_GT(h.fetchStallCycles(), 0u);
@@ -139,7 +135,7 @@ TEST(Hierarchy, Config1And2AreTwoLevel)
 
 TEST(Hierarchy, TwoLevelConfigWorks)
 {
-    MemHierarchy h(HierarchyParams::config2(2));
+    MemHierarchy h(HierarchyParams::config2(), kCores);
     const Cycles miss = h.fetch(0, 0x10000, ExecClass::Os);
     EXPECT_GT(miss, 0u);
     EXPECT_EQ(h.fetch(0, 0x10000, ExecClass::Os), 0u);
@@ -147,11 +143,11 @@ TEST(Hierarchy, TwoLevelConfigWorks)
 
 TEST(Hierarchy, FrontendBubbleChargedOnMiss)
 {
-    HierarchyParams with = tinyParams();
+    HierarchyParams with = HierarchyParams::paperDefault();
     with.frontendBubbleCycles = 50;
-    HierarchyParams without = tinyParams();
+    HierarchyParams without = HierarchyParams::paperDefault();
     without.frontendBubbleCycles = 0;
-    MemHierarchy hw(with), ho(without);
+    MemHierarchy hw(with, kCores), ho(without, kCores);
     const Cycles cw = hw.fetch(0, 0x10000, ExecClass::Os);
     const Cycles co = ho.fetch(0, 0x10000, ExecClass::Os);
     EXPECT_EQ(cw, co + 50);
@@ -159,7 +155,7 @@ TEST(Hierarchy, FrontendBubbleChargedOnMiss)
 
 TEST(Hierarchy, TlbHitRatesAggregated)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.fetch(0, 0x10000, ExecClass::Os);
     h.fetch(0, 0x10040, ExecClass::Os); // same page: iTLB hit
     EXPECT_GT(h.itlbHitRate(), 0.0);
@@ -168,9 +164,9 @@ TEST(Hierarchy, TlbHitRatesAggregated)
 
 TEST(Hierarchy, ResetStatsClearsTraceCacheAndPrefetcherCounters)
 {
-    MemHierarchy h(tinyParams());
+    MemHierarchy h(HierarchyParams::paperDefault(), kCores);
     h.enableTraceCaches(TraceCacheParams{});
-    h.setPrefetcher(std::make_unique<NextLinePrefetcher>(2));
+    h.setPrefetcher(std::make_unique<CallGraphPrefetcher>(kCores));
     h.fetch(0, 0x10000, ExecClass::Os); // miss: builds + prefetches
     h.fetch(0, 0x10000, ExecClass::Os);
     ASSERT_NE(h.traceCache(0), nullptr);

@@ -184,6 +184,17 @@ TEST(LintSafe01, RejectsAtoiFamily)
     )lint"), "SAFE-01"));
 }
 
+TEST(LintSafe01, RejectsThrowingStoFamily)
+{
+    EXPECT_TRUE(hasRule(lintSource("examples/foo.cpp", R"lint(
+        const double scale = argc > 2 ? std::stod(argv[2]) : 2.0;
+    )lint"), "SAFE-01"));
+    EXPECT_TRUE(lintSource("tools/foo.cc", R"lint(
+        // lint:allow(SAFE-01) caller catches std::invalid_argument
+        unsigned long n = std::stoul(text);
+    )lint").empty());
+}
+
 TEST(LintSafe01, ExemptInParseNum)
 {
     EXPECT_TRUE(lintSource("src/common/parse_num.cc", R"lint(

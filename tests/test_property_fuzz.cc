@@ -43,7 +43,8 @@ runConfig(const std::string &bench, const TechniqueSpec &technique,
     BenchmarkSuite suite;
     Workload workload =
         Workload::buildSingle(suite, bench, scale, cores);
-    auto sched = makeScheduler(technique);
+    auto sched =
+        SchedulerRegistry::instance().make(technique, SchedTaskParams{});
     MachineParams mp;
     mp.numCores = sched->coresRequired(cores);
     mp.epochCycles = 40000;

@@ -73,7 +73,8 @@ TEST(Registry, RegisterFindMakeRoundTrip)
     // Lookup is case-insensitive; display keeps canonical casing.
     EXPECT_EQ(reg.find("TEST-NULL"), info);
 
-    const auto sched = reg.make(TechniqueSpec{"TEST-NULL"});
+    const auto sched =
+        reg.make(TechniqueSpec{"TEST-NULL"}, SchedTaskParams{});
     ASSERT_NE(sched, nullptr);
     EXPECT_STREQ(sched->name(), "null");
 
@@ -93,14 +94,15 @@ TEST(RegistryDeath, DuplicateNamePanics)
 TEST(Registry, UnknownTechniqueAndOptionThrow)
 {
     const SchedulerRegistry &reg = SchedulerRegistry::instance();
-    EXPECT_THROW(reg.make(TechniqueSpec{"no-such-technique"}),
-                 TechniqueError);
+    EXPECT_THROW(
+        reg.make(TechniqueSpec{"no-such-technique"}, SchedTaskParams{}),
+        TechniqueError);
     // A technique is a name: the former "name:key=val" spellings are
     // unknown names, refused whole rather than stripped to "SchedTask".
     for (const char *former : {"SchedTask:bogus=1", "SchedTask:steal=none",
                                "FlexSC:min_syscall_cores=2"}) {
         try {
-            reg.make(TechniqueSpec{former});
+            reg.make(TechniqueSpec{former}, SchedTaskParams{});
             FAIL() << former << " was accepted";
         } catch (const TechniqueError &e) {
             EXPECT_NE(std::string(e.what()).find(
@@ -184,18 +186,13 @@ TEST(RegistryOptions, SchedTaskValuesBounded)
 
 TEST(RegistryOptions, FlexSCMinSyscallCoresBoundedByCoreCount)
 {
-    const auto flexsc = [](unsigned min_syscall_cores) {
-        FlexSCParams p;
-        p.minSyscallCores = min_syscall_cores;
-        return FlexSCScheduler(p);
-    };
+    // The split needs one system call core and one application core.
     MachineParams mp;
-    mp.numCores = 32;
-    flexsc(31).configureMachine(mp);
-    EXPECT_THROW(flexsc(32).configureMachine(mp), TechniqueError);
+    mp.numCores = 2;
+    FlexSCScheduler().configureMachine(mp);
     mp.numCores = 1;
     EXPECT_THROW(SchedulerRegistry::instance()
-                     .make(TechniqueSpec{"FlexSC"})
+                     .make(TechniqueSpec{"FlexSC"}, SchedTaskParams{})
                      ->configureMachine(mp),
                  TechniqueError);
 }

@@ -140,7 +140,8 @@ TEST(SchedTaskIntegration, WorkConservedAcrossSchedulers)
     // duplicate SuperFunctions: every technique keeps retiring
     // instructions for the whole run.
     for (const TechniqueSpec &t : comparedTechniques()) {
-        auto sched = makeScheduler(t);
+        auto sched =
+            SchedulerRegistry::instance().make(t, SchedTaskParams{});
         BenchmarkSuite suite;
         Workload workload =
             Workload::buildSingle(suite, "MailSrvIO", 1.0, 8);

@@ -414,7 +414,6 @@ TEST(SweepFingerprint, IgnoresFieldsLinuxCannotObserve)
         PERTURB(Cfg, c.schedTask.routeInterrupts = false),
         PERTURB(Cfg, c.schedTask.useExactOverlap = true),
         PERTURB(Cfg, c.machine.numCores = 7),
-        PERTURB(Cfg, c.hierarchy.numCores = 7),
         PERTURB(Cfg, c.machine.trace = true),
     };
     const std::uint64_t base = baselineFingerprint(smallConfig());

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/schedtask_sched.hh"
 #include "core/talloc.hh"
 #include "workload/sf_catalog.hh"
 
@@ -15,6 +16,14 @@ using namespace schedtask;
 
 namespace
 {
+
+/** TAlloc as SchedTask builds it, from the given SchedTaskParams. */
+TAlloc
+makeTAlloc(unsigned cores, const SchedTaskParams &params = {})
+{
+    return TAlloc(cores, 512, params.useExactOverlap,
+                  params.demandSmoothing);
+}
 
 /** Fill per-core tables with a fixed two-type breakup. */
 void
@@ -35,7 +44,7 @@ fillEpoch(std::vector<StatsTable> &tables, Cycles app_time,
 
 TEST(TAlloc, FirstRunAllocates)
 {
-    TAlloc talloc(8, 512);
+    TAlloc talloc = makeTAlloc(8);
     std::vector<StatsTable> cores(8, StatsTable(512));
     fillEpoch(cores, 300, 100);
     const TAllocResult r = talloc.run(cores, AllocTable{});
@@ -48,7 +57,7 @@ TEST(TAlloc, FirstRunAllocates)
 
 TEST(TAlloc, SystemStatsAggregated)
 {
-    TAlloc talloc(4, 512);
+    TAlloc talloc = makeTAlloc(4);
     std::vector<StatsTable> cores(4, StatsTable(512));
     fillEpoch(cores, 300, 100);
     talloc.run(cores, AllocTable{});
@@ -61,7 +70,7 @@ TEST(TAlloc, SystemStatsAggregated)
 
 TEST(TAlloc, StableBreakupKeepsAllocation)
 {
-    TAlloc talloc(8, 512);
+    TAlloc talloc = makeTAlloc(8);
     std::vector<StatsTable> cores(8, StatsTable(512));
     fillEpoch(cores, 300, 100);
     const TAllocResult first = talloc.run(cores, AllocTable{});
@@ -73,7 +82,7 @@ TEST(TAlloc, StableBreakupKeepsAllocation)
 
 TEST(TAlloc, ShiftedBreakupReallocates)
 {
-    TAlloc talloc(8, 512);
+    TAlloc talloc = makeTAlloc(8);
     std::vector<StatsTable> cores(8, StatsTable(512));
     fillEpoch(cores, 300, 100);
     const TAllocResult first = talloc.run(cores, AllocTable{});
@@ -92,14 +101,14 @@ TEST(TAlloc, ShiftedBreakupReallocates)
 
 TEST(TAlloc, BacklogGrowsStarvedType)
 {
-    TAlloc talloc(8, 512);
+    TAlloc talloc = makeTAlloc(8);
     std::vector<StatsTable> cores(8, StatsTable(512));
     fillEpoch(cores, 300, 100);
     const TAllocResult no_backlog = talloc.run(cores, AllocTable{});
     const std::size_t sys_before =
         no_backlog.alloc.coresFor(SfType::systemCall(3))->size();
 
-    TAlloc talloc2(8, 512);
+    TAlloc talloc2 = makeTAlloc(8);
     std::vector<StatsTable> cores2(8, StatsTable(512));
     fillEpoch(cores2, 300, 100);
     // A deep queue of syscalls raises their demand.
@@ -114,7 +123,7 @@ TEST(TAlloc, BacklogGrowsStarvedType)
 
 TEST(TAlloc, InterruptRoutesReported)
 {
-    TAlloc talloc(8, 512);
+    TAlloc talloc = makeTAlloc(8);
     std::vector<StatsTable> cores(8, StatsTable(512));
     fillEpoch(cores, 300, 100);
     const TAllocResult r = talloc.run(cores, AllocTable{});
@@ -137,7 +146,7 @@ TEST(TAlloc, InterruptRoutesReported)
 
 TEST(TAlloc, EmptyEpochKeepsCurrentAllocation)
 {
-    TAlloc talloc(4, 512);
+    TAlloc talloc = makeTAlloc(4);
     std::vector<StatsTable> cores(4, StatsTable(512));
     fillEpoch(cores, 100, 100);
     const TAllocResult first = talloc.run(cores, AllocTable{});
@@ -150,9 +159,9 @@ TEST(TAlloc, EmptyEpochKeepsCurrentAllocation)
 TEST(TAlloc, ExactOverlapModeBuildsFromFootprints)
 {
     SfCatalog cat;
-    TAllocParams params;
+    SchedTaskParams params;
     params.useExactOverlap = true;
-    TAlloc talloc(4, 512, params);
+    TAlloc talloc = makeTAlloc(4, params);
     std::vector<StatsTable> cores(4, StatsTable(512));
     PageHeatmap empty(512);
     for (StatsTable &t : cores) {

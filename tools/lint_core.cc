@@ -311,6 +311,8 @@ safe01Bad()
     static const std::set<std::string> kBad = {
         "atoi", "atof", "atol", "atoll", "strtol", "strtoul",
         "strtoll", "strtoull", "strtof", "strtod", "strtold",
+        "stoi", "stol", "stoll", "stoul", "stoull", "stof", "stod",
+        "stold",
     };
     return kBad;
 }
@@ -417,7 +419,7 @@ checkSafe01(const std::string &rel_path, const Scrubbed &sc,
         diags.push_back(Diag{
             rel_path, t.line, "SAFE-01",
             "'" + t.text
-                + "' parses garbage silently; use "
+                + "' parses garbage silently or throws; use "
                   "schedtask::parseUnsigned / parseDouble "
                   "(common/parse_num.hh)"});
     }

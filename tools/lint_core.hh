@@ -15,7 +15,8 @@
  *           std::unordered_set in output-writing files
  *           (trace_export, reporting, src/stats/) unless
  *           the loop body feeds a sorted container
- *   SAFE-01 atoi/atof/strtol family outside src/common/parse_num.*
+ *   SAFE-01 atoi/atof/strtol/std::stoi family outside
+ *           src/common/parse_num.*
  *           (use schedtask::parseUnsigned / parseDouble)
  *   SAFE-02 abort() instead of SCHEDTASK_PANIC; redundant `virtual`
  *           on an `override` declaration
