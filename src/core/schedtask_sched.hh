@@ -41,6 +41,8 @@ struct SchedTaskParams
     bool useExactOverlap = false;
     /** EMA weight on each new epoch's demand share (see TAlloc). */
     double demandSmoothing = 0.5;
+
+    auto operator<=>(const SchedTaskParams &) const = default;
 };
 
 class SchedTaskScheduler : public QueueScheduler

@@ -82,16 +82,16 @@ ExperimentConfig::validate(const TechniqueSpec &spec) const
     char buf[256];
     if (mp.numCores < 1 || mp.numCores > CoherenceDirectory::maxCores) {
         std::snprintf(buf, sizeof(buf),
-                      "%s needs %u cores for --cores %u; the simulator "
-                      "supports 1..%u",
+                      "%s needs %u cores on a %u-core baseline; the "
+                      "simulator supports 1..%u",
                       spec.name.c_str(), mp.numCores, baselineCores,
                       CoherenceDirectory::maxCores);
         return std::string(buf);
     }
     if (!PageHeatmap::validWidth(mp.heatmapBits)) {
         std::snprintf(buf, sizeof(buf),
-                      "invalid value '%u' for --heatmap-bits (expected a "
-                      "power of two in [64, 65536])",
+                      "heatmap width %u: expected a power of two in "
+                      "[64, 65536]",
                       mp.heatmapBits);
         return std::string(buf);
     }
@@ -102,9 +102,8 @@ ExperimentConfig::validate(const TechniqueSpec &spec) const
             suite.byName(part.benchmark), part.scale, baselineCores);
         if (threads == 0 || threads > Workload::maxPartThreads) {
             std::snprintf(buf, sizeof(buf),
-                          "invalid value '%g' for --scale: %s would run "
-                          "%s threads (the simulator supports 1..%u per "
-                          "benchmark)",
+                          "scale %g: %s would run %s threads (the "
+                          "simulator supports 1..%u per benchmark)",
                           part.scale, part.benchmark.c_str(),
                           threads == 0 ? "0" : "too many",
                           Workload::maxPartThreads);
@@ -174,11 +173,11 @@ runOnce(const ExperimentConfig &config, const TechniqueSpec &spec)
 {
     Sweep sweep;
     sweep.deriveSeeds(false);
-    sweep.add("run", spec.str(), config, spec);
+    sweep.add("run", spec.name, config, spec);
     SweepOptions options;
     options.jobs = 1;
     options.progress = false;
-    return SweepRunner(options).run(sweep).at("run", spec.str());
+    return SweepRunner(options).run(sweep).at("run", spec.name);
 }
 
 double
@@ -200,14 +199,15 @@ compare(const ExperimentConfig &config, const TechniqueSpec &spec)
 {
     Sweep sweep;
     sweep.deriveSeeds(false);
-    sweep.addComparison("run", spec.str(), config, spec);
+    sweep.addComparison("run", spec.name, config, spec);
     SweepOptions options;
     options.progress = false;
     const SweepResults results = SweepRunner(options).run(sweep);
+    const SweepReport report(sweep, results);
 
     Comparison cmp;
-    cmp.baseline = results.at(baselineLabelFor("run", config));
-    cmp.technique = results.at("run", spec.str());
+    cmp.baseline = report.baselineOf("run");
+    cmp.technique = report.run("run", spec.name);
     return cmp;
 }
 

@@ -61,6 +61,9 @@ struct ExperimentConfig
     bool useCgpPrefetcher = false;
     bool useTraceCache = false;
 
+    /** Field-wise: a sweep cell is keyed by its config. */
+    auto operator<=>(const ExperimentConfig &) const = default;
+
     /**
      * Standard configuration: one benchmark at the given scale
      * (the paper's main results use 2X), paper Table 2 hierarchy.
@@ -81,8 +84,9 @@ struct ExperimentConfig
      * full-map coherence directory cannot track, a heatmap width
      * PageHeatmap does not accept, and a scale at which a part has
      * no threads or more than Workload::maxPartThreads. Messages
-     * name the schedtask-sim flag that sets the offending field, or
-     * the `hierarchy.<level>` or `schedTask.<field>` no flag sets.
+     * name the offending value (or its `hierarchy.<level>` or
+     * `schedTask.<field>`), never a flag: every caller sets it its
+     * own way.
      */
     std::optional<std::string> validate(const TechniqueSpec &spec) const;
 

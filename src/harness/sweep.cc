@@ -10,7 +10,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <unordered_map>
 
 #include "common/logging.hh"
 #include "common/parse_num.hh"
@@ -45,124 +44,7 @@ mix64(std::uint64_t z)
     return z ^ (z >> 31);
 }
 
-/** Incremental fingerprint accumulator over config fields. */
-class Fingerprint
-{
-  public:
-    void
-    mixBits(std::uint64_t v)
-    {
-        h_ = mix64(h_ ^ v);
-    }
-
-    void
-    mixDouble(double v)
-    {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        __builtin_memcpy(&bits, &v, sizeof(bits));
-        mixBits(bits);
-    }
-
-    void
-    mixString(std::string_view s)
-    {
-        mixBits(stableHash64(s));
-    }
-
-    std::uint64_t value() const { return h_; }
-
-  private:
-    std::uint64_t h_ = 0x5eedf00d;
-};
-
-// Tripwire for baselineFingerprint(): a new field in any of these
-// structs changes its size and stops the build here. Decide whether
-// a Linux run can observe the field; if it can, mix it in below and
-// perturb it in SweepFingerprint.EveryMixedFieldChangesIt. Then
-// update the size. (Sizes are for the LP64 ABI the presets build.)
-static_assert(sizeof(CacheParams) == 32, "new CacheParams field?");
-static_assert(sizeof(TlbParams) == 16, "new TlbParams field?");
-static_assert(sizeof(HierarchyParams) == 208,
-              "new HierarchyParams field?");
-static_assert(sizeof(MachineParams) == 40, "new MachineParams field?");
-// The same for cellKey(): mix a new SchedTaskParams field there and
-// perturb it in SweepCellKey.SchedTaskFieldsSplitOnlyNonBaselineCells.
-static_assert(sizeof(SchedTaskParams) == 16,
-              "new SchedTaskParams field?");
-
-void
-mixCache(Fingerprint &fp, const CacheParams &c)
-{
-    fp.mixBits(c.sizeBytes);
-    fp.mixBits(c.assoc);
-    fp.mixBits(c.blockBytes);
-    fp.mixBits(c.latency);
-}
-
-void
-mixTlb(Fingerprint &fp, const TlbParams &t)
-{
-    fp.mixBits(t.entries);
-    fp.mixBits(t.assoc);
-    fp.mixBits(t.missPenalty);
-}
-
 } // namespace
-
-std::uint64_t
-baselineFingerprint(const ExperimentConfig &config)
-{
-    Fingerprint fp;
-    for (const WorkloadPart &part : config.parts) {
-        fp.mixString(part.benchmark);
-        fp.mixDouble(part.scale);
-    }
-    fp.mixBits(config.baselineCores);
-    fp.mixBits(config.warmupEpochs);
-    fp.mixBits(config.measureEpochs);
-    fp.mixBits(config.useCgpPrefetcher ? 1 : 0);
-    fp.mixBits(config.useTraceCache ? 1 : 0);
-
-    const MachineParams &m = config.machine;
-    fp.mixBits(m.epochCycles);
-    fp.mixDouble(m.coreFrequencyGHz);
-    fp.mixBits(m.seed);
-    fp.mixBits(m.trackExactPages ? 1 : 0);
-    // machine.heatmapBits and config.schedTask are deliberately
-    // omitted: a Linux run cannot observe them. numCores is filled
-    // in per technique from baselineCores, and trace is observation
-    // only.
-
-    const HierarchyParams &h = config.hierarchy;
-    mixCache(fp, h.l1i);
-    mixCache(fp, h.l1d);
-    fp.mixBits(h.hasPrivateL2 ? 1 : 0);
-    mixCache(fp, h.l2);
-    mixCache(fp, h.llc);
-    fp.mixBits(h.memLatency);
-    fp.mixBits(h.frontendBubbleCycles);
-    fp.mixBits(h.remoteFillLatency);
-    fp.mixDouble(h.dataHideFactor);
-    mixTlb(fp, h.itlb);
-    mixTlb(fp, h.dtlb);
-    fp.mixDouble(h.dtlbHideFactor);
-    return fp.value();
-}
-
-std::string
-baselineLabelFor(const std::string &row, const ExperimentConfig &config)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(
-                      baselineFingerprint(config)));
-    // Tracing moves no simulated number, so it stays out of the
-    // fingerprint; but a traced comparison needs its baseline's
-    // telemetry too, so it gets a baseline of its own.
-    return row + "/__baseline@" + buf
-        + (config.machine.trace ? "-traced" : "");
-}
 
 std::uint64_t
 runSeed(const RunRequest &request)
@@ -173,26 +55,19 @@ runSeed(const RunRequest &request)
                  ^ stableHash64(request.row));
 }
 
-std::uint64_t
+CellKey
 cellKey(const RunRequest &request)
 {
-    Fingerprint fp;
-    fp.mixBits(runSeed(request));
-    fp.mixBits(baselineFingerprint(request.config));
-    fp.mixString(request.spec.str());
-    // Tracing changes no simulated number, but it decides whether
-    // the result carries the telemetry a reader asked for, so a
-    // traced request never shares an untraced twin's cell.
-    fp.mixBits(request.config.machine.trace ? 1 : 0);
-    if (SchedulerRegistry::instance().isBaseline(request.spec.name))
-        return fp.value();
-    const SchedTaskParams &st = request.config.schedTask;
-    fp.mixBits(request.config.machine.heatmapBits);
-    fp.mixBits(static_cast<std::uint64_t>(st.stealPolicy));
-    fp.mixBits(st.routeInterrupts ? 1 : 0);
-    fp.mixBits(st.useExactOverlap ? 1 : 0);
-    fp.mixDouble(st.demandSmoothing);
-    return fp.value();
+    CellKey key{runSeed(request), request.spec.name, request.config};
+    // What the run cannot observe: runWithScheduler sets numCores
+    // from baselineCores, and a Linux run reads neither the heatmap
+    // width nor any SchedTaskParams field.
+    key.config.machine.numCores = 0;
+    if (SchedulerRegistry::instance().isBaseline(request.spec.name)) {
+        key.config.machine.heatmapBits = 0;
+        key.config.schedTask = {};
+    }
+    return key;
 }
 
 unsigned
@@ -224,35 +99,39 @@ Sweep::noteRowCol(const std::string &row, const std::string &col)
         cols_.push_back(col);
 }
 
-namespace
-{
-
-/** Catch a misspelt name or an unbuildable machine while the sweep
- *  is declared, rather than as a failed run (or an assertion inside
- *  a worker) after other runs have finished. */
 void
-requireValid(const std::string &row, const std::string &col,
-             const ExperimentConfig &config, const TechniqueSpec &spec)
+Sweep::declare(RunRequest request)
 {
-    if (const std::optional<std::string> error = config.validate(spec))
-        SCHEDTASK_FATAL("sweep run ", row, "/", col, ": ", *error);
+    // Catch a misspelt name, an unbuildable machine or a repeated
+    // label while the sweep is declared, rather than as a failed run
+    // (or an assertion inside a worker) after other runs have
+    // finished, or as a result silently dropped under a taken label.
+    const std::string label = request.label();
+    std::optional<std::string> error =
+        request.config.validate(request.spec);
+    if (!error
+        && std::any_of(requests_.begin(), requests_.end(),
+                       [&](const RunRequest &r) {
+                           return r.label() == label;
+                       }))
+        error = "the label is already declared";
+    if (error)
+        SCHEDTASK_FATAL("sweep run ", label, ": ", *error);
+    requests_.push_back(std::move(request));
 }
-
-} // namespace
 
 Sweep &
 Sweep::add(const std::string &row, const std::string &col,
            ExperimentConfig config, const TechniqueSpec &spec)
 {
-    requireValid(row, col, config, spec);
-    noteRowCol(row, col);
     RunRequest req;
     req.row = row;
     req.col = col;
     req.config = std::move(config);
     req.spec = spec;
     req.deriveSeed = deriveSeeds_;
-    requests_.push_back(std::move(req));
+    declare(std::move(req));
+    noteRowCol(row, col);
     return *this;
 }
 
@@ -276,23 +155,35 @@ baselineSpec()
 
 } // namespace
 
+std::string
+Sweep::baselineFor(const std::string &row,
+                   const ExperimentConfig &config)
+{
+    RunRequest req;
+    req.row = row;
+    req.config = config;
+    req.spec = baselineSpec();
+    req.deriveSeed = deriveSeeds_;
+    req.isBaseline = true;
+    const CellKey key = cellKey(req);
+    unsigned declared = 0;
+    for (const RunRequest &other : requests_) {
+        if (!other.isBaseline || other.row != row)
+            continue;
+        if (cellKey(other) == key)
+            return other.label();
+        ++declared;
+    }
+    req.col = "baseline #" + std::to_string(declared + 1);
+    declare(std::move(req));
+    return requests_.back().label();
+}
+
 Sweep &
 Sweep::addBaseline(const std::string &row,
                    const ExperimentConfig &config)
 {
-    const std::string label = baselineLabelFor(row, config);
-    if (baselineIndex_.count(label) != 0)
-        return *this;
-    RunRequest req;
-    req.row = row;
-    req.col = label.substr(row.size() + 1);
-    req.config = config;
-    req.spec = baselineSpec();
-    requireValid(req.row, req.col, req.config, req.spec);
-    req.deriveSeed = deriveSeeds_;
-    req.isBaseline = true;
-    baselineIndex_.emplace(label, requests_.size());
-    requests_.push_back(std::move(req));
+    baselineFor(row, config);
     return *this;
 }
 
@@ -310,10 +201,9 @@ Sweep::addVersus(const std::string &row, const std::string &col,
                  ExperimentConfig config, const TechniqueSpec &spec,
                  const ExperimentConfig &baseline_config)
 {
-    addBaseline(row, baseline_config);
+    std::string baseline = baselineFor(row, baseline_config);
     add(row, col, std::move(config), spec);
-    requests_.back().baselineLabel =
-        baselineLabelFor(row, baseline_config);
+    requests_.back().baselineLabel = std::move(baseline);
     return *this;
 }
 
@@ -327,23 +217,9 @@ Sweep::cross(const std::vector<std::string> &rows,
     for (const std::string &row : rows) {
         const ExperimentConfig cfg = make(row);
         for (const TechniqueSpec &spec : techniques)
-            sweep.addComparison(row, spec.str(), cfg, spec);
+            sweep.addComparison(row, spec.name, cfg, spec);
     }
     return sweep;
-}
-
-std::string
-Sweep::firstBaselineLabel(const std::string &row) const
-{
-    std::size_t best = requests_.size();
-    std::string label;
-    for (const auto &[name, index] : baselineIndex_) {
-        if (requests_[index].row == row && index < best) {
-            best = index;
-            label = name;
-        }
-    }
-    return label;
 }
 
 bool
@@ -386,13 +262,8 @@ sanitizeLabel(const std::string &label)
 }
 
 void
-writeRunTraces(const std::string &dir, const RunRequest &req,
-               const RunResult &result)
+writeRunTraces(const std::string &stem, const RunResult &result)
 {
-    char key[32];
-    std::snprintf(key, sizeof(key), "@%016llx",
-                  static_cast<unsigned long long>(cellKey(req)));
-    const std::string stem = dir + "/" + sanitizeLabel(req.label()) + key;
     writeTextFile(stem + ".trace.json",
                   chromeTraceJson(result.metrics.epochSamples,
                                   result.metrics.sfEvents,
@@ -410,13 +281,21 @@ SweepRunner::runAll(const std::vector<const Sweep *> &sweeps,
     std::vector<std::string> fatal;
     std::vector<std::string> &failures = partial ? *partial : fatal;
 
-    // The distinct cells, in first-seen order.
-    std::unordered_map<std::uint64_t, std::size_t> index;
+    // The distinct cells, in first-seen order, and each one's
+    // trace-file stem: its first request's label, numbered among the
+    // cells whose label flattens the same way.
+    std::map<CellKey, std::size_t> index;
     std::vector<const RunRequest *> cells;
+    std::vector<std::string> stems;
+    std::map<std::string, unsigned> stem_uses;
     for (const Sweep *sweep : sweeps) {
         for (const RunRequest &req : sweep->requests()) {
-            if (index.emplace(cellKey(req), cells.size()).second)
-                cells.push_back(&req);
+            if (!index.emplace(cellKey(req), cells.size()).second)
+                continue;
+            cells.push_back(&req);
+            const std::string stem = sanitizeLabel(req.label());
+            stems.push_back(stem + "@"
+                            + std::to_string(++stem_uses[stem]));
         }
     }
 
@@ -459,7 +338,7 @@ SweepRunner::runAll(const std::vector<const Sweep *> &sweeps,
             const RunResult &result = done_cells[i].emplace(
                 runWithScheduler(cfg, *scheduler));
             if (!trace_dir.empty())
-                writeRunTraces(trace_dir, req, result);
+                writeRunTraces(trace_dir + "/" + stems[i], result);
 
             std::lock_guard<std::mutex> lock(mutex);
             ++done;
@@ -650,10 +529,11 @@ SweepReport::run(const std::string &row, const std::string &col) const
 const RunResult &
 SweepReport::baselineOf(const std::string &row) const
 {
-    const std::string label = sweep_.firstBaselineLabel(row);
-    if (label.empty())
-        SCHEDTASK_FATAL("sweep row '" + row + "' has no baseline");
-    return results_.at(label);
+    for (const RunRequest &req : sweep_.requests()) {
+        if (req.isBaseline && req.row == row)
+            return results_.at(req.label());
+    }
+    SCHEDTASK_FATAL("sweep row '" + row + "' has no baseline");
 }
 
 } // namespace schedtask

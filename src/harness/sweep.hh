@@ -14,16 +14,16 @@
  * which keeps the workload streams of a technique and its Linux
  * baseline identical — the property compare() always relied on.
  *
- * Baseline dedup: comparisons against the Linux baseline register
- * the baseline by a fingerprint of the baseline-relevant parts of
- * their config (workload, hierarchy, machine, windows — everything
- * a LinuxScheduler run can observe; SchedTask-only knobs and the
- * heatmap width are excluded). Within a row, all requests whose
- * fingerprints match share one Linux run.
- *
- * Cell dedup: requests with the same cellKey() run once, across all
+ * Cell dedup: requests with equal cellKey() run once, across all
  * sweeps handed to one SweepRunner::runAll() call, and each request's
- * label gets that run's result.
+ * label gets that run's result. The key is the config value itself
+ * (plus the seed and technique), so a field added to a config splits
+ * cells with no further edit.
+ *
+ * Baseline dedup: a comparison shares the Linux baseline of its row
+ * whose cellKey() a baseline on its config would have; otherwise a
+ * new one is declared as "<row>/baseline #<k>", k counting the row's
+ * distinct baselines in declaration order.
  */
 
 #ifndef SCHEDTASK_HARNESS_SWEEP_HH
@@ -76,34 +76,31 @@ struct RunRequest
 /** Stable FNV-1a hash used for label-derived seeds. */
 std::uint64_t stableHash64(std::string_view text);
 
-/**
- * Fingerprint of the baseline-relevant configuration: everything a
- * Linux run's result can depend on. Excludes config.schedTask and
- * machine.heatmapBits (the heatmap registers are passive trackers;
- * only TAlloc consumes them).
- */
-std::uint64_t baselineFingerprint(const ExperimentConfig &config);
-
-/** Result-set key of the deduplicated baseline run for a config:
- *  the row, baselineFingerprint() and, for a traced config, a
- *  "-traced" tag (a traced run's baseline is traced too). */
-std::string baselineLabelFor(const std::string &row,
-                             const ExperimentConfig &config);
-
 /** The effective master seed the runner gives a request. */
 std::uint64_t runSeed(const RunRequest &request);
+
+/** The simulation a request runs; see cellKey(). */
+struct CellKey
+{
+    std::uint64_t seed = 0;
+    std::string technique;
+    ExperimentConfig config;
+
+    auto operator<=>(const CellKey &) const = default;
+};
 
 /**
  * Identity of the simulation a request runs: requests with equal
  * keys produce bitwise-identical results, so the runner executes
- * each key once. A baseline-technique (Linux) request is keyed by
- * runSeed(), spec.str(), baselineFingerprint() and machine.trace
- * (a traced request needs the telemetry an untraced twin's result
- * lacks); any other technique also by machine.heatmapBits and every
- * SchedTaskParams field. The key is taken from the request as
- * declared, before SweepOptions::traceDir switches tracing on.
+ * each key once. The key is runSeed(), spec.name and the config with
+ * what the run cannot observe cleared: machine.numCores (filled in
+ * per technique) and, for the baseline technique, machine.heatmapBits
+ * and schedTask. machine.trace stays in: a traced request needs the
+ * telemetry an untraced twin's result lacks. The key is taken from
+ * the request as declared, before SweepOptions::traceDir switches
+ * tracing on.
  */
-std::uint64_t cellKey(const RunRequest &request);
+CellKey cellKey(const RunRequest &request);
 
 /**
  * Worker-thread count: SCHEDTASK_JOBS if set (clamped to [1,256]),
@@ -120,12 +117,13 @@ class Sweep
 
     /** Add a standalone run (no baseline attached). Fatal, before
      *  any run starts, when config.validate(spec) reports an error
-     *  (an unregistered spec.name, an unbuildable machine, ...). */
+     *  (an unregistered spec.name, an unbuildable machine, ...) or
+     *  the sweep already has a run labelled "row/col". */
     Sweep &add(const std::string &row, const std::string &col,
                ExperimentConfig config, const TechniqueSpec &spec);
 
     /** Register the row's baseline (the registry technique flagged
-     *  isBaseline) for `config`, idempotent per fingerprint.
+     *  isBaseline) for `config`, idempotent per cellKey().
      *  addComparison() calls this implicitly. */
     Sweep &addBaseline(const std::string &row,
                        const ExperimentConfig &config);
@@ -145,7 +143,7 @@ class Sweep
 
     /**
      * The recurring figure layout: one row per benchmark, one
-     * comparison column per technique (titled spec.str()), all
+     * comparison column per technique (titled spec.name), all
      * against the per-row Linux baseline. `make` builds the row's
      * configuration.
      */
@@ -164,18 +162,23 @@ class Sweep
     const std::vector<std::string> &rows() const { return rows_; }
     const std::vector<std::string> &cols() const { return cols_; }
 
-    /** First-registered baseline label of a row ("" if none). */
-    std::string firstBaselineLabel(const std::string &row) const;
-
     std::size_t size() const { return requests_.size(); }
 
   private:
     void noteRowCol(const std::string &row, const std::string &col);
 
+    /** Append a request; fatal when it cannot run or its label is
+     *  taken. */
+    void declare(RunRequest request);
+
+    /** Label of the row's baseline on `config`, declared on first
+     *  use. */
+    std::string baselineFor(const std::string &row,
+                            const ExperimentConfig &config);
+
     std::vector<RunRequest> requests_;
     std::vector<std::string> rows_;
     std::vector<std::string> cols_;
-    std::map<std::string, std::size_t> baselineIndex_; // label -> req
     bool deriveSeeds_ = true;
 };
 
@@ -209,10 +212,12 @@ struct SweepOptions
     /**
      * Directory for per-run epoch traces. When non-empty, every
      * run executes with MachineParams.trace enabled and writes
-     * "<dir>/<label>@<key>.trace.json" (Chrome trace) plus
-     * "<dir>/<label>@<key>.jsonl": <label> from the cell's first
-     * request ('/' becomes '_'), <key> its cellKey() in hex, so each
-     * distinct cell gets its own pair. Empty means no tracing.
+     * "<dir>/<label>@<n>.trace.json" (Chrome trace) plus
+     * "<dir>/<label>@<n>.jsonl": <label> from the cell's first
+     * request (characters other than letters, digits and ".-_@"
+     * become '_'), <n> 1 for the first distinct cell with that
+     * <label>, 2 for the next, ..., so each distinct cell gets its
+     * own pair. Empty means no tracing.
      * Tracing is pure observation — results stay bitwise identical.
      */
     std::string traceDir;
@@ -315,7 +320,8 @@ class SweepReport
     const RunResult &run(const std::string &row,
                          const std::string &col) const;
 
-    /** First-registered baseline result of a row; fatal if none. */
+    /** The row's first baseline ("<row>/baseline #1"); fatal if
+     *  none. */
     const RunResult &baselineOf(const std::string &row) const;
 
   private:

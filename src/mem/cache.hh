@@ -90,6 +90,8 @@ struct CacheParams
     std::uint64_t blockBytes = lineBytes;
     /** Access latency in cycles (applied by the hierarchy). */
     Cycles latency = 3;
+
+    auto operator<=>(const CacheParams &) const = default;
 };
 
 /**

@@ -100,6 +100,8 @@ struct HierarchyParams
     /** Fraction of a dTLB walk hidden by the OOO core. */
     double dtlbHideFactor = 0.5;
 
+    auto operator<=>(const HierarchyParams &) const = default;
+
     /** Paper Table 2 three-level hierarchy (also appendix Config3). */
     static HierarchyParams paperDefault();
 

@@ -29,6 +29,8 @@ struct TlbParams
     /** Cycles added to the access on a TLB miss (page walk). */
     Cycles missPenalty = 40;
 
+    auto operator<=>(const TlbParams &) const = default;
+
     /** The page-grain cache geometry this TLB is built on. */
     CacheParams cacheParams() const;
 };

@@ -47,9 +47,6 @@ struct SchedTaskParams;
 struct TechniqueSpec
 {
     std::string name = "SchedTask";
-
-    /** The name, as run labels and cell keys spell it. */
-    std::string str() const { return name; }
 };
 
 using SchedulerFactory =

@@ -93,6 +93,8 @@ struct MachineParams
      *  events. Observation only: results are bitwise identical with
      *  tracing off. */
     bool trace = false;
+
+    auto operator<=>(const MachineParams &) const = default;
 };
 
 /**

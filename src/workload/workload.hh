@@ -27,6 +27,8 @@ struct WorkloadPart
 {
     std::string benchmark;
     double scale = 1.0;
+
+    auto operator<=>(const WorkloadPart &) const = default;
 };
 
 /** Everything a simulated thread needs to start. */

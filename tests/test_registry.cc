@@ -139,14 +139,6 @@ TEST(Registry, ListsBuiltinsSorted)
 
 // ---- naming techniques by TechniqueSpec ----------------------------
 
-TEST(Shims, TechniqueSpecMatchesNames)
-{
-    EXPECT_EQ(TechniqueSpec{"Linux"}.str(), "Linux");
-    EXPECT_EQ(TechniqueSpec{"SchedTask"}.str(), "SchedTask");
-    EXPECT_EQ(TechniqueSpec{}.str(), "SchedTask");
-    EXPECT_EQ(TechniqueSpec{"SLICC"}.str(), "SLICC");
-}
-
 TEST(Shims, ComparedTechniquesExcludeBaseline)
 {
     // The historical bug: comparedTechniques() must list the five

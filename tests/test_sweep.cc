@@ -10,11 +10,11 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <latch>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -124,6 +124,39 @@ TEST(SweepDedup, OneBaselinePerConfig)
     const SweepResults results = SweepRunner(opts).run(sweep);
     EXPECT_EQ(results.size(), 7u);
     EXPECT_EQ(baseline_runs.load(), 2u);
+}
+
+TEST(SweepDedup, BaselinesNumberedPerRowInDeclarationOrder)
+{
+    // The App. Fig. 2 shape: a plain Linux reference, then the
+    // comparisons against a CGP-equipped Linux baseline.
+    Sweep sweep;
+    for (const std::string bench : {"Find", "Iscp"}) {
+        const ExperimentConfig plain = smallConfig(bench);
+        sweep.addBaseline(bench, plain);
+        for (const char *technique : {"SchedTask", "SLICC"}) {
+            sweep.addComparison(bench, technique,
+                                ExperimentConfig(plain).withCgpPrefetcher(),
+                                TechniqueSpec{technique});
+        }
+        sweep.addBaseline(bench, plain); // already declared
+    }
+    std::vector<std::string> labels, compared_to;
+    for (const RunRequest &req : sweep.requests()) {
+        labels.push_back(req.label());
+        if (!req.isBaseline)
+            compared_to.push_back(req.baselineLabel);
+    }
+    EXPECT_EQ(labels, (std::vector<std::string>{
+                          "Find/baseline #1", "Find/baseline #2",
+                          "Find/SchedTask", "Find/SLICC",
+                          "Iscp/baseline #1", "Iscp/baseline #2",
+                          "Iscp/SchedTask", "Iscp/SLICC"}));
+    EXPECT_EQ(compared_to, (std::vector<std::string>{
+                               "Find/baseline #2", "Find/baseline #2",
+                               "Iscp/baseline #2", "Iscp/baseline #2"}));
+    EXPECT_FALSE(sweep.requests()[0].config.useCgpPrefetcher);
+    EXPECT_TRUE(sweep.requests()[1].config.useCgpPrefetcher);
 }
 
 TEST(SweepRunnerTest, JobsOneAndFourBitwiseIdentical)
@@ -255,7 +288,8 @@ TEST(SweepDeath, InvalidConfigRejectedAtAdd)
     Sweep sweep;
     EXPECT_DEATH(sweep.add("row", "wide", smallConfig().withHeatmapBits(63),
                            TechniqueSpec{"SchedTask"}),
-                 "row/wide: invalid value '63' for --heatmap-bits");
+                 "row/wide: heatmap width 63: expected a power of two "
+                 "in \\[64, 65536\\]");
     EXPECT_DEATH(sweep.addComparison("row", "big",
                                      smallConfig().withCores(65),
                                      TechniqueSpec{"SchedTask"}),
@@ -266,6 +300,33 @@ TEST(SweepDeath, InvalidConfigRejectedAtAdd)
     EXPECT_DEATH(sweep.add("row", "l1i", smallConfig().withL1ISize(48 * 1024),
                            TechniqueSpec{"Linux"}),
                  "row/l1i: hierarchy.l1i: 49152 B, 4-way");
+}
+
+TEST(SweepDeath, RepeatedLabelRejectedAtAdd)
+{
+    // A second run under a taken label would lose its result to the
+    // first one's: at() would answer both with the first config.
+    Sweep sweep;
+    sweep.addComparison("row", "SchedTask", smallConfig(),
+                        TechniqueSpec{"SchedTask"});
+    EXPECT_DEATH(sweep.add("row", "SchedTask",
+                           smallConfig().withSteal(StealPolicy::None),
+                           TechniqueSpec{"SchedTask"}),
+                 "sweep run row/SchedTask: the label is already declared");
+    EXPECT_DEATH(sweep.addComparison("row", "SchedTask", smallConfig(),
+                                     TechniqueSpec{"SchedTask"}),
+                 "row/SchedTask: the label is already declared");
+    // Baselines and display columns share one label space.
+    EXPECT_DEATH(sweep.add("row", "baseline #1", smallConfig(),
+                           TechniqueSpec{"Linux"}),
+                 "row/baseline #1: the label is already declared");
+    Sweep column_first;
+    column_first.add("row", "baseline #1", smallConfig(),
+                     TechniqueSpec{"Linux"});
+    EXPECT_DEATH(column_first.addComparison("row", "SchedTask",
+                                            smallConfig(),
+                                            TechniqueSpec{"SchedTask"}),
+                 "row/baseline #1: the label is already declared");
 }
 
 TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
@@ -330,17 +391,32 @@ TEST(ExperimentConfigValidate, RejectsUnsupportedCacheGeometry)
               "");
 }
 
-/** A named one-field perturbation of a T, for the tripwire below. */
+/** A named one-field perturbation of a T, for the key tests below. */
 #define PERTURB(T, stmt) \
     std::pair<std::string, std::function<void(T &)>>( \
         #stmt, [](T &c) { stmt; })
 
+namespace
+{
+
+/** cellKey() of a Find request running `technique` on `cfg`. */
+CellKey
+keyOf(const char *technique, const ExperimentConfig &cfg)
+{
+    RunRequest req;
+    req.row = "Find";
+    req.col = technique;
+    req.config = cfg;
+    req.spec = TechniqueSpec{technique};
+    return cellKey(req);
+}
+
+} // namespace
+
 TEST(SweepFingerprint, EveryMixedFieldChangesIt)
 {
-    // A field that stopped being mixed would merge distinct Linux
-    // baselines silently. The sizeof static_asserts next to
-    // baselineFingerprint() force new fields onto this list or the
-    // one below.
+    // Every field a Linux run can observe splits its cell; an
+    // ignored one would merge distinct Linux baselines silently.
     using Cfg = ExperimentConfig;
     auto mixed = std::vector{
         PERTURB(Cfg, c.parts[0].benchmark = "Iscp"),
@@ -396,32 +472,36 @@ TEST(SweepFingerprint, EveryMixedFieldChangesIt)
         }
     }
 
-    const std::uint64_t base = baselineFingerprint(smallConfig());
+    const CellKey base = keyOf("Linux", smallConfig());
     for (const auto &[field, perturb] : mixed) {
         ExperimentConfig cfg = smallConfig();
         perturb(cfg);
-        EXPECT_NE(baselineFingerprint(cfg), base) << field;
+        EXPECT_TRUE(keyOf("Linux", cfg) != base) << field;
     }
 }
 
 TEST(SweepFingerprint, IgnoresFieldsLinuxCannotObserve)
 {
-    // numCores is filled in per technique; trace is observation.
+    // numCores is filled in per technique, for every technique.
     using Cfg = ExperimentConfig;
     const auto ignored = std::vector{
         PERTURB(Cfg, c.machine.heatmapBits = 1024),
         PERTURB(Cfg, c.schedTask.stealPolicy = StealPolicy::None),
         PERTURB(Cfg, c.schedTask.routeInterrupts = false),
         PERTURB(Cfg, c.schedTask.useExactOverlap = true),
+        PERTURB(Cfg, c.schedTask.demandSmoothing = 1.0),
         PERTURB(Cfg, c.machine.numCores = 7),
-        PERTURB(Cfg, c.machine.trace = true),
     };
-    const std::uint64_t base = baselineFingerprint(smallConfig());
+    const CellKey base = keyOf("Linux", smallConfig());
     for (const auto &[field, perturb] : ignored) {
         ExperimentConfig cfg = smallConfig();
         perturb(cfg);
-        EXPECT_EQ(baselineFingerprint(cfg), base) << field;
+        EXPECT_TRUE(keyOf("Linux", cfg) == base) << field;
     }
+    ExperimentConfig cores = smallConfig();
+    cores.machine.numCores = 7;
+    EXPECT_TRUE(keyOf("SchedTask", cores)
+                == keyOf("SchedTask", smallConfig()));
 }
 
 TEST(SweepCellKey, SchedTaskFieldsSplitOnlyNonBaselineCells)
@@ -429,9 +509,7 @@ TEST(SweepCellKey, SchedTaskFieldsSplitOnlyNonBaselineCells)
     // The union run merges requests with equal keys, so a field a
     // run can observe must split its key. A Linux run cannot see the
     // heatmap width or any SchedTaskParams field, so those must not
-    // split a Linux key (or baselines would stop being shared). The
-    // SchedTaskParams sizeof static_assert in sweep.cc forces new
-    // fields onto this list.
+    // split a Linux key (or baselines would stop being shared).
     using Cfg = ExperimentConfig;
     const auto perturbations = std::vector{
         PERTURB(Cfg, c.machine.heatmapBits = 1024),
@@ -440,22 +518,14 @@ TEST(SweepCellKey, SchedTaskFieldsSplitOnlyNonBaselineCells)
         PERTURB(Cfg, c.schedTask.useExactOverlap = true),
         PERTURB(Cfg, c.schedTask.demandSmoothing = 1.0),
     };
-    const auto key = [](const char *technique, const Cfg &cfg) {
-        RunRequest req;
-        req.row = "Find";
-        req.col = technique;
-        req.config = cfg;
-        req.spec = TechniqueSpec{technique};
-        return cellKey(req);
-    };
-    const std::uint64_t schedtask = key("SchedTask", smallConfig());
-    const std::uint64_t linux_key = key("Linux", smallConfig());
-    EXPECT_NE(schedtask, linux_key);
+    const CellKey schedtask = keyOf("SchedTask", smallConfig());
+    const CellKey linux_key = keyOf("Linux", smallConfig());
+    EXPECT_TRUE(schedtask != linux_key);
     for (const auto &[field, perturb] : perturbations) {
         ExperimentConfig cfg = smallConfig();
         perturb(cfg);
-        EXPECT_NE(key("SchedTask", cfg), schedtask) << field;
-        EXPECT_EQ(key("Linux", cfg), linux_key) << field;
+        EXPECT_TRUE(keyOf("SchedTask", cfg) != schedtask) << field;
+        EXPECT_TRUE(keyOf("Linux", cfg) == linux_key) << field;
     }
 }
 
@@ -466,15 +536,9 @@ TEST(SweepCellKey, TraceSplitsEveryCell)
     ExperimentConfig traced = smallConfig();
     traced.machine.trace = true;
     for (const char *technique : {"Linux", "SchedTask"}) {
-        SCOPED_TRACE(technique);
-        RunRequest plain;
-        plain.row = "Find";
-        plain.col = technique;
-        plain.config = smallConfig();
-        plain.spec = TechniqueSpec{technique};
-        RunRequest twin = plain;
-        twin.config = traced;
-        EXPECT_NE(cellKey(plain), cellKey(twin));
+        EXPECT_TRUE(keyOf(technique, smallConfig())
+                    != keyOf(technique, traced))
+            << technique;
     }
 }
 
@@ -482,7 +546,9 @@ namespace
 {
 
 /** Three sweeps that share cells: the second repeats two of the
- *  first's cells under other labels, the third repeats the first. */
+ *  first's cells under other labels and reuses the label
+ *  Find/SchedTask for a cell of its own, the third repeats the
+ *  first. */
 std::vector<Sweep>
 overlappingSweeps()
 {
@@ -494,7 +560,7 @@ overlappingSweeps()
     sweeps[1].add("Find", "Linux", smallConfig(), TechniqueSpec{"Linux"});
     sweeps[1].addComparison("Find", "default", smallConfig(),
                             TechniqueSpec{"SchedTask"});
-    sweeps[1].addComparison("Find", "no-steal",
+    sweeps[1].addComparison("Find", "SchedTask",
                             smallConfig().withSteal(StealPolicy::None),
                             TechniqueSpec{"SchedTask"});
     sweeps[2] = sweeps[0];
@@ -540,7 +606,8 @@ TEST(SweepUnion, SharedCellsRunOnceAndMatchStandalone)
 TEST(SweepUnion, OneTracePairPerDistinctCell)
 {
     // Labels such as Find/SchedTask recur across the sweeps; each
-    // distinct cell still gets its own file pair, none overwritten.
+    // distinct cell still gets its own file pair, none overwritten,
+    // numbered among the cells that share its first label.
     const std::filesystem::path dir =
         std::filesystem::path(::testing::TempDir())
         / ("schedtask_union_traces." + std::to_string(::getpid()));
@@ -555,14 +622,19 @@ TEST(SweepUnion, OneTracePairPerDistinctCell)
     opts.traceDir = dir.string();
     (void)SweepRunner(opts).runAll(all);
 
-    unsigned chrome = 0, jsonl = 0;
-    for (const auto &entry : std::filesystem::directory_iterator(dir)) {
-        const std::string name = entry.path().filename().string();
-        chrome += name.ends_with(".trace.json") ? 1 : 0;
-        jsonl += name.ends_with(".jsonl") ? 1 : 0;
+    std::set<std::string> names;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        names.insert(entry.path().filename().string());
+    std::set<std::string> expected;
+    for (const char *stem :
+         {"Find_baseline__1@1", "Find_SchedTask@1", "Find_SLICC@1",
+          "Iscp_baseline__1@1", "Iscp_SchedTask@1", "Iscp_SLICC@1",
+          "Find_SchedTask@2"}) {
+        expected.insert(std::string(stem) + ".trace.json");
+        expected.insert(std::string(stem) + ".jsonl");
     }
-    EXPECT_EQ(chrome, overlappingCells);
-    EXPECT_EQ(jsonl, overlappingCells);
+    EXPECT_EQ(expected.size(), 2 * overlappingCells);
+    EXPECT_EQ(names, expected);
     std::filesystem::remove_all(dir);
 }
 
@@ -761,13 +833,9 @@ TEST(SweepTrace, TraceDirWritesValidFilesWithoutPerturbingResults)
     expectBitwiseEqual(with.at("row", "SchedTask"),
                        without.at("row", "SchedTask"));
 
-    // Labels are flattened ('/' -> '_') and suffixed with the cell
-    // key: one file pair per distinct cell.
-    const RunRequest req = build().requests().front();
-    char key[32];
-    std::snprintf(key, sizeof(key), "@%016llx",
-                  static_cast<unsigned long long>(cellKey(req)));
-    const std::string stem = dir + "/row_SchedTask" + key;
+    // Labels are flattened ('/' -> '_') and numbered among the
+    // cells that share them: one file pair per distinct cell.
+    const std::string stem = dir + "/row_SchedTask@1";
     const std::string chrome = readFileOrEmpty(stem + ".trace.json");
     const std::string jsonl = readFileOrEmpty(stem + ".jsonl");
     std::string error;

@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -123,14 +122,12 @@ TEST(SweepStress, ConcurrentTraceWritesAndLogToggles)
     EXPECT_EQ(started.load(), results.size());
     // Every run wrote its own trace-file pair, no file was shared.
     for (const RunRequest &req : sweep.requests()) {
-        std::string name = req.label();
+        // Each label is its own cell's first: "Find/baseline #1"
+        // is written as Find_baseline__1@1.
+        std::string name = req.label() + "@1";
         for (char &c : name)
-            if (c == '/')
+            if (c == '/' || c == ' ' || c == '#')
                 c = '_';
-        char key[32];
-        std::snprintf(key, sizeof(key), "@%016llx",
-                      static_cast<unsigned long long>(cellKey(req)));
-        name += key;
         EXPECT_TRUE(std::filesystem::exists(
             dir / (name + ".trace.json")))
             << name;

@@ -236,7 +236,7 @@ main(int argc, char **argv)
     // concurrent worker threads (--jobs or SCHEDTASK_JOBS); both
     // runs see --seed verbatim. --trace-dir writes one trace-file
     // pair per run label.
-    const std::string run_name = spec.str();
+    const std::string &run_name = spec.name;
     Sweep sweep;
     sweep.deriveSeeds(false);
     if (compare_to_baseline)
@@ -253,7 +253,8 @@ main(int argc, char **argv)
     printHeader(run_name + " on " + (bag ? *bag : benchmark));
     std::printf("%s\n", headlineTable(r).render().c_str());
     if (compare_to_baseline) {
-        const RunResult &base = results.at(baselineLabelFor("run", cfg));
+        const RunResult &base =
+            SweepReport(sweep, results).baselineOf("run");
         std::printf("vs Linux baseline: throughput %+0.1f%%, "
                     "app performance %+0.1f%%\n\n",
                     percentChange(base.instThroughput(),
