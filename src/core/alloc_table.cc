@@ -9,19 +9,6 @@ namespace schedtask
 {
 
 AllocTable
-AllocTable::build(const StatsTable &stats, const OverlapTable &overlap,
-                  unsigned num_cores)
-{
-    std::vector<TypeLoad> loads;
-    loads.reserve(stats.size());
-    for (const auto &[raw, entry] : stats.rows()) {
-        loads.push_back(TypeLoad{SfType::fromRaw(raw),
-                                 static_cast<double>(entry.execTime)});
-    }
-    return build(loads, overlap, num_cores);
-}
-
-AllocTable
 AllocTable::build(const std::vector<TypeLoad> &demand,
                   const OverlapTable &overlap, unsigned num_cores)
 {

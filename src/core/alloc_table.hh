@@ -20,7 +20,6 @@
 #include "common/types.hh"
 #include "core/overlap_table.hh"
 #include "core/sf_type.hh"
-#include "core/stats_table.hh"
 
 namespace schedtask
 {
@@ -54,11 +53,6 @@ class AllocTable
                             const OverlapTable &overlap,
                             unsigned num_cores);
 
-    /** Convenience: weights taken from a stats table's exec times. */
-    static AllocTable build(const StatsTable &stats,
-                            const OverlapTable &overlap,
-                            unsigned num_cores);
-
     /** Explicitly set the cores of a type (tests, hand tuning). */
     void set(SfType type, std::vector<CoreId> cores);
 
@@ -69,6 +63,13 @@ class AllocTable
 
     /** All allocated types. */
     std::vector<SfType> types() const;
+
+    /** Every entry: a type's raw value -> its cores. */
+    const std::unordered_map<std::uint64_t, std::vector<CoreId>> &
+    rows() const
+    {
+        return map_;
+    }
 
     /** The types allocated to one core. */
     std::vector<SfType> typesOnCore(CoreId core) const;

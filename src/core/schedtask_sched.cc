@@ -1,5 +1,8 @@
 #include "core/schedtask_sched.hh"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/invariants.hh"
 #include "common/logging.hh"
 #include "sim/machine.hh"
@@ -14,6 +17,22 @@ namespace
 constexpr std::uint64_t tallocInsts = 2500;
 
 } // namespace
+
+const char *
+stealPolicyName(StealPolicy policy)
+{
+    switch (policy) {
+      case StealPolicy::None:
+        return "Steal nothing";
+      case StealPolicy::SameOnly:
+        return "Steal same work only";
+      case StealPolicy::SameAndSimilar:
+        return "Steal similar work also";
+      case StealPolicy::BusiestFirst:
+        return "Steal from busiest";
+    }
+    return "unknown";
+}
 
 SchedTaskScheduler::SchedTaskScheduler(const SchedTaskParams &params)
     : params_(params)
@@ -32,13 +51,6 @@ SchedTaskScheduler::attach(Machine &machine)
     alloc_ = AllocTable{};
     overlap_ = OverlapTable{};
     last_scan_version_.assign(numCores(), ~std::uint64_t{0});
-
-    // The queue and backlog arrays never reallocate after attach, so
-    // one view serves every placement and steal.
-    view_.queues = &allQueues();
-    view_.backlog = &backlogs();
-    view_.queuedCount = [this](SfType t) { return queuedCountOf(t); };
-    view_.onStolen = [this](SuperFunction *sf) { noteQueueRemoval(sf); };
 }
 
 Cycles
@@ -60,16 +72,28 @@ SchedTaskScheduler::choosePlacement(SuperFunction *sf,
 {
     (void)reason;
     const std::vector<CoreId> *cores = alloc_.coresFor(sf->type);
-    if (cores == nullptr || cores->empty()) {
-        // Algorithm 1: no allocation entry -> execute locally.
-        if (sf->lastCore != invalidCore && sf->lastCore < numCores())
-            return sf->lastCore;
-        return sf->tid == invalidThread
-            ? 0 : static_cast<CoreId>(sf->tid % numCores());
-    }
+    if (cores == nullptr || cores->empty())
+        return localCore(sf); // Algorithm 1: no allocation entry
     if (cores->size() == 1)
         return (*cores)[0];
-    return selectLeastWaitingCore(view_, *cores);
+    return selectLeastWaitingCore(*cores);
+}
+
+CoreId
+SchedTaskScheduler::selectLeastWaitingCore(
+    const std::vector<CoreId> &candidates) const
+{
+    SCHEDTASK_ASSERT(!candidates.empty(), "no candidate cores");
+    CoreId best = candidates.front();
+    Cycles best_wait = backlogs()[best];
+    for (std::size_t i = 1; i < candidates.size(); ++i) {
+        const Cycles w = backlogs()[candidates[i]];
+        if (w < best_wait) {
+            best = candidates[i];
+            best_wait = w;
+        }
+    }
+    return best;
 }
 
 SuperFunction *
@@ -90,7 +114,7 @@ SchedTaskScheduler::pickNext(CoreId core)
     last_scan_version_[core] = queueVersion();
 
     if (params_.stealPolicy == StealPolicy::BusiestFirst) {
-        auto stolen = stealFromBusiest(view_, core);
+        auto stolen = stealFromBusiest(core);
         if (stolen.empty())
             return nullptr;
         SuperFunction *first = stolen.front();
@@ -101,7 +125,7 @@ SchedTaskScheduler::pickNext(CoreId core)
     }
 
     // Level 1: steal same work only.
-    sf = stealSameWork(view_, alloc_, core);
+    sf = stealSameWork(alloc_, core);
     if (sf != nullptr) {
         ++same_steals_;
         noteDispatchWait(core, sf);
@@ -112,7 +136,7 @@ SchedTaskScheduler::pickNext(CoreId core)
 
     // Level 2: steal similar work also; half of the matching
     // SuperFunctions migrate to amortize the cold i-cache.
-    auto stolen = stealSimilarWork(view_, alloc_, overlap_, core);
+    auto stolen = stealSimilarWork(alloc_, overlap_, core);
     if (stolen.empty())
         return nullptr;
     ++similar_steals_;
@@ -121,6 +145,102 @@ SchedTaskScheduler::pickNext(CoreId core)
         enqueue(core, stolen[i]);
     noteDispatchWait(core, first);
     return first;
+}
+
+SuperFunction *
+SchedTaskScheduler::stealSameWork(const AllocTable &alloc, CoreId thief)
+{
+    const std::vector<SfType> my_types = alloc.typesOnCore(thief);
+    // Fast reject: none of the local types is queued anywhere.
+    if (std::none_of(my_types.begin(), my_types.end(),
+                     [this](SfType t) { return queuedCountOf(t) > 0; }))
+        return nullptr;
+    // typesOnCore() is sorted by raw value.
+    const auto mine = [&my_types](const SuperFunction *sf) {
+        return std::binary_search(
+            my_types.begin(), my_types.end(), sf->type,
+            [](SfType a, SfType b) { return a.raw() < b.raw(); });
+    };
+
+    // Given multiple victims, prefer the one with the maximum
+    // waiting time (Section 5.3).
+    CoreId victim = invalidCore;
+    Cycles victim_wait = 0;
+    for (CoreId c = 0; c < numCores(); ++c) {
+        if (c == thief)
+            continue;
+        const auto &q = queueOf(c);
+        if (std::none_of(q.begin(), q.end(), mine))
+            continue;
+        const Cycles w = backlogs()[c];
+        if (victim == invalidCore || w > victim_wait) {
+            victim = c;
+            victim_wait = w;
+        }
+    }
+    if (victim == invalidCore)
+        return nullptr;
+    SuperFunction *sf = nullptr;
+    takeMatching(victim, 1, mine, &sf);
+    return sf;
+}
+
+std::vector<SuperFunction *>
+SchedTaskScheduler::stealSimilarWork(const AllocTable &alloc,
+                                     const OverlapTable &overlap,
+                                     CoreId thief)
+{
+    const std::vector<SfType> my_types = alloc.typesOnCore(thief);
+    for (const OverlapPeer &peer : overlap.mergedPeers(my_types)) {
+        // Fast reject before scanning every queue.
+        if (queuedCountOf(peer.type) == 0)
+            continue;
+        const auto same_type = [&peer](const SuperFunction *sf) {
+            return sf->type == peer.type;
+        };
+        for (CoreId c = 0; c < numCores(); ++c) {
+            if (c == thief)
+                continue;
+            const auto &q = queueOf(c);
+            const auto matches = static_cast<std::size_t>(
+                std::count_if(q.begin(), q.end(), same_type));
+            if (matches == 0)
+                continue;
+            // Steal half of them (at least one) to amortize the
+            // initially cold i-cache (Section 5.3).
+            const std::size_t to_steal =
+                std::max<std::size_t>(matches / 2, 1);
+            std::vector<SuperFunction *> stolen;
+            stolen.reserve(to_steal);
+            takeMatching(c, to_steal, same_type,
+                         std::back_inserter(stolen));
+            return stolen;
+        }
+    }
+    return {};
+}
+
+std::vector<SuperFunction *>
+SchedTaskScheduler::stealFromBusiest(CoreId thief)
+{
+    CoreId victim = invalidCore;
+    Cycles victim_wait = 0;
+    for (CoreId c = 0; c < numCores(); ++c) {
+        if (c == thief || queueOf(c).empty())
+            continue;
+        const Cycles w = backlogs()[c];
+        if (victim == invalidCore || w > victim_wait) {
+            victim = c;
+            victim_wait = w;
+        }
+    }
+    if (victim == invalidCore)
+        return {};
+    std::vector<SuperFunction *> stolen(
+        std::max<std::size_t>(queueOf(victim).size() / 2, 1));
+    for (SuperFunction *&sf : stolen)
+        sf = takeBack(victim);
+    return stolen;
 }
 
 void
@@ -219,17 +339,7 @@ SchedTaskScheduler::epochDecision() const
     report.allocTypes = static_cast<unsigned>(alloc_.size());
     report.workSteals = same_steals_ + similar_steals_;
 
-    std::vector<bool> used(numCores(), false);
-    for (SfType type : alloc_.types()) {
-        if (const std::vector<CoreId> *cores = alloc_.coresFor(type)) {
-            for (CoreId c : *cores) {
-                if (c < used.size())
-                    used[c] = true;
-            }
-        }
-    }
-    for (bool u : used)
-        report.allocCores += u ? 1 : 0;
+    report.allocCores = coveredCores(alloc_.rows());
 
     for (const auto &[raw, entry] : talloc_->systemStats().rows()) {
         report.heatmapSetBits += entry.heatmap.popcount();

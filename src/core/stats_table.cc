@@ -83,34 +83,6 @@ StatsTable::find(SfType type) const
     return it == rows_.end() ? nullptr : &it->second;
 }
 
-Cycles
-StatsTable::totalExecTime() const
-{
-    Cycles total = 0;
-    for (const auto &[raw, entry] : rows_)
-        total += entry.execTime;
-    return total;
-}
-
-std::vector<double>
-StatsTable::breakupVector(
-    const std::vector<std::uint64_t> &type_order) const
-{
-    const double total = static_cast<double>(totalExecTime());
-    std::vector<double> v;
-    v.reserve(type_order.size());
-    for (std::uint64_t raw : type_order) {
-        auto it = rows_.find(raw);
-        if (it == rows_.end() || total == 0.0) {
-            v.push_back(0.0);
-        } else {
-            v.push_back(
-                static_cast<double>(it->second.execTime) / total);
-        }
-    }
-    return v;
-}
-
 std::vector<std::uint64_t>
 StatsTable::typeOrder() const
 {

@@ -87,17 +87,6 @@ class StatsTable
     /** Number of distinct types observed. */
     std::size_t size() const { return rows_.size(); }
 
-    /** Summed execution time over all types. */
-    Cycles totalExecTime() const;
-
-    /**
-     * Execution-fraction vector over a fixed type ordering (for the
-     * cosine-similarity re-allocation guard). Types absent from the
-     * table contribute 0.
-     */
-    std::vector<double>
-    breakupVector(const std::vector<std::uint64_t> &type_order) const;
-
     /** Stable ordering of the observed types (sorted raw values). */
     std::vector<std::uint64_t> typeOrder() const;
 

@@ -76,10 +76,7 @@ DisAggregateOSScheduler::choosePlacement(SuperFunction *sf,
         }
     }
     // No assignment yet (first epoch) or unmanaged work: local core.
-    if (sf->lastCore != invalidCore && sf->lastCore < numCores())
-        return sf->lastCore;
-    return sf->tid == invalidThread
-        ? 0 : static_cast<CoreId>(sf->tid % numCores());
+    return localCore(sf);
 }
 
 void
@@ -184,15 +181,7 @@ DisAggregateOSScheduler::epochDecision() const
 {
     SchedEpochReport report = QueueScheduler::epochDecision();
     report.allocTypes = static_cast<unsigned>(assignment_.size());
-    std::vector<bool> used(numCores(), false);
-    for (const auto &[region, cores] : assignment_) {
-        for (CoreId c : cores) {
-            if (c < used.size())
-                used[c] = true;
-        }
-    }
-    for (bool u : used)
-        report.allocCores += u ? 1 : 0;
+    report.allocCores = coveredCores(assignment_);
     report.reallocated = last_reassigned_;
     return report;
 }

@@ -131,19 +131,6 @@ QueueScheduler::enqueue(CoreId core, SuperFunction *sf)
     ++queued_by_type_[sf->type.raw()];
 }
 
-void
-QueueScheduler::enqueueFront(CoreId core, SuperFunction *sf)
-{
-    SCHEDTASK_ASSERT(core < num_cores_, "enqueue to invalid core ", core);
-    sf->coreId = core;
-    sf->state = SfState::Runnable;
-    sf->enqueueCycle = machine_->now();
-    queues_[core].push_front(sf);
-    backlog_[core] += queueCost(sf->type);
-    ++queue_version_;
-    ++queued_by_type_[sf->type.raw()];
-}
-
 SuperFunction *
 QueueScheduler::popHead(CoreId core)
 {
@@ -166,20 +153,6 @@ QueueScheduler::takeBack(CoreId core)
     q.pop_back();
     noteQueueRemoval(sf);
     return sf;
-}
-
-bool
-QueueScheduler::removeFromQueue(SuperFunction *sf)
-{
-    if (sf->coreId == invalidCore || sf->coreId >= num_cores_)
-        return false;
-    auto &q = queues_[sf->coreId];
-    auto it = std::find(q.begin(), q.end(), sf);
-    if (it == q.end())
-        return false;
-    q.erase(it);
-    noteQueueRemoval(sf);
-    return true;
 }
 
 std::vector<SuperFunction *>
@@ -273,6 +246,31 @@ QueueScheduler::leastLoaded(CoreId first, CoreId last) const
         }
     }
     return best;
+}
+
+CoreId
+QueueScheduler::localCore(const SuperFunction *sf) const
+{
+    if (sf->lastCore != invalidCore && sf->lastCore < num_cores_)
+        return sf->lastCore;
+    return sf->tid == invalidThread
+        ? 0 : static_cast<CoreId>(sf->tid % num_cores_);
+}
+
+unsigned
+QueueScheduler::coveredCores(
+    const std::unordered_map<std::uint64_t, std::vector<CoreId>>
+        &core_lists) const
+{
+    std::vector<bool> used(num_cores_, false);
+    for (const auto &[key, cores] : core_lists) {
+        for (CoreId c : cores) {
+            if (c < used.size())
+                used[c] = true;
+        }
+    }
+    return static_cast<unsigned>(
+        std::count(used.begin(), used.end(), true));
 }
 
 const std::deque<SuperFunction *> &

@@ -11,6 +11,11 @@
  * execution cost is charged through overheadFor(), so techniques
  * with expensive software paths (e.g. FlexSC's per-syscall trip
  * through the Linux scheduler) pay for them in simulated time.
+ *
+ * QueueScheduler owns the per-core run queues, their waiting-time
+ * backlogs and the per-type queued counts; techniques built on it,
+ * TMigrate's steals included, read the queues and remove work only
+ * through its members.
  */
 
 #ifndef SCHEDTASK_SCHED_SCHEDULER_HH
@@ -193,7 +198,11 @@ class Scheduler
  * Concrete techniques implement choosePlacement() (and optionally
  * override pickNext for work stealing); the base class keeps the
  * queues, the FCFS order the paper relies on for fairness, and the
- * default event plumbing.
+ * default event plumbing. It is the only owner of the queues: every
+ * way into a queue (enqueue) and out of one (popHead, takeBack,
+ * takeMatching, drainAllQueues) is a member here, and each keeps the
+ * per-core backlog and the per-type counts. Techniques read the
+ * queues through queueOf() and never erase from them directly.
  */
 class QueueScheduler : public Scheduler
 {
@@ -232,36 +241,35 @@ class QueueScheduler : public Scheduler
     /** Append to a core's runnable queue. */
     void enqueue(CoreId core, SuperFunction *sf);
 
-    /** Prepend to a core's runnable queue (priority resume). */
-    void enqueueFront(CoreId core, SuperFunction *sf);
-
     /** Pop the head of a core's queue; nullptr when empty. */
     SuperFunction *popHead(CoreId core);
 
     /** Pop the tail of a core's queue; nullptr when empty. */
     SuperFunction *takeBack(CoreId core);
 
-    /** Remove a specific SuperFunction from its queue. */
-    bool removeFromQueue(SuperFunction *sf);
-
     /**
-     * Remove and return the first SuperFunction in a core's queue
-     * that satisfies `pred`; nullptr when none does.
+     * Remove up to `n` SuperFunctions that satisfy `pred` from a
+     * core's queue in one pass, in queue order, writing each to
+     * `out`; the others keep their order. Returns the advanced
+     * output iterator.
      */
-    template <typename Pred>
-    SuperFunction *
-    popFirst(CoreId core, Pred pred)
+    template <typename Pred, typename OutIt>
+    OutIt
+    takeMatching(CoreId core, std::size_t n, Pred pred, OutIt out)
     {
         auto &q = queues_[core];
-        for (auto it = q.begin(); it != q.end(); ++it) {
+        for (auto it = q.begin(); it != q.end() && n > 0;) {
             if (pred(static_cast<const SuperFunction *>(*it))) {
                 SuperFunction *sf = *it;
-                q.erase(it);
+                it = q.erase(it);
                 noteQueueRemoval(sf);
-                return sf;
+                *out++ = sf;
+                --n;
+            } else {
+                ++it;
             }
         }
-        return nullptr;
+        return out;
     }
 
     /** Remove every queued SuperFunction and return them. */
@@ -279,17 +287,23 @@ class QueueScheduler : public Scheduler
     /** Number of cores (valid after attach). */
     unsigned numCores() const { return num_cores_; }
 
-    /** Read access to a core's queue. */
-    const std::deque<SuperFunction *> &queueOf(CoreId core) const;
+    /**
+     * The core a SuperFunction runs on when its technique has no
+     * placement for it (Algorithm 1: "execute locally"): the core it
+     * last ran on, else one derived from its thread id.
+     */
+    CoreId localCore(const SuperFunction *sf) const;
 
     /**
-     * The whole queue array (TMigrate's stealing view). Whoever
-     * erases through it must call noteQueueRemoval() per removal.
+     * Distinct cores named by a technique's per-key core lists (an
+     * epoch report's allocCores); out-of-range ids are ignored.
      */
-    std::vector<std::deque<SuperFunction *>> &allQueues()
-    {
-        return queues_;
-    }
+    unsigned coveredCores(
+        const std::unordered_map<std::uint64_t, std::vector<CoreId>>
+            &core_lists) const;
+
+    /** Read access to a core's queue. */
+    const std::deque<SuperFunction *> &queueOf(CoreId core) const;
 
     /**
      * Monotonic counter bumped on every enqueue. Idle cores use it
@@ -300,13 +314,6 @@ class QueueScheduler : public Scheduler
 
     /** Number of queued SuperFunctions of a given type. */
     std::size_t queuedCountOf(SfType type) const;
-
-    /**
-     * Bookkeeping for a SuperFunction just erased from its queue
-     * outside this class (stealing): debits the backlog of the core
-     * it was queued on (sf->coreId) and the per-type count.
-     */
-    void noteQueueRemoval(const SuperFunction *sf);
 
     /**
      * Waiting-time weight of one queued SuperFunction of a type;
@@ -324,6 +331,13 @@ class QueueScheduler : public Scheduler
     void rebuildBacklogs();
 
   private:
+    /**
+     * Bookkeeping for a SuperFunction just removed from its queue:
+     * debits the backlog of the core it was queued on (sf->coreId)
+     * and the per-type count.
+     */
+    void noteQueueRemoval(const SuperFunction *sf);
+
     /** Sum of queueCost() over a core's queue. */
     Cycles scanBacklog(CoreId core) const;
 

@@ -36,9 +36,12 @@ SelectiveOffloadScheduler::pickNext(CoreId core)
     if (core >= osBase())
         return popHead(core); // OS cores run whatever is queued
     // Application core: only its bound thread may run.
-    return popFirst(core, [this](const SuperFunction *sf) {
-        return isAdmitted(sf);
-    });
+    SuperFunction *admitted = nullptr;
+    takeMatching(
+        core, 1,
+        [this](const SuperFunction *sf) { return isAdmitted(sf); },
+        &admitted);
+    return admitted;
 }
 
 CoreId

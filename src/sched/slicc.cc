@@ -123,15 +123,7 @@ SliccScheduler::epochDecision() const
     SchedEpochReport report = QueueScheduler::epochDecision();
     report.allocTypes =
         static_cast<unsigned>(seg_homes_.size());
-    std::vector<bool> used(numCores(), false);
-    for (const auto &[key, homes] : seg_homes_) {
-        for (CoreId c : homes) {
-            if (c < used.size())
-                used[c] = true;
-        }
-    }
-    for (bool u : used)
-        report.allocCores += u ? 1 : 0;
+    report.allocCores = coveredCores(seg_homes_);
     report.reallocated = last_shrunk_ > 0;
     report.placementMoves = last_shrunk_;
     return report;

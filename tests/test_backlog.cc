@@ -9,14 +9,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <vector>
 
 #include "common/random.hh"
 #include "core/schedtask_sched.hh"
-#include "core/tmigrate.hh"
 #include "harness/experiment.hh"
 #include "sim/machine.hh"
 #include "workload/benchmarks.hh"
@@ -41,44 +42,24 @@ oracleWaitingTime(const std::deque<SuperFunction *> &queue,
 }
 
 /**
- * QueueScheduler double: per-type costs come from a table the test
+ * SchedTask double: per-type costs come from a table the test
  * mutates (followed by rebuildBacklogs(), as TAlloc's epoch boundary
- * does), and every queue primitive is reachable from the test.
+ * does), and every queue primitive and steal member is reachable
+ * from the test.
  */
-class BacklogProbe : public QueueScheduler
+class BacklogProbe : public SchedTaskScheduler
 {
   public:
-    const char *name() const override { return "BacklogProbe"; }
-
-    using QueueScheduler::drainAllQueues;
-    using QueueScheduler::enqueue;
-    using QueueScheduler::enqueueFront;
-    using QueueScheduler::popHead;
-    using QueueScheduler::queuedCountOf;
-    using QueueScheduler::queueOf;
-    using QueueScheduler::rebuildBacklogs;
-    using QueueScheduler::removeFromQueue;
-    using QueueScheduler::takeBack;
-
-    /** SelectiveOffload's admitted-pop path. */
-    template <typename Pred>
-    SuperFunction *
-    popAdmitted(CoreId core, Pred pred)
-    {
-        return popFirst(core, pred);
-    }
-
-    /** The view SchedTaskScheduler hands to the steal functions. */
-    TMigrateView
-    stealView()
-    {
-        TMigrateView v;
-        v.queues = &allQueues();
-        v.backlog = &backlogs();
-        v.queuedCount = [this](SfType t) { return queuedCountOf(t); };
-        v.onStolen = [this](SuperFunction *sf) { noteQueueRemoval(sf); };
-        return v;
-    }
+    using SchedTaskScheduler::drainAllQueues;
+    using SchedTaskScheduler::enqueue;
+    using SchedTaskScheduler::popHead;
+    using SchedTaskScheduler::queueOf;
+    using SchedTaskScheduler::rebuildBacklogs;
+    using SchedTaskScheduler::stealFromBusiest;
+    using SchedTaskScheduler::stealSameWork;
+    using SchedTaskScheduler::stealSimilarWork;
+    using SchedTaskScheduler::takeBack;
+    using SchedTaskScheduler::takeMatching;
 
     /** Average execution time per type; absent or 0 = unseen. */
     std::map<std::uint64_t, Cycles> avg;
@@ -89,13 +70,6 @@ class BacklogProbe : public QueueScheduler
     {
         auto it = avg.find(type.raw());
         return waitingCost(it == avg.end() ? 0 : it->second);
-    }
-
-    CoreId
-    choosePlacement(SuperFunction *sf, PlacementReason reason) override
-    {
-        (void)reason;
-        return sf->lastCore < numCores() ? sf->lastCore : 0;
     }
 };
 
@@ -240,21 +214,44 @@ TEST_F(BacklogFuzz, RunningBacklogEqualsQueueScan)
             sizes.push_back(probe.queueOf(c).size());
         return sizes;
     };
+    const auto of_type = [](SfType want) {
+        return [want](const SuperFunction *s) { return s->type == want; };
+    };
     // Per operation: how often it actually moved queued work.
-    std::vector<int> moved(12, 0);
+    std::vector<int> moved(11, 0);
+    int multi_takes = 0; // op 1 calls that removed two or more
     for (int step = 0; step < 20000; ++step) {
-        const int op = static_cast<int>(rng.below(12));
+        const int op = static_cast<int>(rng.below(11));
         const std::vector<std::size_t> before = queue_sizes();
         switch (op) {
           case 0:
-          case 1:
-            if (SuperFunction *sf = takeIdle()) {
-                if (op == 0)
-                    probe.enqueue(anyCore(), sf);
-                else
-                    probe.enqueueFront(anyCore(), sf);
-            }
+            if (SuperFunction *sf = takeIdle())
+                probe.enqueue(anyCore(), sf);
             break;
+          case 1: {
+            // Several matches in one pass: the first n in queue
+            // order leave, everything else keeps its order.
+            const CoreId core = anyCore();
+            const SfType want = types[rng.below(types.size())]->type;
+            const std::size_t n = 2 + rng.below(3);
+            std::vector<SuperFunction *> want_taken, want_kept;
+            for (SuperFunction *sf : probe.queueOf(core)) {
+                if (sf->type == want && want_taken.size() < n)
+                    want_taken.push_back(sf);
+                else
+                    want_kept.push_back(sf);
+            }
+            std::vector<SuperFunction *> taken;
+            probe.takeMatching(core, n, of_type(want),
+                               std::back_inserter(taken));
+            ASSERT_EQ(taken, want_taken);
+            ASSERT_TRUE(std::equal(want_kept.begin(), want_kept.end(),
+                                   probe.queueOf(core).begin(),
+                                   probe.queueOf(core).end()));
+            multi_takes += taken.size() >= 2 ? 1 : 0;
+            idle.insert(idle.end(), taken.begin(), taken.end());
+            break;
+          }
           case 2:
             if (SuperFunction *sf = probe.popHead(anyCore()))
                 idle.push_back(sf);
@@ -264,53 +261,42 @@ TEST_F(BacklogFuzz, RunningBacklogEqualsQueueScan)
                 idle.push_back(sf);
             break;
           case 4: {
-            const auto &q = probe.queueOf(anyCore());
-            if (!q.empty()) {
-                SuperFunction *sf = q[rng.below(q.size())];
-                ASSERT_TRUE(probe.removeFromQueue(sf));
+            const CoreId thief = anyCore();
+            if (SuperFunction *sf = probe.stealSameWork(alloc, thief))
                 idle.push_back(sf);
-            }
             break;
           }
           case 5: {
             const CoreId thief = anyCore();
-            if (SuperFunction *sf =
-                    stealSameWork(probe.stealView(), alloc, thief))
-                idle.push_back(sf);
+            settleSteal(thief,
+                        probe.stealSimilarWork(alloc, overlap, thief));
             break;
           }
           case 6: {
             const CoreId thief = anyCore();
-            settleSteal(thief, stealSimilarWork(probe.stealView(), alloc,
-                                                overlap, thief));
+            settleSteal(thief, probe.stealFromBusiest(thief));
             break;
           }
           case 7: {
-            const CoreId thief = anyCore();
-            settleSteal(thief, stealFromBusiest(probe.stealView(), thief));
-            break;
-          }
-          case 8: {
+            // SelectiveOffload's admitted pop.
             const SfType want = types[rng.below(types.size())]->type;
-            if (SuperFunction *sf = probe.popAdmitted(
-                    anyCore(),
-                    [want](const SuperFunction *s) {
-                        return s->type == want;
-                    }))
+            SuperFunction *sf = nullptr;
+            probe.takeMatching(anyCore(), 1, of_type(want), &sf);
+            if (sf != nullptr)
                 idle.push_back(sf);
             break;
           }
-          case 9:
+          case 8:
             // Rare full drain + re-placement, as after a reallocation.
             if (rng.chance(0.05)) {
                 for (SuperFunction *sf : probe.drainAllQueues())
                     probe.enqueue(anyCore(), sf);
             }
             break;
-          case 10:
+          case 9:
             reweigh();
             break;
-          case 11:
+          case 10:
             reallocate();
             break;
         }
@@ -319,8 +305,9 @@ TEST_F(BacklogFuzz, RunningBacklogEqualsQueueScan)
             return;
         moved[op] += queue_sizes() != before ? 1 : 0;
     }
-    for (int op = 0; op <= 9; ++op)
+    for (int op = 0; op <= 8; ++op)
         EXPECT_GT(moved[op], 0) << "op " << op << " never moved work";
+    EXPECT_GT(multi_takes, 0);
 }
 
 TEST(Backlog, QueueSchedulerWithoutCostKeepsZeroBacklog)

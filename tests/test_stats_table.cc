@@ -89,49 +89,14 @@ TEST(StatsTable, WaitAggregates)
     EXPECT_EQ(g.find(read)->queueWait, 30u);
 }
 
-TEST(StatsTable, TotalExecTime)
-{
-    StatsTable t(512);
-    t.record(SfType::systemCall(1), nullptr, 100, 1, heatmapWith({}));
-    t.record(SfType::systemCall(2), nullptr, 300, 1, heatmapWith({}));
-    EXPECT_EQ(t.totalExecTime(), 400u);
-}
-
-TEST(StatsTable, BreakupVectorNormalized)
-{
-    StatsTable t(512);
-    const SfType a = SfType::systemCall(1);
-    const SfType b = SfType::systemCall(2);
-    t.record(a, nullptr, 100, 1, heatmapWith({}));
-    t.record(b, nullptr, 300, 1, heatmapWith({}));
-    const auto order = t.typeOrder();
-    const auto v = t.breakupVector(order);
-    ASSERT_EQ(v.size(), 2u);
-    EXPECT_NEAR(v[0] + v[1], 1.0, 1e-12);
-    // Order is sorted raw: a (1) then b (2).
-    EXPECT_NEAR(v[0], 0.25, 1e-12);
-    EXPECT_NEAR(v[1], 0.75, 1e-12);
-}
-
-TEST(StatsTable, BreakupVectorMissingTypesAreZero)
-{
-    StatsTable t(512);
-    t.record(SfType::systemCall(1), nullptr, 100, 1,
-             heatmapWith({}));
-    const auto v =
-        t.breakupVector({SfType::systemCall(9).raw(),
-                         SfType::systemCall(1).raw()});
-    EXPECT_EQ(v[0], 0.0);
-    EXPECT_NEAR(v[1], 1.0, 1e-12);
-}
-
 TEST(StatsTable, ClearEmpties)
 {
     StatsTable t(512);
     t.record(SfType::systemCall(1), nullptr, 1, 1, heatmapWith({}));
     t.clear();
     EXPECT_EQ(t.size(), 0u);
-    EXPECT_EQ(t.totalExecTime(), 0u);
+    EXPECT_EQ(t.find(SfType::systemCall(1)), nullptr);
+    EXPECT_TRUE(t.typeOrder().empty());
 }
 
 TEST(StatsTable, InfoPointerKeptFromFirstRecord)
