@@ -4,13 +4,15 @@
 #
 #   cd build/examples && ../../examples/reject_bad_input.sh \
 #       ./quickstart ./server_consolidation ./custom_scheduler \
-#       ./fileserver_tuning
+#       ./fileserver_tuning ./heatmap_playground ./trace_inspection
 set -u
 
 quickstart=$1
 consolidation=$2
 custom=$3
 tuning=$4
+heatmap=$5
+inspection=$6
 
 err_file=$(mktemp)
 trap 'rm -f "$err_file"' EXIT
@@ -41,4 +43,8 @@ expect "unknown benchmark 'nosuch'" "$quickstart" nosuch
 expect "unknown bag 'nosuch'" "$consolidation" nosuch
 expect "unknown benchmark 'nosuch'" "$custom" nosuch
 expect "unknown benchmark 'nosuch'" "$tuning" nosuch
+expect "invalid width '63'" "$heatmap" 63
+expect "invalid width 'x'" "$heatmap" x
+expect "invalid width '131072'" "$heatmap" 131072
+expect "invalid thread id 'x'" "$inspection" Find x
 exit $failed

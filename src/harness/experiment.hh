@@ -77,14 +77,14 @@ struct ExperimentConfig
     /**
      * Why `spec` cannot run on this configuration, or nullopt when
      * it can. This is the one place a run is checked before it
-     * starts: an unknown benchmark, a cache level the model cannot
+     * starts: an unknown benchmark, an L1I size the model cannot
      * build (HierarchyParams::geometryError()), a demand-smoothing
      * weight outside [0, 1], an unregistered technique, a core
      * count (after coresRequired() and configureMachine()) the
      * full-map coherence directory cannot track, a heatmap width
      * PageHeatmap does not accept, and a scale at which a part has
      * no threads or more than Workload::maxPartThreads. Messages
-     * name the offending value (or its `hierarchy.<level>` or
+     * name the offending value (or its `hierarchy.l1iBytes` or
      * `schedTask.<field>`), never a flag: every caller sets it its
      * own way.
      */
@@ -143,7 +143,7 @@ struct ExperimentConfig
     ExperimentConfig &
     withL1ISize(std::uint64_t bytes)
     {
-        hierarchy.l1i.sizeBytes = bytes;
+        hierarchy.l1iBytes = bytes;
         return *this;
     }
 

@@ -79,7 +79,7 @@
 namespace schedtask
 {
 
-/** Geometry and latency of one cache level. */
+/** Geometry of one cache level (its latency is the hierarchy's). */
 struct CacheParams
 {
     /** Total capacity in bytes. */
@@ -88,10 +88,6 @@ struct CacheParams
     unsigned assoc = 4;
     /** Bytes per block (64 for caches, 4096 for TLBs-as-caches). */
     std::uint64_t blockBytes = lineBytes;
-    /** Access latency in cycles (applied by the hierarchy). */
-    Cycles latency = 3;
-
-    auto operator<=>(const CacheParams &) const = default;
 };
 
 /**
@@ -99,9 +95,10 @@ struct CacheParams
  *
  * Addresses passed in are full byte addresses; the cache derives the
  * block/tag split from its parameters. Callers that already hold the
- * block tag (addr >> blockShift, e.g. a hierarchy probing several
- * line-grain levels with one precomputed tag) can use the *Tag
- * variants directly and skip the per-level shift.
+ * block tag (tagOf(addr), the address divided by blockBytes, e.g. a
+ * hierarchy probing several line-grain levels with one precomputed
+ * tag) can use the *Tag variants directly and skip the per-level
+ * shift.
  */
 class Cache
 {

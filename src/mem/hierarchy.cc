@@ -8,6 +8,55 @@
 namespace schedtask
 {
 
+namespace
+{
+
+// The Table 2 values no run changes. The L1, L2 and LLC levels share
+// one line tag per access on the fetch/data paths, so all of them use
+// line blocks.
+
+/** Associativity of the L1 i-cache (HierarchyParams sets its size). */
+constexpr unsigned l1iAssoc = 4;
+
+/** Private L1 d-cache: 4-way 32 KB. */
+constexpr CacheParams l1dGeometry{32 * 1024, 4, lineBytes};
+
+/** Private unified L2 (when present): 4-way 256 KB, 8 cycles. */
+constexpr CacheParams l2Geometry{256 * 1024, 4, lineBytes};
+constexpr Cycles l2Latency = 8;
+
+/** Shared last-level cache: 8-way 8 MB (the L3, or the L2 of
+ *  Config1/Config2). Its latency is HierarchyParams::llcLatency. */
+constexpr CacheParams llcGeometry{8 * 1024 * 1024, 8, lineBytes};
+
+/** Main memory latency. */
+constexpr Cycles memLatency = 200;
+
+/**
+ * Frontend refill bubble added to every L1I miss: beyond the raw
+ * fill latency, an OOO frontend loses fetch/decode slots re-steering
+ * and refilling the pipeline. This is what makes i-cache misses so
+ * much more expensive than d-cache misses in OS-intensive workloads
+ * (the premise of the paper).
+ */
+constexpr Cycles frontendBubbleCycles = 14;
+
+/** Cache-to-cache transfer latency for remote-dirty fills. */
+constexpr Cycles remoteFillLatency = 40;
+
+/** Fraction of a data-read miss latency hidden by the OOO core (the
+ *  paper's Section 2.2 argument: OOO pipelines, LSQs and data
+ *  prefetchers already hide most d-cache miss latency). */
+constexpr double dataHideFactor = 0.9;
+
+/** Both TLBs: 128 entries, 4-way, a 40-cycle page walk. */
+constexpr TlbParams tlbParams{128, 4, 40};
+
+/** Fraction of a dTLB walk hidden by the OOO core. */
+constexpr double dtlbHideFactor = 0.5;
+
+} // namespace
+
 HierarchyParams
 HierarchyParams::paperDefault()
 {
@@ -19,7 +68,6 @@ HierarchyParams::config1()
 {
     HierarchyParams p;
     p.hasPrivateL2 = false;
-    p.llc = CacheParams{8 * 1024 * 1024, 8, lineBytes, 18};
     return p;
 }
 
@@ -27,45 +75,23 @@ HierarchyParams
 HierarchyParams::config2()
 {
     HierarchyParams p = config1();
-    p.llc.latency = 8;
+    p.llcLatency = 8;
     return p;
 }
 
 std::optional<std::string>
 HierarchyParams::geometryError() const
 {
-    // The fetch/data hot paths share one line tag per access across
-    // the L1/L2/LLC probes, so those levels must use line blocks.
-    const auto check = [](const char *level, const CacheParams &p,
-                          bool line_grain) -> std::optional<std::string> {
-        const std::string name = std::string("hierarchy.") + level + ": ";
-        if (!Cache::supports(p)) {
-            return name + std::to_string(p.sizeBytes) + " B, "
-                + std::to_string(p.assoc) + "-way, "
-                + std::to_string(p.blockBytes)
-                + " B blocks is not a supported cache geometry (the model "
-                  "supports 4 or 8 ways and a power-of-two number of sets)";
-        }
-        if (line_grain && p.blockBytes != lineBytes) {
-            return name + std::to_string(p.blockBytes)
-                + " B blocks; the L1, L2 and LLC levels must use "
-                + std::to_string(lineBytes) + " B blocks";
-        }
+    if (Cache::supports({l1iBytes, l1iAssoc, lineBytes}))
         return std::nullopt;
-    };
-    std::optional<std::string> error;
-    if ((error = check("l1i", l1i, true)) || (error = check("l1d", l1d, true))
-        || (hasPrivateL2 && (error = check("l2", l2, true)))
-        || (error = check("llc", llc, true))
-        || (error = check("itlb", itlb.cacheParams(), false))
-        || (error = check("dtlb", dtlb.cacheParams(), false)))
-        return error;
-    return std::nullopt;
+    return "hierarchy.l1iBytes: " + std::to_string(l1iBytes)
+        + " B is not a supported L1I size (the model supports a "
+          "power-of-two number of 4-way sets of 64 B lines)";
 }
 
 MemHierarchy::MemHierarchy(const HierarchyParams &params,
                            unsigned num_cores)
-    : params_(params), llc_(params.llc), directory_(num_cores)
+    : params_(params), llc_(llcGeometry), directory_(num_cores)
 {
     SCHEDTASK_ASSERT(num_cores >= 1, "need at least one core");
     const std::optional<std::string> geometry = params_.geometryError();
@@ -74,13 +100,14 @@ MemHierarchy::MemHierarchy(const HierarchyParams &params,
     l1d_.reserve(num_cores);
     itlbs_.reserve(num_cores);
     dtlbs_.reserve(num_cores);
+    const CacheParams l1i_geometry{params_.l1iBytes, l1iAssoc, lineBytes};
     for (unsigned c = 0; c < num_cores; ++c) {
-        l1i_.push_back(std::make_unique<Cache>(params_.l1i));
-        l1d_.push_back(std::make_unique<Cache>(params_.l1d));
+        l1i_.push_back(std::make_unique<Cache>(l1i_geometry));
+        l1d_.push_back(std::make_unique<Cache>(l1dGeometry));
         if (params_.hasPrivateL2)
-            l2_.push_back(std::make_unique<Cache>(params_.l2));
-        itlbs_.push_back(std::make_unique<Tlb>(params_.itlb));
-        dtlbs_.push_back(std::make_unique<Tlb>(params_.dtlb));
+            l2_.push_back(std::make_unique<Cache>(l2Geometry));
+        itlbs_.push_back(std::make_unique<Tlb>(tlbParams));
+        dtlbs_.push_back(std::make_unique<Tlb>(tlbParams));
     }
 
     // A data-read miss exposes llround(fill_latency * (1 - hide)).
@@ -88,20 +115,19 @@ MemHierarchy::MemHierarchy(const HierarchyParams &params,
     // source), so the rounded results are precomputed here — the
     // miss path then just picks one instead of scaling through
     // floating point per miss.
-    const auto exposedRead = [this](Cycles fill_latency) {
-        const double expose = 1.0 - params_.dataHideFactor;
+    const auto exposedRead = [](Cycles fill_latency) {
+        const double expose = 1.0 - dataHideFactor;
         return static_cast<Cycles>(std::llround(
             static_cast<double>(fill_latency) * expose));
     };
-    exposed_l2_fill_ = exposedRead(params_.l2.latency);
-    exposed_llc_fill_ = exposedRead(params_.llc.latency);
-    exposed_mem_fill_ =
-        exposedRead(params_.llc.latency + params_.memLatency);
-    exposed_remote_fill_ = exposedRead(params_.remoteFillLatency);
-    // Same for the dTLB walk: a miss always costs dtlb.missPenalty.
+    exposed_l2_fill_ = exposedRead(l2Latency);
+    exposed_llc_fill_ = exposedRead(params_.llcLatency);
+    exposed_mem_fill_ = exposedRead(params_.llcLatency + memLatency);
+    exposed_remote_fill_ = exposedRead(remoteFillLatency);
+    // Same for the dTLB walk: a miss always costs the walk penalty.
     exposed_dtlb_walk_ = static_cast<Cycles>(std::llround(
-        static_cast<double>(params_.dtlb.missPenalty)
-        * (1.0 - params_.dtlbHideFactor)));
+        static_cast<double>(tlbParams.missPenalty)
+        * (1.0 - dtlbHideFactor)));
 }
 
 Cycles
@@ -113,8 +139,8 @@ MemHierarchy::fillFromShared(CoreId core, Addr line_tag, bool &llc_hit)
     llc_hit = false;
     llc_.accessOrInsertTag(line_tag, llc_hit);
     if (llc_hit)
-        return params_.llc.latency;
-    return params_.llc.latency + params_.memLatency;
+        return params_.llcLatency;
+    return params_.llcLatency + memLatency;
 }
 
 Cycles
@@ -126,14 +152,14 @@ MemHierarchy::fetchMiss(CoreId core, Addr line_tag)
     // share one scan too — filling before the LLC walk instead of
     // after it is unobservable (the walk never reads this L2, and L2
     // evictions are silent).
-    Cycles stall = params_.frontendBubbleCycles;
+    Cycles stall = frontendBubbleCycles;
     if (params_.hasPrivateL2) {
         ++l2_counts_.accesses;
         bool l2_hit = false;
         l2_[core]->accessOrInsertTag(line_tag, l2_hit);
         if (l2_hit) {
             ++l2_counts_.hits;
-            stall += params_.l2.latency;
+            stall += l2Latency;
         } else {
             bool llc_hit = false;
             stall += fillFromShared(core, line_tag, llc_hit);
@@ -242,8 +268,7 @@ MemHierarchy::dataSlow(CoreId core, Addr addr, bool is_write,
         // Stores retire through the store buffer; only coherence
         // transfers expose latency (the fill above was the remote
         // transfer exactly when remoteDirtyFill is set).
-        return outcome.remoteDirtyFill ? params_.remoteFillLatency / 2
-                                       : 0;
+        return outcome.remoteDirtyFill ? remoteFillLatency / 2 : 0;
     }
 
     return exposed_fill;

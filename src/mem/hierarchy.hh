@@ -2,18 +2,23 @@
  * @file
  * The full memory hierarchy of the simulated machine.
  *
- * Default geometry follows Table 2 of the paper: private 4-way 32 KB
+ * The geometry follows Table 2 of the paper: private 4-way 32 KB
  * L1I/L1D (3 cycles), private 4-way 256 KB unified L2 (8 cycles),
  * shared 8-way 8 MB NUCA L3 (18 cycles average), directory-based
- * coherence, and 128-entry iTLB/dTLB. The appendix's Config1/Config2
- * (two-level hierarchies) are provided as presets.
+ * coherence, and 128-entry iTLB/dTLB.
+ *
+ * A run can set only the values the appendix sweeps, which are
+ * HierarchyParams' three fields: the L1I size (appendix Table 2:
+ * 16/32/64 KB) and, for the two-level Config1/Config2 (appendix
+ * Table 3), no private L2 and the LLC latency. Every other Table 2
+ * value is a named constant in hierarchy.cc.
  *
  * The hierarchy returns *exposed stall cycles*:
  *  - instruction fetches expose the full miss latency (the frontend
  *    cannot run ahead of a missing fetch);
- *  - data reads expose a fraction (1 - dataHideFactor) of the miss
- *    latency (OOO execution, LSQs and data prefetchers hide most of
- *    it — the paper makes exactly this argument in Section 2.2);
+ *  - data reads expose a small fraction of the miss latency (OOO
+ *    execution, LSQs and data prefetchers hide the rest — the paper
+ *    makes exactly this argument in Section 2.2);
  *  - data writes retire through the store buffer and expose latency
  *    only for coherence (remote-dirty) transfers.
  */
@@ -60,45 +65,19 @@ struct AccessCounts
     }
 };
 
-/** Complete hierarchy configuration, per core for the private
- *  levels; the core count is MemHierarchy's constructor argument. */
+/** The hierarchy values a run sets (see the file comment), per
+ *  core for the private levels; the core count is MemHierarchy's
+ *  constructor argument. */
 struct HierarchyParams
 {
-    CacheParams l1i{32 * 1024, 4, lineBytes, 3};
-    CacheParams l1d{32 * 1024, 4, lineBytes, 3};
+    /** L1 i-cache capacity (4-way, 64 B lines). */
+    std::uint64_t l1iBytes = 32 * 1024;
 
     /** Private unified L2 present? (false for Config1/Config2). */
     bool hasPrivateL2 = true;
-    CacheParams l2{256 * 1024, 4, lineBytes, 8};
 
-    /** Shared last-level cache. */
-    CacheParams llc{8 * 1024 * 1024, 8, lineBytes, 18};
-
-    /** Main memory latency. */
-    Cycles memLatency = 200;
-
-    /**
-     * Frontend refill bubble added to every L1I miss: beyond the
-     * raw fill latency, an OOO frontend loses fetch/decode slots
-     * re-steering and refilling the pipeline. This is what makes
-     * i-cache misses so much more expensive than d-cache misses in
-     * OS-intensive workloads (the premise of the paper).
-     */
-    Cycles frontendBubbleCycles = 14;
-
-    /** Cache-to-cache transfer latency for remote-dirty fills. */
-    Cycles remoteFillLatency = 40;
-
-    /** Fraction of a data-read miss latency hidden by the OOO core
-     *  (the paper's Section 2.2 argument: OOO pipelines, LSQs and
-     *  data prefetchers already hide most d-cache miss latency). */
-    double dataHideFactor = 0.9;
-
-    TlbParams itlb{128, 4, 40};
-    TlbParams dtlb{128, 4, 40};
-
-    /** Fraction of a dTLB walk hidden by the OOO core. */
-    double dtlbHideFactor = 0.5;
+    /** Shared last-level cache latency (8 cycles in Config2). */
+    Cycles llcLatency = 18;
 
     auto operator<=>(const HierarchyParams &) const = default;
 
@@ -111,9 +90,8 @@ struct HierarchyParams
     /** Appendix Config2: 2-level, shared 8 MB L2 at 8 cycles. */
     static HierarchyParams config2();
 
-    /** Why a level (`hierarchy.l1i`, ..., `hierarchy.dtlb`) cannot
-     *  be built — Cache::supports() rejects it, or an L1, L2 or LLC
-     *  has no lineBytes blocks — or nullopt. */
+    /** Why `hierarchy.l1iBytes` cannot be built (Cache::supports()
+     *  rejects it), or nullopt. */
     std::optional<std::string> geometryError() const;
 };
 
@@ -229,9 +207,6 @@ class MemHierarchy : public PrefetchSink
     /** Reset all statistics (after warmup), keeping cache contents. */
     void resetStats();
 
-    /** Configured parameters. */
-    const HierarchyParams &params() const { return params_; }
-
   private:
     /** L1I miss: frontend bubble + L2/LLC walk + L1I fill. */
     Cycles fetchMiss(CoreId core, Addr line_tag);
@@ -292,8 +267,8 @@ MemHierarchy::fetch(CoreId core, Addr addr, ExecClass cls)
         stall = fetchAux(core, addr, cls, stall);
     } else {
         // One tag split, shared by the L1I, L2 and LLC probes (they
-        // all index at line granularity; asserted in the
-        // constructor). The probe and the miss fill share one merged
+        // all use line blocks; see the geometry constants in
+        // hierarchy.cc). The probe and the miss fill share one merged
         // set scan; filling before the L2/LLC walk instead of after
         // it is unobservable (nothing in that walk reads the L1I).
         const Addr line_tag = lineNumOf(addr);
@@ -312,7 +287,7 @@ MemHierarchy::fetch(CoreId core, Addr addr, ExecClass cls)
 inline Cycles
 MemHierarchy::data(CoreId core, Addr addr, bool is_write, ExecClass cls)
 {
-    // A dTLB walk always costs dtlb.missPenalty, so its exposed
+    // A dTLB walk always costs the same miss penalty, so its exposed
     // (rounded) stall is a constructor-precomputed constant; the
     // common case (hit) skips the scaling altogether.
     Cycles stall =

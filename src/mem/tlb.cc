@@ -3,19 +3,10 @@
 namespace schedtask
 {
 
-CacheParams
-TlbParams::cacheParams() const
-{
-    CacheParams cp;
-    cp.blockBytes = pageBytes;
-    cp.assoc = assoc;
-    cp.sizeBytes = static_cast<std::uint64_t>(entries) * pageBytes;
-    cp.latency = 0;
-    return cp;
-}
-
 Tlb::Tlb(const TlbParams &params)
-    : params_(params), cache_(params.cacheParams())
+    : params_(params),
+      cache_(CacheParams{std::uint64_t{params.entries} * pageBytes,
+                         params.assoc, pageBytes})
 {
 }
 

@@ -28,11 +28,6 @@ struct TlbParams
     unsigned assoc = 4;
     /** Cycles added to the access on a TLB miss (page walk). */
     Cycles missPenalty = 40;
-
-    auto operator<=>(const TlbParams &) const = default;
-
-    /** The page-grain cache geometry this TLB is built on. */
-    CacheParams cacheParams() const;
 };
 
 /**

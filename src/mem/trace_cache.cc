@@ -13,7 +13,6 @@ traceCacheParams(const TraceCacheParams &p)
     cp.blockBytes = static_cast<std::uint64_t>(p.linesPerTrace) * lineBytes;
     cp.assoc = p.assoc;
     cp.sizeBytes = static_cast<std::uint64_t>(p.traces) * cp.blockBytes;
-    cp.latency = 1;
     return cp;
 }
 

@@ -219,7 +219,7 @@ Core::pickDataAddr()
     // subset of the region (inode/dentry caches, request headers,
     // the current rows of a scan); the rest sample the whole region
     // cold. OOO execution hides most of the cold-miss latency (the
-    // hierarchy's dataHideFactor).
+    // dataHideFactor constant in mem/hierarchy.cc).
     std::uint64_t lines = r.fullLines;
     if (r.hotLines != 0 && h.rng.chance(hotSubsetOdds))
         lines = r.hotLines;

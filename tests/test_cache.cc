@@ -43,26 +43,26 @@ TEST(Cache, MissThenHit)
 
 TEST(Cache, GeometryDerivation)
 {
-    Cache c(CacheParams{32 * 1024, 4, 64, 3});
+    Cache c(CacheParams{32 * 1024, 4, 64});
     EXPECT_EQ(c.numSets(), 32u * 1024 / (4 * 64));
 }
 
 TEST(Cache, SupportsOnlyFourOrEightWaysAndPowerOfTwoSets)
 {
-    EXPECT_TRUE(Cache::supports(CacheParams{32 * 1024, 4, 64, 3}));
-    EXPECT_TRUE(Cache::supports(CacheParams{8 << 20, 8, 64, 18}));
-    EXPECT_TRUE(Cache::supports(CacheParams{256, 4, 64, 1})); // 1 set
-    EXPECT_TRUE(Cache::supports(CacheParams{32 * 256, 4, 256, 1}));
-    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 2, 64, 3}));
-    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 16, 64, 3}));
-    EXPECT_FALSE(Cache::supports(CacheParams{48 * 1024, 4, 64, 3}));
-    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 4, 48, 3}));
-    EXPECT_FALSE(Cache::supports(CacheParams{1000, 4, 64, 3}));
-    EXPECT_FALSE(Cache::supports(CacheParams{0, 4, 64, 3}));
-    EXPECT_FALSE(Cache::supports(CacheParams{128, 4, 64, 3})); // < 1 set
+    EXPECT_TRUE(Cache::supports(CacheParams{32 * 1024, 4, 64}));
+    EXPECT_TRUE(Cache::supports(CacheParams{8 << 20, 8, 64}));
+    EXPECT_TRUE(Cache::supports(CacheParams{256, 4, 64})); // 1 set
+    EXPECT_TRUE(Cache::supports(CacheParams{32 * 256, 4, 256}));
+    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 2, 64}));
+    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 16, 64}));
+    EXPECT_FALSE(Cache::supports(CacheParams{48 * 1024, 4, 64}));
+    EXPECT_FALSE(Cache::supports(CacheParams{32 * 1024, 4, 48}));
+    EXPECT_FALSE(Cache::supports(CacheParams{1000, 4, 64}));
+    EXPECT_FALSE(Cache::supports(CacheParams{0, 4, 64}));
+    EXPECT_FALSE(Cache::supports(CacheParams{128, 4, 64})); // < 1 set
     EXPECT_FALSE(Cache::supports(
-        CacheParams{1024, 4, std::uint64_t{1} << 62, 3})); // no overflow
-    EXPECT_DEATH(Cache(CacheParams{32 * 1024, 2, 64, 3}),
+        CacheParams{1024, 4, std::uint64_t{1} << 62})); // no overflow
+    EXPECT_DEATH(Cache(CacheParams{32 * 1024, 2, 64}),
                  "unsupported cache geometry");
 }
 
@@ -212,7 +212,7 @@ class CacheGeometry
 TEST_P(CacheGeometry, FillAndRecall)
 {
     const auto [size_kb, assoc] = GetParam();
-    Cache c(CacheParams{size_kb * 1024ull, assoc, 64, 1});
+    Cache c(CacheParams{size_kb * 1024ull, assoc, 64});
     const std::uint64_t blocks = size_kb * 1024ull / 64;
     // Fill the whole cache with sequential addresses.
     for (std::uint64_t i = 0; i < blocks; ++i)
@@ -351,7 +351,7 @@ checkAgainstReference()
         for (std::uint64_t sets : set_counts) {
             for (unsigned shift : block_shifts) {
                 const std::uint64_t block = std::uint64_t{1} << shift;
-                Cache c(CacheParams{sets * assoc * block, assoc, block, 1});
+                Cache c(CacheParams{sets * assoc * block, assoc, block});
                 ReferenceCache ref(sets, assoc, shift);
                 const std::uint64_t capacity = sets * assoc;
                 // Odd tags carry the top address bit, so the full
@@ -416,7 +416,7 @@ TEST(Cache, RecencyPermutationThroughInvalidate)
     for (const unsigned assoc : {4u, 8u}) {
         SCOPED_TRACE(assoc);
         // 4 sets; addresses 0x100 apart share set 0.
-        Cache c(CacheParams{4 * assoc * 64, assoc, 64, 1});
+        Cache c(CacheParams{4 * assoc * 64, assoc, 64});
         EXPECT_TRUE(c.recencyIsPermutation());
         c.insert(0x0);
         c.insert(0x100);

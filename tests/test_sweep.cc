@@ -299,7 +299,7 @@ TEST(SweepDeath, InvalidConfigRejectedAtAdd)
                  "row/typo: unknown benchmark 'Fnid' \\(known: Find");
     EXPECT_DEATH(sweep.add("row", "l1i", smallConfig().withL1ISize(48 * 1024),
                            TechniqueSpec{"Linux"}),
-                 "row/l1i: hierarchy.l1i: 49152 B, 4-way");
+                 "row/l1i: hierarchy.l1iBytes: 49152 B is not a supported");
 }
 
 TEST(SweepDeath, RepeatedLabelRejectedAtAdd)
@@ -354,41 +354,23 @@ TEST(ExperimentConfigValidate, AcceptsRunnableRejectsOthers)
 
 TEST(ExperimentConfigValidate, RejectsUnsupportedCacheGeometry)
 {
-    // Each bad level is rejected at declaration, by a message that
-    // names it; the same config with the level restored is runnable.
+    // An L1I size the model cannot build is rejected at declaration,
+    // by a message that names the field; the paper's sizes run.
     const auto npos = std::string::npos;
-    auto problem = [](const std::function<void(HierarchyParams &)> &bad) {
-        ExperimentConfig cfg = smallConfig();
-        bad(cfg.hierarchy);
-        return cfg.validate(TechniqueSpec{"Linux"}).value_or("");
+    auto problem = [](std::uint64_t l1i_bytes) {
+        return smallConfig().withL1ISize(l1i_bytes)
+            .validate(TechniqueSpec{"Linux"}).value_or("");
     };
-    EXPECT_EQ(problem([](HierarchyParams &) {}), "");
-    const std::string two_way =
-        problem([](HierarchyParams &h) { h.l1i.assoc = 2; });
-    EXPECT_NE(two_way.find("hierarchy.l1i: 32768 B, 2-way, 64 B blocks"),
-              npos) << two_way;
-    EXPECT_NE(two_way.find("4 or 8 ways and a power-of-two number of sets"),
-              npos) << two_way;
-    const std::string sets_192 =
-        problem([](HierarchyParams &h) { h.l1i.sizeBytes = 48 * 1024; });
-    EXPECT_NE(sets_192.find("hierarchy.l1i: 49152 B, 4-way"), npos)
+    for (std::uint64_t kb : {16, 32, 64})
+        EXPECT_EQ(problem(kb * 1024), "") << kb << " KB";
+    const std::string sets_192 = problem(48 * 1024);
+    EXPECT_NE(sets_192.find("hierarchy.l1iBytes: 49152 B is not a "
+                            "supported L1I size"),
+              npos) << sets_192;
+    EXPECT_NE(sets_192.find("power-of-two number of 4-way sets"), npos)
         << sets_192;
-    const std::string tlb_3_way =
-        problem([](HierarchyParams &h) { h.dtlb.assoc = 3; });
-    EXPECT_NE(tlb_3_way.find("hierarchy.dtlb: "), npos) << tlb_3_way;
-    EXPECT_NE(tlb_3_way.find("3-way"), npos) << tlb_3_way;
-    const std::string l1d_128 =
-        problem([](HierarchyParams &h) { h.l1d.blockBytes = 128; });
-    EXPECT_NE(l1d_128.find("hierarchy.l1d: 128 B blocks; the L1, L2 and "
-                           "LLC levels must use 64 B blocks"),
-              npos) << l1d_128;
-    // Config1/Config2 build no private L2, so its params are not
-    // checked there.
-    EXPECT_EQ(problem([](HierarchyParams &h) {
-                  h = HierarchyParams::config1();
-                  h.l2.assoc = 2;
-              }),
-              "");
+    const std::string empty = problem(0);
+    EXPECT_NE(empty.find("hierarchy.l1iBytes: 0 B "), npos) << empty;
 }
 
 /** A named one-field perturbation of a T, for the key tests below. */
@@ -418,7 +400,7 @@ TEST(SweepFingerprint, EveryMixedFieldChangesIt)
     // Every field a Linux run can observe splits its cell; an
     // ignored one would merge distinct Linux baselines silently.
     using Cfg = ExperimentConfig;
-    auto mixed = std::vector{
+    const auto mixed = std::vector{
         PERTURB(Cfg, c.parts[0].benchmark = "Iscp"),
         PERTURB(Cfg, c.parts[0].scale = 1.5),
         PERTURB(Cfg, c.parts.push_back({"Find", 1.0})),
@@ -431,46 +413,10 @@ TEST(SweepFingerprint, EveryMixedFieldChangesIt)
         PERTURB(Cfg, c.machine.coreFrequencyGHz += 0.5),
         PERTURB(Cfg, c.machine.seed += 1),
         PERTURB(Cfg, c.machine.trackExactPages = true),
+        PERTURB(Cfg, c.hierarchy.l1iBytes *= 2),
         PERTURB(Cfg, c.hierarchy.hasPrivateL2 = false),
-        PERTURB(Cfg, c.hierarchy.memLatency += 1),
-        PERTURB(Cfg, c.hierarchy.frontendBubbleCycles += 1),
-        PERTURB(Cfg, c.hierarchy.remoteFillLatency += 1),
-        PERTURB(Cfg, c.hierarchy.dataHideFactor -= 0.25),
-        PERTURB(Cfg, c.hierarchy.dtlbHideFactor -= 0.25),
+        PERTURB(Cfg, c.hierarchy.llcLatency += 1),
     };
-    const auto cache_fields = std::vector{
-        PERTURB(CacheParams, c.sizeBytes *= 2),
-        PERTURB(CacheParams, c.assoc *= 2),
-        PERTURB(CacheParams, c.blockBytes *= 2),
-        PERTURB(CacheParams, c.latency += 1),
-    };
-    for (const auto &[level, member] :
-         {std::pair{"l1i", &HierarchyParams::l1i},
-          std::pair{"l1d", &HierarchyParams::l1d},
-          std::pair{"l2", &HierarchyParams::l2},
-          std::pair{"llc", &HierarchyParams::llc}}) {
-        for (const auto &[field, perturb] : cache_fields) {
-            mixed.emplace_back(level + (": " + field),
-                               [m = member, f = perturb](Cfg &c) {
-                                   f(c.hierarchy.*m);
-                               });
-        }
-    }
-    const auto tlb_fields = std::vector{
-        PERTURB(TlbParams, c.entries *= 2),
-        PERTURB(TlbParams, c.assoc *= 2),
-        PERTURB(TlbParams, c.missPenalty += 1),
-    };
-    for (const auto &[tlb, member] :
-         {std::pair{"itlb", &HierarchyParams::itlb},
-          std::pair{"dtlb", &HierarchyParams::dtlb}}) {
-        for (const auto &[field, perturb] : tlb_fields) {
-            mixed.emplace_back(tlb + (": " + field),
-                               [m = member, f = perturb](Cfg &c) {
-                                   f(c.hierarchy.*m);
-                               });
-        }
-    }
 
     const CellKey base = keyOf("Linux", smallConfig());
     for (const auto &[field, perturb] : mixed) {

@@ -11,15 +11,19 @@
 #   * default, checked and portable (any two or more of them):
 #     schedtask-figures --fast fig07_fast
 #     sec44_epoch_similarity fig11_heatmap_size app_fig2_prefetcher
-#     app_fig3_trace_cache under each build, in one --trace-dir call;
-#     the reports and every trace file (the fig07_fast cross, the
-#     10-epoch sec44 Linux cells, the Fig. 11 cells incl. the
-#     fixed-size traced tau cells) must be bitwise identical, proving
-#     the invariant checker is pure observation and the simulated
-#     results do not depend on the target ISA (-march=x86-64-v3
-#     vectorizes the cache set kernels, the portable build does not).
-#     The two appendix figures drive the fetch path with the CGP
-#     prefetcher (fetchAux, installInstLine) and the trace caches.
+#     app_fig3_trace_cache app_tab2_icache_size app_tab3_cache_config
+#     under each build, in one --trace-dir call; the reports and
+#     every trace file (the fig07_fast cross, the 10-epoch sec44
+#     Linux cells, the Fig. 11 cells incl. the fixed-size traced tau
+#     cells) must be bitwise identical, proving the invariant checker
+#     is pure observation and the simulated results do not depend on
+#     the target ISA (-march=x86-64-v3 vectorizes the cache set
+#     kernels, the portable build does not). Appendix Figs. 2 and 3
+#     drive the fetch path with the CGP prefetcher (fetchAux,
+#     installInstLine) and the trace caches; appendix Tables 2 and 3
+#     run the 16/64 KB L1I and the two-level Config1/Config2
+#     hierarchies (224 more simulations than the other five figures;
+#     the tables share their 32 KB/Config3 cross).
 #
 # Host-cost measurement lives in perfbench/ (see perfbench/README.md).
 #
@@ -67,14 +71,14 @@ for preset in default checked portable; do
     has_preset "$preset" && IDENTITY+=("$preset")
 done
 if [ ${#IDENTITY[@]} -ge 2 ]; then
-    step "${IDENTITY[*]}: fig07_fast + sec44 + fig11 + app figs 2-3 bitwise identity"
+    step "${IDENTITY[*]}: fig07_fast + sec44 + fig11 + app figs 2-3 + app tabs 2-3 bitwise identity"
     tmp="$(mktemp -d)"
     trap 'rm -rf "$tmp"' EXIT
     for preset in "${IDENTITY[@]}"; do
         ./build-$preset/bench/schedtask-figures --fast \
             --trace-dir "$tmp/$preset" fig07_fast sec44_epoch_similarity \
             fig11_heatmap_size app_fig2_prefetcher app_fig3_trace_cache \
-            >"$tmp/$preset.out"
+            app_tab2_icache_size app_tab3_cache_config >"$tmp/$preset.out"
     done
     ref="${IDENTITY[0]}"
     for preset in "${IDENTITY[@]:1}"; do
